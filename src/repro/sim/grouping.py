@@ -10,13 +10,14 @@ the reduction was.  This module makes grouping pluggable:
   historical dict-of-lists grouping, unchanged results, O(sessions)
   coordinator memory.  Right for laptop-scale traces.
 * :class:`ExternalGrouping` (``grouping="external"``) -- out-of-core
-  grouping by external merge-sort (:mod:`repro.trace.store`):
-  sessions spill to sorted runs of at most ``run_sessions`` each, the
-  runs k-way merge into one globally sorted shard file keyed by
-  ``(SwarmKey.sort_key, start, session_id)``, and a
-  :class:`~repro.trace.store.ShardManifest` maps each swarm to its
-  ``(file, offset, length)`` extent.  Coordinator grouping memory is
-  O(``run_sessions``), independent of trace size.
+  grouping by external merge-sort (:mod:`repro.trace.store`): each
+  session is mapped once to a group id (one per distinct
+  :class:`~repro.sim.policies.SwarmKey`), spills to sorted runs of at
+  most ``run_sessions`` each, and the runs k-way merge into one
+  globally sorted shard file ordered by ``(SwarmKey.sort_key, start,
+  session_id)``; a :class:`~repro.trace.store.ShardManifest` maps each
+  swarm to its ``(file, offset, length)`` extent.  Coordinator
+  grouping memory is O(``run_sessions``), independent of trace size.
 
 Both strategies produce a :class:`TaskPlan` -- the lazy interface
 backends consume instead of a materialized task list.  A plan knows its
@@ -55,10 +56,9 @@ from repro.trace.events import Session
 from repro.trace.store import (
     STORE_VERSION,
     Extent,
-    ExternalSessionSorter,
+    ExternalGroupSorter,
     SessionColumns,
     ShardManifest,
-    StoreWriter,
     evict_reader,
     load_manifest,
     save_manifest,
@@ -466,69 +466,51 @@ class ExternalGrouping(GroupingStrategy):
             work_dir = Path(tempfile.mkdtemp(prefix="repro-shards-"))
             owned_dir = work_dir
 
-        def sort_key(session: Session):
-            return (
-                policy.key_for(session).sort_key(),
-                session.start,
-                session.session_id,
-            )
-
         try:
-            sorter = ExternalSessionSorter(
-                sort_key, directory=work_dir, run_sessions=self.run_sessions
+            sorter = ExternalGroupSorter(work_dir, run_sessions=self.run_sessions)
+            keys: List[SwarmKey] = []
+            ids: Dict[SwarmKey, int] = {}
+
+            def group_of(session: Session) -> int:
+                """The session's group id: one per distinct swarm key."""
+                key = policy.key_for(session)
+                group = ids.get(key)
+                if group is None:
+                    group = ids[key] = sorter.group(key.sort_key())
+                    keys.append(key)
+                return group
+
+            # A batch swarm key is a pure function of (content_id, isp,
+            # bitrate), so it is computed once per distinct triple; a
+            # time-scoped policy (EpochPolicy) also keys on the start
+            # time, so it pays one key_for call per session.
+            memo: Optional[Dict[tuple, int]] = (
+                None if getattr(policy, "time_scoped", False) else {}
             )
+            add = sorter.add
             latest_end = 0.0
             for session in sessions:
-                sorter.add(session)
-                if session.end > latest_end:
-                    latest_end = session.end
+                if memo is None:
+                    group = group_of(session)
+                else:
+                    triple = (session.content_id, session.isp, session.bitrate)
+                    group = memo.get(triple)
+                    if group is None:
+                        group = memo[triple] = group_of(session)
+                add(group, session)
+                end = session.start + session.duration
+                if end > latest_end:
+                    latest_end = end
             if latest_end > horizon:
                 raise ValueError(
                     f"horizon {horizon} shorter than last session end {latest_end}"
                 )
 
             shard_path = work_dir / self.SHARD_FILENAME
-            extents: List[Extent] = []
-            current_key = None
-            current_start = 0
-            previous: Optional[Session] = None
-            # A batch swarm key is a pure function of (content_id, isp,
-            # bitrate); recomputing it per session would triple the
-            # key-construction cost of the sort, so only a change in
-            # those raw fields starts a new extent.  A time-scoped
-            # policy (EpochPolicy) breaks that assumption -- the key
-            # also depends on the session's start time -- so it opts
-            # out of the shortcut and the key is rebuilt per session.
-            time_scoped = bool(getattr(policy, "time_scoped", False))
-            with StoreWriter(shard_path, horizon=horizon) as writer:
-                for session in sorter.finish():
-                    if previous is None or time_scoped or (
-                        session.content_id != previous.content_id
-                        or session.bitrate != previous.bitrate
-                        or session.isp != previous.isp
-                    ):
-                        key = policy.key_for(session)
-                        if key != current_key:
-                            if current_key is not None:
-                                extents.append(
-                                    Extent(
-                                        key=current_key,
-                                        index=current_start,
-                                        count=writer.records_written - current_start,
-                                    )
-                                )
-                            current_key = key
-                            current_start = writer.records_written
-                    previous = session
-                    writer.append(session)
-                if current_key is not None:
-                    extents.append(
-                        Extent(
-                            key=current_key,
-                            index=current_start,
-                            count=writer.records_written - current_start,
-                        )
-                    )
+            extents = [
+                Extent(key=keys[group], index=index, count=count)
+                for group, index, count in sorter.write(shard_path, horizon)
+            ]
             manifest = ShardManifest(
                 path=str(shard_path), horizon=horizon, extents=tuple(extents)
             )

@@ -121,9 +121,9 @@ class EpochPolicy:
     base: SwarmPolicy
     epoch_seconds: float
 
-    #: Marks keys as time-dependent: grouping strategies must recompute
-    #: the key per session instead of only when the raw content/ISP/
-    #: bitrate fields change (see ``ExternalGrouping.plan``).
+    #: Marks keys as time-dependent: grouping strategies must compute
+    #: the key per session instead of memoizing it on the raw content/
+    #: ISP/bitrate fields (see ``ExternalGrouping.plan``).
     time_scoped = True
 
     def __post_init__(self) -> None:

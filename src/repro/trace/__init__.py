@@ -29,7 +29,7 @@ from repro.trace.loader import (
 )
 from repro.trace.store import (
     Extent,
-    ExternalSessionSorter,
+    ExternalGroupSorter,
     ShardManifest,
     StoreReader,
     StoreWriter,
@@ -50,7 +50,7 @@ __all__ = [
     "DeviceProfile",
     "DiurnalProfile",
     "Extent",
-    "ExternalSessionSorter",
+    "ExternalGroupSorter",
     "FLAT_PROFILE",
     "GeneratorConfig",
     "Population",

@@ -16,12 +16,13 @@ on:
   sessions is addressable as ``(offset, length)`` byte ranges and a
   worker process can decode *its own* sessions straight from the file
   instead of receiving them pickled from the coordinator.
-* :class:`ExternalSessionSorter` -- a classic external merge-sort:
-  bounded in-memory runs are sorted and spilled as store files, then
-  k-way merged (``heapq.merge``) into one globally sorted stream.  The
-  sort key is injected by the caller (the simulator sorts by
-  ``(SwarmKey.sort_key, start, session_id)``), so the module stays
-  independent of the simulation layer.
+* :class:`ExternalGroupSorter` -- a classic external merge-sort into
+  group order: each session is packed once into a plain tuple under
+  a caller-assigned group id, bounded runs are sorted and spilled as
+  internal fixed-width run files, and a k-way merge (``heapq.merge``)
+  writes one globally sorted store.  Group orders are supplied by the
+  caller (the simulator passes ``SwarmKey.sort_key()``), so the module
+  stays independent of the simulation layer.
 * :class:`Extent` / :class:`ShardManifest` -- the map from each group
   (swarm) to its ``(file, offset, length)`` extent in a sorted store,
   the unit of zero-copy handoff to workers.
@@ -73,7 +74,7 @@ __all__ = [
     "StoreReader",
     "Extent",
     "ShardManifest",
-    "ExternalSessionSorter",
+    "ExternalGroupSorter",
     "SorterStats",
     "shared_reader",
     "evict_reader",
@@ -107,8 +108,9 @@ STORE_VERSION = _VERSION
 _RECORD = struct.Struct("<qqIdddHIIH")
 RECORD_SIZE = _RECORD.size
 
-#: Sequential readers decode this many records per file read.
-_READ_CHUNK_RECORDS = 4096
+#: Sequential readers and the sorted-store writer move this many
+#: records per file read or write.
+_CHUNK_RECORDS = 4096
 
 
 class StoreCorruptionError(ValueError):
@@ -181,7 +183,9 @@ class StoreWriter:
     Records are written in :meth:`append` order; string tables are
     collected incrementally and written into the footer at
     :meth:`close`.  A file is unreadable until closed (the footer is
-    what makes it self-describing) -- use the context-manager form::
+    what makes it self-describing) -- use the context-manager form,
+    which writes the footer only when the body completes (after an
+    exception the file is closed footerless, so readers reject it)::
 
         with StoreWriter(path, horizon) as writer:
             for session in sessions:
@@ -190,8 +194,7 @@ class StoreWriter:
     Args:
         path: output file path (parent directories are created).
         horizon: trace horizon in seconds, stored in the footer so
-            round-trips are lossless; 0.0 marks "not recorded"
-            (intermediate sort runs).
+            round-trips are lossless; 0.0 marks "not recorded".
     """
 
     def __init__(self, path: Union[str, Path], horizon: float = 0.0) -> None:
@@ -305,11 +308,48 @@ class StoreWriter:
         self._file.close()
         self._closed = True
 
+    def _append_packed(self, records: List[bytes]) -> None:
+        """Write packed records whose string refs come from this writer."""
+        if self._closed:
+            raise RuntimeError(f"store {self.path} is closed")
+        self._file.write(b"".join(records))
+        self._count += len(records)
+
     def __enter__(self) -> "StoreWriter":
         return self
 
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+    def __exit__(self, exc_type: object, *exc_info: object) -> None:
+        if exc_type is None:
+            self.close()
+        elif not self._closed:
+            # A failed body leaves no footer: a store holding only a
+            # prefix of its records must never open as complete.
+            self._file.close()
+            self._closed = True
+
+
+def _pread_exact(path: Path, descriptor: int, length: int, offset: int) -> bytes:
+    """Exactly ``length`` bytes at ``offset``, via the fault-injectable facade.
+
+    Every positional read of a store or run file goes through here (fault
+    site ``store.pread``).  A short read of a complete file is treated as
+    transient (EIO territory on flaky shared storage) so the retry loop
+    gets a shot; one that persists means the file is corrupt.
+    """
+
+    def pread() -> bytes:
+        buffer = faults.storage().pread(descriptor, length, offset, site="store.pread")
+        if len(buffer) != length:
+            raise OSError(
+                errno.EIO,
+                f"short read at byte {offset} (got {len(buffer)} of {length} bytes)",
+            )
+        return buffer
+
+    try:
+        return faults.retrying("store.pread", pread)
+    except OSError as error:
+        raise StoreCorruptionError(f"{path}: {error}") from error
 
 
 class StoreReader:
@@ -445,30 +485,12 @@ class StoreReader:
             )
         if count == 0:
             return b""
-        offset = _HEADER.size + index * RECORD_SIZE
-        length = count * RECORD_SIZE
-
-        def pread() -> bytes:
-            """One positional read through the fault-injectable facade."""
-            buffer = faults.storage().pread(
-                self._fd, length, offset, site="store.pread"
-            )
-            if len(buffer) != length:
-                # A short read on a complete store is transient (EIO
-                # territory on flaky shared storage): surface it as one
-                # so the retry loop gets a shot before we call the
-                # store corrupt.
-                raise OSError(
-                    errno.EIO,
-                    f"short read at record {index} "
-                    f"(got {len(buffer)} of {length} bytes)",
-                )
-            return buffer
-
-        try:
-            return faults.retrying("store.pread", pread)
-        except OSError as error:
-            raise StoreCorruptionError(f"{self.path}: {error}") from error
+        return _pread_exact(
+            self.path,
+            self._fd,
+            count * RECORD_SIZE,
+            _HEADER.size + index * RECORD_SIZE,
+        )
 
     def read_range(self, index: int, count: int) -> List[Session]:
         """Decode ``count`` sessions starting at record ``index``.
@@ -517,7 +539,7 @@ class StoreReader:
         """Yield every session in record order, chunk-buffered."""
         index = 0
         while index < self._count:
-            chunk = min(_READ_CHUNK_RECORDS, self._count - index)
+            chunk = min(_CHUNK_RECORDS, self._count - index)
             yield from self.read_range(index, chunk)
             index += chunk
 
@@ -666,106 +688,236 @@ class SorterStats:
     peak_buffered: int
 
 
-class ExternalSessionSorter:
-    """Bounded-memory sort of an arbitrarily large session stream.
+#: One spilled run record: start, session_id, group id, field slot,
+#: user_id, duration, pop, exchange.  Internal to
+#: :class:`ExternalGroupSorter` -- run files are not stores: they have
+#: no header, footer or string tables, and live only until the merge.
+_RUN_RECORD = struct.Struct("<dqIIqdII")
 
-    Sessions are buffered up to ``run_sessions``; each full buffer is
-    sorted by ``sort_key`` and spilled as a store file under
-    ``directory``; :meth:`finish` k-way merges the spilled runs with
-    the final in-memory run (``heapq.merge`` -- streaming, at most one
-    read-chunk per run resident) and yields the globally sorted stream.
-    Run files are deleted as soon as the merge completes.
 
-    ``sort_key`` must be a total order over the added sessions (the
-    simulator's ``(SwarmKey.sort_key, start, session_id)`` key is: ids
-    are unique), so the merged order -- and everything built from it --
-    is deterministic.
+class ExternalGroupSorter:
+    """Bounded-memory sort of a session stream into group order.
+
+    The external merge-sort behind out-of-core grouping.  Callers
+    register every group once with :meth:`group`, giving its *order*
+    (any totally ordered value; the simulator passes
+    ``SwarmKey.sort_key()``), then :meth:`add` each session under its
+    group id.  :meth:`write` emits a store file sorted by ``(group
+    order, start, session_id)`` and returns each group's extent in it.
+
+    Each session is packed once into a plain tuple: its string and
+    bitrate fields collapse to one integer *slot* (an interned
+    ``(content_id, isp, bitrate, device)`` combination) and its group
+    order leads, so the sort needs no key callback.  Full buffers of
+    ``run_sessions`` tuples are sorted and spilled as fixed-width run
+    records carrying the group id.  At :meth:`write`, groups get integer
+    ranks from their orders (once per group, not per session), the runs
+    k-way merge on ``(rank, start, session_id)`` -- reading at most
+    ``run_sessions`` records at a time across all runs -- and the shard
+    is packed straight from the merged fields, its string tables
+    interned in first-encounter order exactly as :class:`StoreWriter`
+    would.  No :class:`~repro.trace.events.Session` is ever decoded.
+
+    Session ids must be unique (the simulator's traces are), which makes
+    the order total, so the output is a pure function of the session
+    multiset.  Run files are deleted as soon as the merge completes.
     """
 
     def __init__(
-        self,
-        sort_key: Callable[[Session], object],
-        directory: Union[str, Path],
-        run_sessions: int = 100_000,
+        self, directory: Union[str, Path], run_sessions: int = 100_000
     ) -> None:
         if run_sessions < 1:
             raise ValueError(f"run_sessions must be >= 1, got {run_sessions!r}")
-        self.sort_key = sort_key
         self.directory = Path(directory)
         self.run_sessions = run_sessions
-        self._buffer: List[Session] = []
-        self._run_paths: List[Path] = []
-        self._runs_spilled = 0
-        self._sessions = 0
+        self._orders: List[object] = []
+        self._slots: Dict[Tuple[str, str, float, str], int] = {}
+        self._buffer: List[tuple] = []
+        self._runs: List[Tuple[Path, int]] = []
+        self._sorted = 0  # sessions no longer in the buffer
         self._peak_buffered = 0
         self._finished = False
 
     @property
     def stats(self) -> SorterStats:
         """What the sort has done so far (see :class:`SorterStats`)."""
+        buffered = len(self._buffer)
         return SorterStats(
-            sessions=self._sessions,
-            runs_spilled=self._runs_spilled,
-            peak_buffered=self._peak_buffered,
+            sessions=self._sorted + buffered,
+            runs_spilled=len(self._runs),
+            peak_buffered=max(self._peak_buffered, buffered),
         )
 
-    def add(self, session: Session) -> None:
-        """Buffer one session, spilling a sorted run when full."""
+    def group(self, order: object) -> int:
+        """Register one group by its sort order; returns its group id.
+
+        Distinct groups must have distinct orders.  The caller decides
+        what a group is (and deduplicates); the sorter only orders them.
+        """
+        self._orders.append(order)
+        return len(self._orders) - 1
+
+    def add(self, group: int, session: Session) -> None:
+        """Buffer one session under ``group``, spilling a run when full."""
         if self._finished:
-            raise RuntimeError("cannot add sessions after finish()")
-        self._buffer.append(session)
-        self._sessions += 1
-        if len(self._buffer) > self._peak_buffered:
-            self._peak_buffered = len(self._buffer)
-        if len(self._buffer) >= self.run_sessions:
+            raise RuntimeError("cannot add sessions after write()")
+        attachment = session.attachment
+        fields = (session.content_id, attachment.isp, session.bitrate, session.device)
+        slot = self._slots.get(fields)
+        if slot is None:
+            slot = self._slots[fields] = len(self._slots)
+        buffer = self._buffer
+        buffer.append(
+            (
+                self._orders[group],
+                session.start,
+                session.session_id,
+                group,
+                slot,
+                session.user_id,
+                session.duration,
+                attachment.pop,
+                attachment.exchange,
+            )
+        )
+        if len(buffer) >= self.run_sessions:
             self._spill()
 
-    def extend(self, sessions: Iterable[Session]) -> None:
-        """Buffer a stream of sessions (spilling as needed)."""
-        for session in sessions:
-            self.add(session)
+    def _release(self) -> List[tuple]:
+        """Take the buffer out, counting it as sorted."""
+        buffer, self._buffer = self._buffer, []
+        self._sorted += len(buffer)
+        self._peak_buffered = max(self._peak_buffered, len(buffer))
+        return buffer
 
     def _spill(self) -> None:
-        self._buffer.sort(key=self.sort_key)
-        path = self.directory / f"run-{len(self._run_paths):06d}.store"
-        with StoreWriter(path) as writer:
-            for session in self._buffer:
-                writer.append(session)
-        self._run_paths.append(path)
-        self._runs_spilled += 1
-        self._buffer = []
+        buffer = self._release()
+        buffer.sort()
+        pack = _RUN_RECORD.pack
+        path = self.directory / f"run-{len(self._runs):06d}.bin"
+        records = [
+            pack(start, sid, group, slot, user, duration, pop, exchange)
+            for _, start, sid, group, slot, user, duration, pop, exchange in buffer
+        ]
+        with open(path, "wb") as handle:
+            handle.write(b"".join(records))
+        self._runs.append((path, len(records)))
 
-    def finish(self) -> Iterator[Session]:
-        """Yield every added session in globally sorted order.
+    def write(
+        self, path: Union[str, Path], horizon: float
+    ) -> List[Tuple[int, int, int]]:
+        """Merge everything added into a sorted store at ``path``.
 
-        May be consumed once; spilled run files are removed when the
-        iterator is exhausted (or closed).
+        Returns ``(group, index, count)`` for every non-empty group, in
+        sorted order: each group's contiguous extent in the new store.
+        May be called once; spilled runs are removed when it returns or
+        raises.
         """
         if self._finished:
-            raise RuntimeError("finish() may only be called once")
+            raise RuntimeError("write() may only be called once")
         self._finished = True
-        self._buffer.sort(key=self.sort_key)
-        if not self._run_paths:
-            # Everything fit in one buffer: no disk round-trip needed.
-            yield from self._buffer
-            return
-        readers = [StoreReader(path) for path in self._run_paths]
+        by_rank = sorted(range(len(self._orders)), key=self._orders.__getitem__)
+        rank = [0] * len(by_rank)
+        for position, group in enumerate(by_rank):
+            rank[group] = position
+        buffered = self._release()
+        final = [
+            (rank[group], start, sid, slot, user, duration, pop, exchange)
+            for _, start, sid, group, slot, user, duration, pop, exchange in buffered
+        ]
+        final.sort()
+        # Runs are read this many records at a time, so together they
+        # hold at most run_sessions records however many were spilled.
+        chunk = max(1, self.run_sessions // (len(self._runs) + 1))
+        descriptors: List[int] = []
         try:
-            streams: List[Iterable[Session]] = [
-                reader.iter_sessions() for reader in readers
-            ]
-            if self._buffer:
-                streams.append(iter(self._buffer))
-            yield from heapq.merge(*streams, key=self.sort_key)
+            streams: List[Iterable[tuple]] = []
+            for run_path, count in self._runs:
+                descriptor = os.open(run_path, os.O_RDONLY)
+                descriptors.append(descriptor)
+                streams.append(_read_run(run_path, descriptor, count, chunk, rank))
+            streams.append(final)
+            return self._write_merged(heapq.merge(*streams), path, horizon, by_rank)
         finally:
-            for reader in readers:
-                reader.close()
-            for path in self._run_paths:
+            for descriptor in descriptors:
+                os.close(descriptor)
+            for run_path, _ in self._runs:
                 try:
-                    path.unlink()
+                    run_path.unlink()
                 except OSError:  # pragma: no cover - best-effort cleanup
                     pass
-            self._run_paths = []
+
+    def _write_merged(
+        self,
+        merged: Iterable[tuple],
+        path: Union[str, Path],
+        horizon: float,
+        by_rank: Sequence[int],
+    ) -> List[Tuple[int, int, int]]:
+        """Pack merged ``(rank, ...)`` tuples into a store; return extents."""
+        fields = list(self._slots)
+        # Per slot: its shard string refs and bitrate, interned the first
+        # time the slot appears in merged order -- which interns every
+        # string at its own first encounter, as StoreWriter.append would.
+        refs: List[Optional[Tuple[int, float, int, int]]] = [None] * len(fields)
+        pack = _RECORD.pack
+        extents: List[Tuple[int, int, int]] = []
+        records: List[bytes] = []
+        current = first = -1
+        with StoreWriter(path, horizon=horizon) as writer:
+            for rank, start, sid, slot, user, duration, pop, exchange in merged:
+                if rank != current:
+                    index = writer.records_written + len(records)
+                    if current >= 0:
+                        extents.append((by_rank[current], first, index - first))
+                    current, first = rank, index
+                ref = refs[slot]
+                if ref is None:
+                    content, isp, bitrate, device = fields[slot]
+                    ref = refs[slot] = (
+                        writer._content.ref(content),
+                        bitrate,
+                        writer._isp.ref(isp),
+                        writer._device.ref(device),
+                    )
+                content_ref, bitrate, isp_ref, device_ref = ref
+                records.append(
+                    pack(
+                        sid,
+                        user,
+                        content_ref,
+                        start,
+                        duration,
+                        bitrate,
+                        isp_ref,
+                        pop,
+                        exchange,
+                        device_ref,
+                    )
+                )
+                if len(records) == _CHUNK_RECORDS:
+                    writer._append_packed(records)
+                    records = []
+            writer._append_packed(records)
+        if current >= 0:
+            extents.append((by_rank[current], first, writer.records_written - first))
+        return extents
+
+
+def _read_run(
+    path: Path, descriptor: int, count: int, chunk: int, rank: Sequence[int]
+) -> Iterator[tuple]:
+    """Stream one spilled run as merge tuples, ``chunk`` records per read."""
+    unpack = _RUN_RECORD.iter_unpack
+    for index in range(0, count, chunk):
+        records = min(chunk, count - index)
+        data = _pread_exact(
+            path, descriptor, records * _RUN_RECORD.size, index * _RUN_RECORD.size
+        )
+        yield from [
+            (rank[group], start, sid, slot, user, duration, pop, exchange)
+            for start, sid, group, slot, user, duration, pop, exchange in unpack(data)
+        ]
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,7 @@ from repro.sim.grouping import (
     resolve_grouping,
 )
 from repro.sim.kernel import SwarmTask, build_tasks, resolve_task
-from repro.sim.policies import PAPER_POLICY, SwarmPolicy
+from repro.sim.policies import PAPER_POLICY, EpochPolicy, SwarmPolicy
 from repro.trace.generator import GeneratorConfig, TraceGenerator
 
 
@@ -54,8 +54,9 @@ class TestPlanEquivalence:
             SwarmPolicy(split_by_isp=False),
             SwarmPolicy(split_by_bitrate=False),
             SwarmPolicy(split_by_isp=False, split_by_bitrate=False),
+            EpochPolicy(PAPER_POLICY, 6 * 3600.0),
         ],
-        ids=["paper", "cross-isp", "mixed-bitrate", "content-only"],
+        ids=["paper", "cross-isp", "mixed-bitrate", "content-only", "epoch-6h"],
     )
     def test_external_tasks_equal_memory_tasks(self, trace, tmp_path, policy):
         memory = MemoryGrouping().plan(trace, trace.horizon, policy)

@@ -3,9 +3,11 @@
 The out-of-core refactor's core claim, stated as a law and handed to
 `hypothesis`: for *any* session multiset and *any* input order, the
 memory and external grouping strategies produce bit-for-bit identical
-simulation results.  Sessions are drawn with adversarial structure --
-shared swarm keys, shared users, ties in start times -- precisely the
-cases where a sort/merge bug would reorder the fold.  ``hypothesis``
+simulation results -- under a batch policy and under a time-scoped
+(epoch) policy, whose swarm keys also depend on each session's start.
+Sessions are drawn with adversarial structure -- shared swarm keys,
+shared users, ties in start times -- precisely the cases where a
+sort/merge bug would reorder the fold.  ``hypothesis``
 is an optional dependency: the module skips when it is missing.
 """
 
@@ -17,6 +19,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.sim import SimulationConfig, Simulator
 from repro.sim.grouping import ExternalGrouping, MemoryGrouping
+from repro.sim.policies import PAPER_POLICY, EpochPolicy
 from repro.topology.nodes import intern_attachment
 from repro.trace.events import SECONDS_PER_DAY, Session
 
@@ -68,9 +71,14 @@ def session_lists(draw):
     return sessions, permutation
 
 
-def _run(sessions, grouping, tmp_dir):
+#: The time-scoped policy under test: 6-hour epochs, so the two-day
+#: horizon spans eight and drawn sessions spread over several.
+EPOCH_POLICY = EpochPolicy(PAPER_POLICY, 6 * 3600.0)
+
+
+def _run(sessions, grouping, tmp_dir, policy):
     simulator = Simulator(
-        SimulationConfig(),
+        SimulationConfig(policy=policy),
         grouping=(
             ExternalGrouping(shard_dir=tmp_dir, run_sessions=7)
             if grouping == "external"
@@ -80,16 +88,25 @@ def _run(sessions, grouping, tmp_dir):
     return simulator.run_stream(iter(sessions), HORIZON)
 
 
+def _check_law(sessions, permutation, tmp_dir, policy):
+    reference = _run(sessions, "memory", tmp_dir, policy)
+    # Memory grouping on the permuted stream.
+    assert reference.identical_to(_run(permutation, "memory", tmp_dir, policy))
+    # External grouping on both orders (run_sessions=7 forces real
+    # spill-and-merge on most examples).
+    assert reference.identical_to(_run(sessions, "external", tmp_dir, policy))
+    assert reference.identical_to(_run(permutation, "external", tmp_dir, policy))
+
+
 class TestGroupingLaws:
     @LAW
     @given(data=session_lists())
     def test_strategy_and_permutation_invariance(self, data, tmp_path_factory):
-        sessions, permutation = data
-        tmp_dir = tmp_path_factory.mktemp("shards")
-        reference = _run(sessions, "memory", tmp_dir)
-        # Memory grouping on the permuted stream.
-        assert reference.identical_to(_run(permutation, "memory", tmp_dir))
-        # External grouping on both orders (run_sessions=7 forces real
-        # spill-and-merge on most examples).
-        assert reference.identical_to(_run(sessions, "external", tmp_dir))
-        assert reference.identical_to(_run(permutation, "external", tmp_dir))
+        _check_law(*data, tmp_path_factory.mktemp("shards"), PAPER_POLICY)
+
+    @LAW
+    @given(data=session_lists())
+    def test_strategy_and_permutation_invariance_under_epochs(
+        self, data, tmp_path_factory
+    ):
+        _check_law(*data, tmp_path_factory.mktemp("shards"), EPOCH_POLICY)

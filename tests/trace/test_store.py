@@ -10,7 +10,7 @@ from repro.trace.generator import GeneratorConfig, TraceGenerator
 from repro.trace.store import (
     RECORD_SIZE,
     Extent,
-    ExternalSessionSorter,
+    ExternalGroupSorter,
     ShardManifest,
     StoreCorruptionError,
     StoreReader,
@@ -74,6 +74,20 @@ class TestRoundTrip:
         writer.close()
         with pytest.raises(RuntimeError):
             writer.append(trace.sessions[0])
+
+    def test_failed_write_leaves_no_footer(self, trace, tmp_path):
+        # A producer that dies mid-stream must not publish a well-formed
+        # store holding only the prefix it wrote.
+        path = tmp_path / "t.store"
+        with pytest.raises(RuntimeError, match="producer failed"):
+            with StoreWriter(path, horizon=trace.horizon) as writer:
+                for index, session in enumerate(trace.sessions[:10]):
+                    if index == 4:
+                        raise RuntimeError("producer failed")
+                    writer.append(session)
+        assert path.stat().st_size == 8 + 4 * RECORD_SIZE
+        with pytest.raises(StoreCorruptionError):
+            StoreReader(path)
 
     def test_writer_rejects_negative_horizon(self, tmp_path):
         with pytest.raises(ValueError):
@@ -287,48 +301,90 @@ class TestManifest:
 
 
 class TestExternalSorter:
-    def sort_key(self, session: Session):
+    """The packed-record external sort behind external grouping."""
+
+    @staticmethod
+    def sort_key(session: Session):
         return (
             PAPER_POLICY.key_for(session).sort_key(),
             session.start,
             session.session_id,
         )
 
+    @staticmethod
+    def feed(sorter, sessions):
+        """Add sessions grouped by the paper policy's swarm keys."""
+        ids, keys = {}, []
+        for session in sessions:
+            key = PAPER_POLICY.key_for(session)
+            if key not in ids:
+                ids[key] = sorter.group(key.sort_key())
+                keys.append(key)
+            sorter.add(ids[key], session)
+        return keys
+
+    def sort(self, sessions, directory, run_sessions):
+        """Sort into ``directory/sorted.store``; returns (sorter, path, extents)."""
+        directory.mkdir(parents=True, exist_ok=True)
+        sorter = ExternalGroupSorter(directory, run_sessions=run_sessions)
+        keys = self.feed(sorter, sessions)
+        path = directory / "sorted.store"
+        extents = [
+            (keys[group], index, count)
+            for group, index, count in sorter.write(path, 86_400.0)
+        ]
+        return sorter, path, extents
+
+    def read(self, path):
+        with StoreReader(path) as reader:
+            return list(reader.iter_sessions())
+
     def test_sorted_output_with_spilling(self, trace, tmp_path):
-        sorter = ExternalSessionSorter(self.sort_key, tmp_path, run_sessions=50)
-        sorter.extend(trace.sessions)
-        merged = list(sorter.finish())
+        sorter, path, extents = self.sort(trace.sessions, tmp_path, 50)
+        merged = self.read(path)
         assert merged == sorted(trace.sessions, key=self.sort_key)
+        # One extent per swarm key, in order, tiling the store.
+        assert [key for key, _, _ in extents] == sorted(
+            {PAPER_POLICY.key_for(s) for s in merged}, key=lambda k: k.sort_key()
+        )
+        position = 0
+        for key, index, count in extents:
+            assert index == position and count > 0
+            assert all(
+                PAPER_POLICY.key_for(s) == key for s in merged[index : index + count]
+            )
+            position += count
+        assert position == len(trace)
         stats = sorter.stats
         assert stats.sessions == len(trace)
         assert stats.runs_spilled == len(trace) // 50
         assert stats.peak_buffered <= 50
         # Run files are removed once the merge completes.
-        assert list(tmp_path.glob("run-*.store")) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sorted.store"]
 
     def test_no_spill_when_buffer_fits(self, trace, tmp_path):
-        sorter = ExternalSessionSorter(self.sort_key, tmp_path, run_sessions=10**6)
-        sorter.extend(trace.sessions)
-        merged = list(sorter.finish())
-        assert merged == sorted(trace.sessions, key=self.sort_key)
+        sorter, path, _ = self.sort(trace.sessions, tmp_path, 10**6)
+        assert self.read(path) == sorted(trace.sessions, key=self.sort_key)
         assert sorter.stats.runs_spilled == 0
 
     def test_order_independent_of_input_permutation(self, trace, tmp_path):
-        forward = ExternalSessionSorter(self.sort_key, tmp_path / "a", run_sessions=64)
-        forward.extend(trace.sessions)
-        backward = ExternalSessionSorter(self.sort_key, tmp_path / "b", run_sessions=64)
-        backward.extend(reversed(trace.sessions))
-        assert list(forward.finish()) == list(backward.finish())
+        _, forward, forward_extents = self.sort(trace.sessions, tmp_path / "a", 64)
+        _, backward, backward_extents = self.sort(
+            reversed(trace.sessions), tmp_path / "b", 64
+        )
+        assert forward.read_bytes() == backward.read_bytes()
+        assert forward_extents == backward_extents
 
     def test_add_after_finish_rejected(self, trace, tmp_path):
-        sorter = ExternalSessionSorter(self.sort_key, tmp_path, run_sessions=10)
-        sorter.add(trace.sessions[0])
-        list(sorter.finish())
+        # write() finishes the sort: nothing may be added, or written, again.
+        sorter = ExternalGroupSorter(tmp_path, run_sessions=10)
+        self.feed(sorter, trace.sessions[:1])
+        sorter.write(tmp_path / "sorted.store", 86_400.0)
         with pytest.raises(RuntimeError):
-            sorter.add(trace.sessions[1])
+            sorter.add(0, trace.sessions[1])
         with pytest.raises(RuntimeError):
-            list(sorter.finish())
+            sorter.write(tmp_path / "again.store", 86_400.0)
 
     def test_rejects_bad_run_sessions(self, tmp_path):
         with pytest.raises(ValueError):
-            ExternalSessionSorter(self.sort_key, tmp_path, run_sessions=0)
+            ExternalGroupSorter(tmp_path, run_sessions=0)
