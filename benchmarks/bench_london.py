@@ -86,18 +86,21 @@ def london_config(density: float, seed: int) -> GeneratorConfig:
 
 
 def git_revision() -> str:
-    """The checkout's commit, suffixed ``-dirty`` when files are modified."""
-    try:
-        done = subprocess.run(
-            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
-            cwd=ROOT,
-            capture_output=True,
-            text=True,
-            timeout=10,
+    """The checkout's commit, suffixed ``-dirty`` when ``src/`` differs from it."""
+
+    def git(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            ["git", *args], cwd=ROOT, capture_output=True, text=True, timeout=10
         )
+
+    try:
+        head = git("rev-parse", "HEAD")
+        changed = git("diff", "--quiet", "HEAD", "--", "src")
     except (OSError, subprocess.SubprocessError):
         return "unknown"
-    return done.stdout.strip() if done.returncode == 0 else "unknown"
+    if head.returncode != 0:
+        return "unknown"
+    return head.stdout.strip() + ("-dirty" if changed.returncode != 0 else "")
 
 
 def peak_rss_mb() -> float:
