@@ -493,10 +493,10 @@ class ExternalGrouping(GroupingStrategy):
                 if memo is None:
                     group = group_of(session)
                 else:
-                    triple = (session.content_id, session.isp, session.bitrate)
-                    group = memo.get(triple)
+                    fields = session.content_id, session.attachment.isp, session.bitrate
+                    group = memo.get(fields)
                     if group is None:
-                        group = memo[triple] = group_of(session)
+                        group = memo[fields] = group_of(session)
                 add(group, session)
                 end = session.start + session.duration
                 if end > latest_end:

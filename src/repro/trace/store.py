@@ -712,7 +712,7 @@ class ExternalGroupSorter:
     ``run_sessions`` tuples are sorted and spilled as fixed-width run
     records carrying the group id.  At :meth:`write`, groups get integer
     ranks from their orders (once per group, not per session), the runs
-    k-way merge on ``(rank, start, session_id)`` -- reading at most
+    k-way merge on ``(rank, start, session_id)`` -- reading about
     ``run_sessions`` records at a time across all runs -- and the shard
     is packed straight from the merged fields, its string tables
     interned in first-encounter order exactly as :class:`StoreWriter`
@@ -817,17 +817,17 @@ class ExternalGroupSorter:
             raise RuntimeError("write() may only be called once")
         self._finished = True
         by_rank = sorted(range(len(self._orders)), key=self._orders.__getitem__)
-        rank = [0] * len(by_rank)
-        for position, group in enumerate(by_rank):
-            rank[group] = position
+        rank_of = [0] * len(by_rank)
+        for rank, group in enumerate(by_rank):
+            rank_of[group] = rank
         buffered = self._release()
         final = [
-            (rank[group], start, sid, slot, user, duration, pop, exchange)
+            (rank_of[group], start, sid, slot, user, duration, pop, exchange)
             for _, start, sid, group, slot, user, duration, pop, exchange in buffered
         ]
         final.sort()
         # Runs are read this many records at a time, so together they
-        # hold at most run_sessions records however many were spilled.
+        # hold about run_sessions records however many were spilled.
         chunk = max(1, self.run_sessions // (len(self._runs) + 1))
         descriptors: List[int] = []
         try:
@@ -835,7 +835,7 @@ class ExternalGroupSorter:
             for run_path, count in self._runs:
                 descriptor = os.open(run_path, os.O_RDONLY)
                 descriptors.append(descriptor)
-                streams.append(_read_run(run_path, descriptor, count, chunk, rank))
+                streams.append(_read_run(run_path, descriptor, count, chunk, rank_of))
             streams.append(final)
             return self._write_merged(heapq.merge(*streams), path, horizon, by_rank)
         finally:
@@ -905,7 +905,7 @@ class ExternalGroupSorter:
 
 
 def _read_run(
-    path: Path, descriptor: int, count: int, chunk: int, rank: Sequence[int]
+    path: Path, descriptor: int, count: int, chunk: int, rank_of: Sequence[int]
 ) -> Iterator[tuple]:
     """Stream one spilled run as merge tuples, ``chunk`` records per read."""
     unpack = _RUN_RECORD.iter_unpack
@@ -915,7 +915,7 @@ def _read_run(
             path, descriptor, records * _RUN_RECORD.size, index * _RUN_RECORD.size
         )
         yield from [
-            (rank[group], start, sid, slot, user, duration, pop, exchange)
+            (rank_of[group], start, sid, slot, user, duration, pop, exchange)
             for start, sid, group, slot, user, duration, pop, exchange in unpack(data)
         ]
 

@@ -9,10 +9,11 @@ and its plan must hand workers extent refs, not pickled sessions.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.sim import SimulationConfig, Simulator, simulate
+from repro.sim import SimulationConfig, Simulator, faults, simulate
 from repro.sim.backends import SerialBackend
 from repro.sim.grouping import (
     GROUPING_MODES,
@@ -137,6 +138,38 @@ class TestPlanEquivalence:
         assert stats.mode == "memory"
         assert stats.peak_buffered_sessions == len(trace)
         assert stats.sessions == len(trace)
+
+
+class TestRunFileFaults:
+    """Spilled runs are read through the fault-injectable storage facade."""
+
+    def test_transient_run_read_faults_are_retried(self, trace, tmp_path, monkeypatch):
+        monkeypatch.setattr(faults, "RETRY_POLICY", faults.RetryPolicy(base_delay=0.0))
+        clean = ExternalGrouping(shard_dir=tmp_path / "clean", run_sessions=128).plan(
+            iter(trace.sessions), trace.horizon, PAPER_POLICY
+        )
+        plan = faults.FaultPlan(
+            7,
+            (
+                faults.FaultRule(site="store.pread", kind="torn", at=(0, 3)),
+                faults.FaultRule(site="store.pread", kind="eio", at=(5,)),
+            ),
+        )
+        with faults.injected(plan):
+            faulty = ExternalGrouping(
+                shard_dir=tmp_path / "faulty", run_sessions=128
+            ).plan(iter(trace.sessions), trace.horizon, PAPER_POLICY)
+        try:
+            assert faulty.stats().runs_spilled > 1
+            assert sorted(kind for _, kind, _ in plan.fired) == ["eio", "torn", "torn"]
+            assert (
+                Path(faulty.manifest.path).read_bytes()
+                == Path(clean.manifest.path).read_bytes()
+            )
+            assert faulty.manifest.extents == clean.manifest.extents
+        finally:
+            clean.cleanup()
+            faulty.cleanup()
 
 
 class TestErrorContract:
