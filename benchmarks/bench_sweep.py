@@ -4,10 +4,11 @@
 The paper's headline figures are parameter *sweeps*: Fig. 2 simulates
 the same exemplar sub-traces once per upload ratio, and the other
 figures re-run near-identical configs over one catalogue trace.  The
-sweep runtime (``Simulator.run_sweep``) groups the trace once, decodes
-and event-schedules each swarm once, and sweeps the membership timeline
-once for all K configs -- so a K-ratio sweep should cost much closer to
-one run than to K.  This benchmark measures exactly that claim on two
+sweep runtime (``Simulator.run_sweep``) groups the trace once and, on
+the compiled kernel, packs each swarm's schedule once for all K configs
+-- so a K-ratio sweep should cost much closer to one run than to K.
+Without the compiled kernel a sweep is K object-kernel runs sharing one
+grouping, and saves little.  This benchmark measures the claim on two
 workloads:
 
 * ``exemplar`` -- the Fig. 2 trace (three pinned popularity tiers,
@@ -30,8 +31,9 @@ and **fails loudly** if
 
 A machine-readable ``BENCH_sweep.json`` is written at the repo root
 (override with ``--out``) so the perf trajectory accumulates across
-PRs: speedups, allocation-memo hit rates, schedule-build counts and
-shard-cache timings.
+PRs: speedups, schedule-build counts and shard-cache timings, stamped
+with the git revision, core count, Python version and whether the C
+kernel was compiled.
 
 Usage::
 
@@ -47,18 +49,28 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 import tempfile
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.config import ExperimentSettings, UNIFORM_DEVICE_MIX
-from repro.sim.backends import ProcessPoolBackend, SerialBackend, ThreadBackend
-from repro.sim.engine import SimulationConfig, Simulator
-from repro.sim.kernel import build_tasks, run_swarm_multi, sweep_memo
-from repro.trace.events import Trace
-from repro.trace.generator import TraceGenerator
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from bench_london import git_revision  # noqa: E402
+
+from repro.experiments.config import ExperimentSettings, UNIFORM_DEVICE_MIX  # noqa: E402
+from repro.sim.backends import (  # noqa: E402
+    ProcessPoolBackend,
+    SerialBackend,
+    ThreadBackend,
+)
+from repro.sim.engine import SimulationConfig, Simulator  # noqa: E402
+from repro.sim.kernel_columns import HAVE_COMPILED  # noqa: E402
+from repro.trace.events import Trace  # noqa: E402
+from repro.trace.generator import TraceGenerator  # noqa: E402
 
 #: The paper's Fig. 2 q/beta sweep.
 UPLOAD_RATIOS = (0.2, 0.4, 0.6, 0.8, 1.0)
@@ -141,67 +153,6 @@ def measure_workload(
         "schedule_builds": sweep_stats.schedule_builds,
         "tasks": sweep_stats.tasks,
         "offload_fractions": offload_fractions,
-    }
-
-
-def measure_memo(trace: Trace, violations: List[str]) -> Dict:
-    """Allocation-memo hit rates on the object multi-kernel.
-
-    The memo only applies to ``kernel="object"`` sweeps (the columnar
-    sweep replaces the shared-timeline machinery it accelerates), so it
-    is characterized here on that kernel directly: the same catalogue
-    sweep once with per-task memo lifetimes and once with one
-    sweep-shared :func:`sweep_memo`.  Both use an effectively infinite
-    probation so the reported rates cover the *full* attempted-lookup
-    population instead of whatever prefix the adaptive off-switch
-    happens to observe -- production runs keep the off-switch, which on
-    low-repeat traces correctly disables keying.  Sharing must beat
-    per-task lifetimes (that is the point of the shared memo); a shared
-    rate at or below the per-task rate is a violation.
-    """
-    configs = [
-        SimulationConfig(upload_ratio=ratio, kernel="object")
-        for ratio in UPLOAD_RATIOS
-    ]
-    tasks = build_tasks(trace, trace.horizon, configs[0].policy)
-    no_cutoff = 1 << 62
-
-    per_hits = per_misses = 0
-    for task in tasks:
-        multi = run_swarm_multi(task, configs, sweep_memo(probation=no_cutoff))
-        per_hits += multi.memo_hits
-        per_misses += multi.memo_misses
-
-    shared = sweep_memo(probation=no_cutoff)
-    shared_hits_misses = [0, 0]
-    for task in tasks:
-        multi = run_swarm_multi(task, configs, shared)
-        shared_hits_misses[0] += multi.memo_hits
-        shared_hits_misses[1] += multi.memo_misses
-    shared_hits, shared_misses = shared_hits_misses
-
-    per_rate = per_hits / (per_hits + per_misses) if per_hits + per_misses else 0.0
-    shared_total = shared_hits + shared_misses
-    shared_rate = shared_hits / shared_total if shared_total else 0.0
-    print(
-        f"   memo (object kernel): per-task {per_hits}/{per_hits + per_misses} "
-        f"({per_rate:.2%})  sweep-shared {shared_hits}/{shared_total} "
-        f"({shared_rate:.2%})"
-    )
-    if shared_rate <= per_rate:
-        violations.append(
-            f"sweep-shared memo hit rate {shared_rate:.2%} does not beat "
-            f"per-task lifetimes ({per_rate:.2%})"
-        )
-    return {
-        "kernel": "object",
-        "tasks": len(tasks),
-        "per_task_hits": per_hits,
-        "per_task_misses": per_misses,
-        "per_task_hit_rate": per_rate,
-        "shared_hits": shared_hits,
-        "shared_misses": shared_misses,
-        "shared_hit_rate": shared_rate,
     }
 
 
@@ -294,7 +245,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(
         f"sweep benchmark: {len(UPLOAD_RATIOS)}-ratio q/beta sweep "
         f"(Fig. 2 axis), scale {scale:g}, {args.days} days, "
-        f"backend {args.backend}, best of {repetitions}"
+        f"backend {args.backend}, best of {repetitions}, "
+        f"compiled kernel {'yes' if HAVE_COMPILED else 'no'}"
     )
     traces = build_traces(scale, args.days)
     violations: List[str] = []
@@ -304,7 +256,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         for name, trace in traces.items()
     }
-    memo = measure_memo(traces["catalogue"], violations)
     cache = measure_shard_cache(traces["exemplar"], violations)
 
     if args.check_baseline is not None:
@@ -341,13 +292,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     record = {
         "benchmark": "bench_sweep",
+        "revision": git_revision(),
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "compiled": HAVE_COMPILED,
         "upload_ratios": list(UPLOAD_RATIOS),
         "scale": scale,
         "days": args.days,
         "backend": args.backend,
         "repetitions": repetitions,
         "workloads": workloads,
-        "memo": memo,
         "shard_cache": cache,
         "violations": violations,
     }

@@ -6,14 +6,14 @@ that ``pip install -e .`` works in offline environments without the
 declare the optional ``repro.sim._ckernel`` extension -- the compiled
 columnar sweep.  The extension is marked ``optional``: a missing or
 failing compiler produces a pure-python install that loses nothing but
-speed (``repro.sim.kernel_columns`` falls back at import time).
+speed (every config then runs the object kernel).
 
 Build in place with::
 
     python setup.py build_ext --inplace
 
 ``-ffp-contract=off`` is load-bearing: the C sweep's bit-for-bit
-contract with the python kernels forbids fused multiply-adds.
+contract with the object kernel forbids fused multiply-adds.
 """
 
 from setuptools import Extension, setup

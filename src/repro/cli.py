@@ -265,9 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=KERNEL_MODES,
         default=None,
         help=(
-            "swarm kernel: 'object' (reference), 'columnar' (packed "
-            "columns + optional compiled sweep), or 'auto' (default; "
-            "columnar where it applies) -- results are bit-for-bit "
+            "swarm kernel: 'auto' (default; the compiled columnar sweep "
+            "when the C extension is built, else the object kernel) or "
+            "'object' (the reference) -- results are bit-for-bit "
             "identical either way"
         ),
     )
@@ -275,9 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile-kernel",
         action="store_true",
         help=(
-            "print a per-phase kernel time breakdown (schedule build, "
-            "sweep, matching, drain, reduce) after the run; forces the "
-            "columnar kernel unless --kernel says otherwise"
+            "print a per-phase kernel time breakdown (decode, schedule "
+            "build, sweep, matching, drain, reduce) after the run; the "
+            "sweep phases time the compiled path only"
         ),
     )
     _add_queue_dir_arg(simulate)
@@ -691,7 +691,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             spill_dir=str(args.spill_dir) if args.spill_dir is not None else None,
             grouping=args.grouping or "memory",
             shard_dir=str(args.shard_dir) if args.shard_dir is not None else None,
-            kernel=args.kernel or ("columnar" if args.profile_kernel else "auto"),
+            kernel=args.kernel or "auto",
         )
         if args.profile_kernel:
             PROFILE.reset()
@@ -896,8 +896,7 @@ def _run_simulate(args, config, simulator, horizon) -> int:
         if sweep_stats is not None:
             line = (
                 f"sweep: {sweep_stats.tasks} swarms x {sweep_stats.configs} "
-                f"configs, {sweep_stats.schedule_builds} schedules built, "
-                f"allocation-memo hit rate {sweep_stats.memo_hit_rate:.1%}"
+                f"configs, {sweep_stats.schedule_builds} schedules built"
             )
             if sweep_stats.cache_hit is not None:
                 line += f", shard cache {'hit' if sweep_stats.cache_hit else 'miss'}"

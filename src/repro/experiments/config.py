@@ -267,10 +267,6 @@ def memo_key(kind: str, settings: ExperimentSettings) -> Tuple:
     )
 
 
-#: Backwards-compatible private alias (pre-sweep name).
-_memo_key = memo_key
-
-
 def sweep_configs(
     settings: ExperimentSettings, upload_ratios: Sequence[float]
 ) -> List[SimulationConfig]:

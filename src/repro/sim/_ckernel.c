@@ -1,13 +1,13 @@
 /* Compiled columnar swarm sweep (optional fast path).
  *
- * A straight transcription of the pure-python columnar sweep in
- * repro/sim/kernel_columns.py (_sweep_python + matching's
- * match_window_arrays) into C, preserving the float-operation sequence
- * exactly: every addition, multiplication and division runs on the
- * same operands in the same order with the same association, so the
- * results are bit-for-bit identical to both the python fallback and
- * the object kernel.  Compile with -ffp-contract=off (setup.py does) --
- * fused multiply-adds would change roundings.
+ * A transcription of the object kernel -- repro/sim/kernel.py's
+ * run_swarm_object and repro/sim/matching.py's match_window -- onto
+ * packed columns, preserving the float-operation sequence exactly:
+ * every addition, multiplication and division runs on the same
+ * operands in the same order with the same association, so the
+ * results are bit-for-bit identical to the object kernel, the
+ * semantics reference.  Compile with -ffp-contract=off (setup.py
+ * does) -- fused multiply-adds would change roundings.
  *
  * Inputs are the packed columns of a ColumnSchedule (stdlib array
  * buffers: f64 demand/supply, i64 user/member ids and event windows,
@@ -308,8 +308,9 @@ static int resolve_attachment(PyObject *att, PyObject *ex_of, PyObject *pop_of,
     return rc;
 }
 
-/* Compiled-path windows are packed into int64 as (w << 34) | ...; the
- * python builder handles anything wider. */
+/* Compiled-path windows are packed into int64 as (w << 34) | ...; a
+ * wider swarm gets a python-built schedule, and the sweep declines it
+ * to the object kernel. */
 #define BUILD_WINDOW_LIMIT ((int64_t)1 << 29)
 
 static PyObject *build(PyObject *self, PyObject *args) {
@@ -850,7 +851,7 @@ static PyObject *sweep(PyObject *self, PyObject *args) {
 
                 double t_match = profile ? now_seconds() : 0.0;
 
-                /* -- match_window_arrays, transcribed ------------------ */
+                /* -- match_window, transcribed ------------------------- */
                 double demanded_bits = 0.0;
                 for (Py_ssize_t i = 0; i < L; i++)
                     demanded_bits += scr.cur_demand[scr.order[i]];
@@ -1042,7 +1043,7 @@ static PyObject *sweep(PyObject *self, PyObject *args) {
                     for (Py_ssize_t i = 0; i < L; i++)
                         server_bits += scr.ph_dem[i];
                 }
-                /* -- end match_window_arrays --------------------------- */
+                /* -- end match_window ---------------------------------- */
 
                 double t_account = 0.0;
                 if (profile) {
@@ -1256,8 +1257,8 @@ static PyMethodDef ckernel_methods[] = {
 static struct PyModuleDef ckernel_module = {
     PyModuleDef_HEAD_INIT,
     "repro.sim._ckernel",
-    "Compiled columnar swarm sweep (bit-for-bit replay of the python "
-    "kernels; see repro/sim/kernel_columns.py).",
+    "Compiled columnar swarm sweep (bit-for-bit replay of the object "
+    "kernel; see repro/sim/kernel_columns.py).",
     -1,
     ckernel_methods,
 };

@@ -31,7 +31,7 @@ picklable *refs* lazily.  Under ``grouping="memory"`` a ref is the
 :class:`~repro.sim.kernel.SwarmTask` itself; under
 ``grouping="external"`` it is an extent handle ``(path, offset,
 length, key)`` into the sorted shard file, and the worker resolves it
-itself (:func:`~repro.sim.kernel.run_ref` -- under the columnar kernel
+itself (:func:`~repro.sim.kernel.run_ref` -- on the compiled path
 straight into packed schedule columns, no ``Session`` objects at all)
 -- the coordinator never pickles session tuples to workers.  Plain
 task sequences are still accepted everywhere (normalized via
@@ -134,7 +134,6 @@ from repro.sim.kernel import (
     run_ref_multi,
     run_shard,
     run_shard_multi,
-    sweep_memo,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
@@ -229,7 +228,7 @@ def _iter_single_tasks(
     strategy, and the parallel backends' small-workload fallback.
     Consumes any ref iterable (resident tasks or extent refs):
     :func:`~repro.sim.kernel.run_ref` resolves each one on demand --
-    via the zero-object columnar path where eligible -- so at most one
+    via the zero-object compiled path where eligible -- so at most one
     task's working set is resident alongside its output.
     """
     for index, ref in enumerate(refs):
@@ -239,15 +238,9 @@ def _iter_single_tasks(
 def _iter_single_tasks_multi(
     refs: Iterable, configs: Sequence["SimulationConfig"]
 ) -> Iterator[MultiOutputBlock]:
-    """The sweep counterpart of :func:`_iter_single_tasks`.
-
-    The allocation memo is shared across the stream's tasks (exactly
-    like :func:`~repro.sim.kernel.run_shard_multi` does per shard), so
-    inline sweeps hit on catalogue tails with repeating membership.
-    """
-    memo = sweep_memo()
+    """The sweep counterpart of :func:`_iter_single_tasks`."""
     for index, ref in enumerate(refs):
-        yield index, [run_ref_multi(ref, configs, memo)]
+        yield index, [run_ref_multi(ref, configs)]
 
 
 def _stream_blocks(
@@ -341,17 +334,15 @@ class ExecutionBackend(ABC):
         """Run every task under every sweep config, **in task order**.
 
         The fan-out half of the sweep amortization
-        (:func:`~repro.sim.kernel.run_swarm_multi`): each task's
-        sessions are resolved once and swept for all K configs, so the
-        per-task cost -- pickling, shard decode, event-schedule build,
-        membership timeline -- is paid once instead of K times.  The
-        base implementation runs inline; parallel backends override it
-        to ship one task ref + K config deltas per worker round-trip.
-        Inline runs share one sweep-scoped allocation memo across tasks.
+        (:func:`~repro.sim.kernel.run_ref_multi`): each task ref is
+        resolved once per schedule signature and swept for all K
+        configs, so the per-task cost -- pickling, shard decode,
+        schedule build -- is paid once instead of K times.  The base
+        implementation runs inline; parallel backends override it to
+        ship one task ref + K config deltas per worker round-trip.
         """
         plan = as_task_plan(tasks)
-        memo = sweep_memo()
-        return [run_ref_multi(ref, configs, memo) for ref in plan.refs()]
+        return [run_ref_multi(ref, configs) for ref in plan.refs()]
 
     def iter_outputs_multi(
         self, tasks: TaskSource, configs: Sequence["SimulationConfig"]
@@ -607,8 +598,7 @@ class ProcessPoolBackend(ExecutionBackend):
             or self.workers <= 1
             or total_sessions * max(1, len(configs)) < self.min_sessions
         ):
-            memo = sweep_memo()
-            return [run_ref_multi(ref, configs, memo) for ref in plan.refs()]
+            return [run_ref_multi(ref, configs) for ref in plan.refs()]
         refs = plan.refs()
         shard_indices = [
             range(offset, num_tasks, num_shards) for offset in range(num_shards)

@@ -94,8 +94,8 @@ __all__ = [
 
 #: Selectable per-swarm kernels: the single source of truth consumed by
 #: ``SimulationConfig`` validation and the CLI's ``--kernel`` choices.
-#: All modes are bit-for-bit identical (see ``SimulationConfig.kernel``).
-KERNEL_MODES: tuple = ("auto", "object", "columnar")
+#: Both modes are bit-for-bit identical (see ``SimulationConfig.kernel``).
+KERNEL_MODES: tuple = ("auto", "object")
 
 
 @dataclass(frozen=True)
@@ -174,18 +174,16 @@ class SimulationConfig:
             explicit directory keeps the shard for out-of-core
             consumers.  Only valid with ``grouping="external"``.
         kernel: which per-swarm kernel sweeps the windows (see
-            :data:`KERNEL_MODES`).  "object" is the original
-            per-session-object kernel -- the semantics reference every
-            other path must reproduce bit for bit.  "columnar" packs
-            each swarm into flat per-session columns and sweeps them
-            with :mod:`repro.sim.kernel_columns` (using the compiled
-            ``repro.sim._ckernel`` extension when it is built, a pure
-            python column sweep otherwise).  "auto" (the default)
-            picks columnar for single-config runs and keeps the
-            amortized object multi-kernel for sweeps.  All kernels are
-            bit-for-bit identical; the choice is wall-clock only.
-            Random (locality-blind) matching always runs on the object
-            kernel regardless of this setting.
+            :data:`KERNEL_MODES`).  "object" pins the per-session-object
+            kernel -- the semantics reference the fast path must
+            reproduce bit for bit.  "auto" (the default) packs each
+            swarm into flat per-session columns and sweeps them with
+            the compiled ``repro.sim._ckernel`` extension
+            (:mod:`repro.sim.kernel_columns`) when it is built, in
+            single runs and sweeps alike, and runs the object kernel
+            otherwise.  Both are bit-for-bit identical; the choice is
+            wall-clock only.  Random (locality-blind) matching always
+            runs on the object kernel regardless of this setting.
     """
 
     delta_tau: float = 10.0
@@ -287,32 +285,22 @@ class SweepStats:
 
     Attributes:
         configs: sweep configs evaluated.
-        tasks: swarm tasks swept (each decoded and scheduled once for
-            the whole sweep, not once per config).
-        memo_hits: memo-eligible window allocations answered from the
-            per-swarm allocation memo instead of re-solving
-            ``match_window`` (see :func:`repro.sim.kernel.run_swarm_multi`).
-        memo_misses: memo-eligible allocations that had to be solved.
-        schedule_builds: event schedules built across all tasks -- one
-            per task per distinct ``(delta_tau, seed_linger,
-            participation)`` signature, versus ``tasks x configs`` for
-            independent runs.
+        tasks: swarm tasks swept (each grouped once for the whole
+            sweep, not once per config).
+        schedule_builds: packed schedules built across all tasks for
+            the configs on the compiled path -- one per task per
+            distinct ``(delta_tau, seed_linger, participation)``
+            signature, versus ``tasks x configs`` for independent runs
+            (see :func:`repro.sim.kernel.run_ref_multi`); 0 when no
+            config runs compiled.
         cache_hit: the grouping layer's shard-cache outcome (see
             :attr:`repro.sim.grouping.GroupingStats.cache_hit`).
     """
 
     configs: int
     tasks: int
-    memo_hits: int
-    memo_misses: int
     schedule_builds: int
     cache_hit: Optional[bool] = None
-
-    @property
-    def memo_hit_rate(self) -> float:
-        """Fraction of memo-eligible allocations served from the memo."""
-        total = self.memo_hits + self.memo_misses
-        return self.memo_hits / total if total else 0.0
 
 
 class Simulator:
@@ -352,9 +340,8 @@ class Simulator:
         #: tests assert the out-of-core grouping bound through this.
         self.last_grouping: Optional[GroupingStats] = None
         #: :class:`SweepStats` of the most recent :meth:`run_sweep` --
-        #: how much work the sweep actually shared (allocation-memo hit
-        #: rate, schedule builds, shard-cache outcome).  ``None`` after
-        #: single-config runs.
+        #: how much work the sweep actually shared (schedule builds,
+        #: shard-cache outcome).  ``None`` after single-config runs.
         self.last_sweep: Optional[SweepStats] = None
 
     @property
@@ -543,12 +530,13 @@ class Simulator:
         """Simulate the whole trace under every config in one pass.
 
         The sweep-amortized counterpart of K independent :meth:`run`
-        calls: the trace is grouped once, each swarm's sessions are
-        decoded and scheduled once, the membership timeline is swept
-        once per distinct schedule signature, and every backend
-        round-trip carries one task ref plus K config deltas.  Results
-        are **bit-for-bit identical** to the K independent runs, in
-        config order; :attr:`last_sweep` reports what was shared.
+        calls: the trace is grouped once, each swarm's packed schedule
+        is built once per distinct schedule signature on the compiled
+        path (:func:`repro.sim.kernel.run_ref_multi`), and every
+        backend round-trip carries one task ref plus K config deltas.
+        Results are **bit-for-bit identical** to the K independent
+        runs, in config order; :attr:`last_sweep` reports what was
+        shared.
         """
         return self.run_sweep_stream(
             trace, trace.horizon, configs, cache_token=self._cache_token(trace)
@@ -595,8 +583,6 @@ class Simulator:
         try:
             if run_config.reduction == "batched":
                 multis = self.backend.map_swarms_multi(plan, configs)
-                memo_hits = sum(multi.memo_hits for multi in multis)
-                memo_misses = sum(multi.memo_misses for multi in multis)
                 schedule_builds = sum(multi.schedule_builds for multi in multis)
                 results = [
                     merge_outputs(
@@ -617,10 +603,9 @@ class Simulator:
                     peak_resident_outputs=total_outputs,
                 )
             else:
-                results, kernel_stats = self._run_streaming_sweep(
+                results, schedule_builds = self._run_streaming_sweep(
                     plan, horizon, configs
                 )
-                memo_hits, memo_misses, schedule_builds = kernel_stats
         finally:
             # Cleanup before stats: a temporary shard is deleted here,
             # and the stats must not advertise a path that is gone.
@@ -629,8 +614,6 @@ class Simulator:
         self.last_sweep = SweepStats(
             configs=len(configs),
             tasks=len(plan),
-            memo_hits=memo_hits,
-            memo_misses=memo_misses,
             schedule_builds=schedule_builds,
             cache_hit=self.last_grouping.cache_hit,
         )
@@ -674,13 +657,10 @@ class Simulator:
                 )
             )
         sweep_reducer = SweepReducer(reducers)
-        memo_hits = memo_misses = schedule_builds = 0
+        schedule_builds = 0
         try:
             for start_index, block in self.backend.iter_outputs_multi(tasks, configs):
-                for multi in block:
-                    memo_hits += multi.memo_hits
-                    memo_misses += multi.memo_misses
-                    schedule_builds += multi.schedule_builds
+                schedule_builds += sum(multi.schedule_builds for multi in block)
                 sweep_reducer.add(start_index, block)
             results = sweep_reducer.results()
         finally:
@@ -699,7 +679,7 @@ class Simulator:
             # The run-scoped temp log is gone; don't advertise its path.
             stats = replace(stats, spill_path=None)
         self.last_reduction = stats
-        return results, (memo_hits, memo_misses, schedule_builds)
+        return results, schedule_builds
 
 
 def simulate(

@@ -157,7 +157,7 @@ class ExtentTaskRef:
         return shared_reader(self.path).read_raw_range(self.index, self.count)
 
     def read_columns(self) -> "SessionColumns":
-        """The extent decoded into typed columns (pure-python path)."""
+        """The extent decoded into typed columns (the python decode path)."""
         return shared_reader(self.path).read_columns(self.index, self.count)
 
 

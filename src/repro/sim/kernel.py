@@ -33,12 +33,7 @@ from time import perf_counter
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.sim.accounting import ByteLedger
-from repro.sim.matching import (
-    PeerState,
-    WindowAllocation,
-    match_window,
-    match_window_multi,
-)
+from repro.sim.matching import PeerState, WindowAllocation, match_window
 from repro.sim.policies import SwarmKey, SwarmPolicy
 from repro.sim.profiling import PROFILE
 from repro.sim.reduce import reduce_outputs
@@ -61,7 +56,6 @@ __all__ = [
     "run_ref_multi",
     "run_shard",
     "run_shard_multi",
-    "sweep_memo",
     "merge_outputs",
 ]
 
@@ -186,9 +180,9 @@ def _build_events(
     lingering seed (the caching extension); with
     ``seed_linger_seconds == 0`` sessions go straight to removal,
     reproducing the paper.  The schedule depends only on the config's
-    ``(delta_tau, seed_linger_seconds, participation)`` signature, which
-    is what lets :func:`run_swarm_multi` share one schedule across a
-    whole sweep.
+    ``(delta_tau, seed_linger_seconds, participation)`` signature
+    (:func:`_schedule_signature`), which is what lets a sweep share one
+    packed schedule per signature group (:func:`run_ref_multi`).
     """
     dtau = config.delta_tau
     events: List[_Event] = []
@@ -215,23 +209,37 @@ def _build_events(
     return events
 
 
+def _compiled_path(config: "SimulationConfig"):
+    """The kernel dispatch rule, the one place it is written down.
+
+    A config runs the compiled columnar sweep
+    (:mod:`repro.sim.kernel_columns` over ``repro.sim._ckernel``) when
+    all three hold: its ``kernel`` is ``"auto"``, its matching is
+    locality-aware (random matching has no columnar form), and the
+    extension imported.  Returns the ``kernel_columns`` module then,
+    ``None`` otherwise -- every other config runs
+    :func:`run_swarm_object`.  Both paths are bit-for-bit identical, so
+    dispatch can never change results.  ``kernel_columns`` is imported
+    here, on first dispatch, never at ``import repro`` time.
+    """
+    if config.kernel != "auto" or not config.locality_aware_matching:
+        return None
+    from repro.sim import kernel_columns
+
+    return kernel_columns if kernel_columns.HAVE_COMPILED else None
+
+
 def run_swarm(task: SwarmTask, config: "SimulationConfig") -> SwarmOutput:
     """Simulate one swarm; pure, picklable, shared-nothing.
 
-    The kernel dispatcher: ``config.kernel`` selects between the object
-    sweep (:func:`run_swarm_object`, the semantics reference) and the
-    columnar sweep (:mod:`repro.sim.kernel_columns`, packed columns
-    with an optional compiled fast path).  ``"auto"`` -- the default --
-    takes the columnar path, which is bit-for-bit identical by
-    contract, so dispatch can never change results.  Random matching
-    (``locality_aware_matching=False``) has no columnar form and always
-    runs on the object kernel.
+    The kernel dispatcher (see :func:`_compiled_path` for the rule):
+    the compiled columnar sweep where it applies, otherwise the object
+    sweep :func:`run_swarm_object`, the semantics reference.
     """
-    if config.kernel != "object" and config.locality_aware_matching:
-        from repro.sim.kernel_columns import run_swarm_columnar
-
-        return run_swarm_columnar(task, config)
-    return run_swarm_object(task, config)
+    columnar = _compiled_path(config)
+    if columnar is None:
+        return run_swarm_object(task, config)
+    return columnar.run_ref_columnar(task, config)
 
 
 def run_swarm_object(task: SwarmTask, config: "SimulationConfig") -> SwarmOutput:
@@ -241,9 +249,10 @@ def run_swarm_object(task: SwarmTask, config: "SimulationConfig") -> SwarmOutput
     stretches of constant membership, and accounts every byte into the
     output's own ledgers.  See the module docstring in
     :mod:`repro.sim.engine` for the windowing scheme.  This is the
-    semantics reference the columnar kernel must reproduce bit-for-bit
-    (the hypothesis law in ``tests/sim/test_kernel_columns.py`` pins
-    the contract).
+    semantics reference the compiled columnar sweep must reproduce
+    bit-for-bit (the hypothesis law in
+    ``tests/sim/test_kernel_columns.py`` pins the contract), and the
+    kernel every config off the compiled path runs.
     """
     dtau = config.delta_tau
     windows_per_day = int(SECONDS_PER_DAY // dtau)
@@ -400,96 +409,22 @@ def _apply_allocation(
 class MultiSwarmOutput:
     """One swarm's outputs for every config of a sweep, plus kernel stats.
 
-    Produced by :func:`run_swarm_multi`.  ``outputs[k]`` is bit-for-bit
+    Produced by :func:`run_ref_multi`.  ``outputs[k]`` is bit-for-bit
     the :class:`SwarmOutput` that ``run_swarm(task, configs[k])`` would
-    have produced; the counters report how much work the sweep actually
+    have produced; the counter reports how much work the sweep actually
     shared so callers can assert (and benchmarks can publish) the
     amortization instead of trusting it.
 
     Attributes:
         outputs: per-config swarm outputs, aligned with the sweep's
             config list.
-        memo_hits: memo-eligible stretches answered from the allocation
-            memo instead of re-solving ``match_window``.
-        memo_misses: memo-eligible stretches that had to be solved.
-        schedule_builds: distinct event schedules built -- one per
-            distinct ``(delta_tau, seed_linger, participation)``
-            signature among the configs.
+        schedule_builds: packed schedules built -- one per distinct
+            ``(delta_tau, seed_linger, participation)`` signature among
+            the configs on the compiled path, 0 when none is.
     """
 
     outputs: List[SwarmOutput]
-    memo_hits: int = 0
-    memo_misses: int = 0
     schedule_builds: int = 0
-
-
-class _AllocationMemo:
-    """Per-swarm allocation memo with an adaptive off-switch.
-
-    Replaying a memo entry is bitwise-exact, so enabling or disabling
-    memoization can never change results -- only wall-clock.  Whether it
-    *pays* depends on the trace: diurnal membership revisits make it
-    profitable, heavy-churn swarms make signature construction pure
-    overhead.  The memo therefore runs a probation window: after
-    ``PROBATION`` attempted lookups, a hit rate below ``MIN_HIT_RATE``
-    switches keying off for the rest of the swarm (entries are dropped
-    to free memory).  Hit/miss counters only ever count *attempted*
-    lookups, so reported hit rates stay honest.
-    """
-
-    __slots__ = ("entries", "hits", "misses", "enabled", "probation")
-
-    #: Attempted lookups before the hit rate is judged (per-swarm memos).
-    PROBATION = 64
-    #: Probation for sweep-shared memos: cross-task hits only appear
-    #: once the catalogue tail starts repeating membership patterns, so
-    #: a shared memo must observe far more lookups before judging.
-    SHARED_PROBATION = 4096
-    #: Minimum hit rate that keeps the memo keying past probation.
-    MIN_HIT_RATE = 0.05
-
-    def __init__(self, probation: Optional[int] = None) -> None:
-        self.entries: Dict[Tuple, Tuple] = {}
-        self.hits = 0
-        self.misses = 0
-        self.enabled = True
-        self.probation = self.PROBATION if probation is None else probation
-
-    def reassess(self) -> None:
-        """Disable keying when probation shows it cannot pay."""
-        attempts = self.hits + self.misses
-        if attempts >= self.probation and self.hits < attempts * self.MIN_HIT_RATE:
-            self.enabled = False
-            self.entries.clear()
-
-
-def sweep_memo(probation: Optional[int] = None) -> "_AllocationMemo":
-    """A sweep-scoped allocation memo, shared across a run's tasks.
-
-    The canonical membership signature (user-rank relabelled, see
-    :func:`_account_stretch_multi`) is already task-independent: ranks,
-    demands, geometry and supplies carry no swarm identity, so an entry
-    learned in one swarm replays exactly in any other whose stretch
-    presents the same signature.  Sharing one memo across every task
-    multiplies the repeat pool: on the catalogue workload the full
-    attempted-lookup population hits ~6x more often shared than
-    per-task (BENCH_sweep.json's ``memo`` section measures both).
-    Absolute rates stay low -- single-member stretches take the
-    closed-form fast path and never consult the memo, and multi-member
-    membership signatures are diverse -- which is exactly why the
-    adaptive off-switch stays: on traces where even the shared pool
-    cannot pay, keying shuts off after ``probation`` attempts.  Callers
-    pass the memo to :func:`run_swarm_multi`; sharing scope can never
-    change results, only wall-clock and the hit-rate accounting.
-
-    Args:
-        probation: attempted lookups before the hit rate is judged
-            (default ``SHARED_PROBATION``); benchmarks pass a huge
-            value to measure the full population un-truncated.
-    """
-    if probation is None:
-        probation = _AllocationMemo.SHARED_PROBATION
-    return _AllocationMemo(probation=probation)
 
 
 def _schedule_signature(config: "SimulationConfig") -> Tuple:
@@ -510,480 +445,15 @@ def _schedule_signature(config: "SimulationConfig") -> Tuple:
 
 
 def run_swarm_multi(
-    task: SwarmTask,
-    configs: Sequence["SimulationConfig"],
-    memo: Optional[_AllocationMemo] = None,
+    task: SwarmTask, configs: Sequence["SimulationConfig"]
 ) -> MultiSwarmOutput:
-    """Simulate one swarm under every config, amortizing shared work.
+    """Simulate one resident swarm under every config of a sweep.
 
-    The sweep-side counterpart of :func:`run_swarm`: the task's sessions
-    are decoded once by the caller, the event schedule is built once per
-    distinct :func:`_schedule_signature`, and each signature group's
-    membership timeline is swept once while producing per-config
-    allocations.  Within a sweep, window allocations are memoized by a
-    canonical membership signature (see :func:`_account_stretch_multi`);
-    the signature is task-independent, so callers running many tasks
-    pass a shared :func:`sweep_memo` and stretches that revisit an
-    identical membership state -- diurnal traces and catalogue tails do
-    so constantly -- skip ``match_window`` entirely.  Without a caller
-    memo, a per-swarm one is used.
-
-    Unless some config pins ``kernel="object"``, the sweep runs on the
-    columnar kernel (one :class:`ColumnSchedule` per signature group,
-    see :func:`repro.sim.kernel_columns.run_swarm_multi_columnar`):
-    per-config columnar sweeps over a shared schedule beat the object
-    multi-kernel's shared-timeline accumulators outright, and anything
-    else would leave ``run_sweep`` slower than K independent ``auto``
-    runs.  Pinning ``kernel="object"`` on every config keeps a sweep on
-    this multi-kernel -- the semantics reference, and the only path the
-    allocation memo (and its sweep stats) applies to.
-
-    Every output is **bit-for-bit identical** to the corresponding
-    independent ``run_swarm(task, config)`` call: the shared sweep
-    replays the exact event order, member ordering and float-addition
-    sequences of the single-config kernel, and the memo only answers
-    when replaying is provably exact (unique user ids; values invariant
-    under the user-rank relabelling the signature applies).  Reported
-    memo counters are this call's deltas, so shared memos still yield
-    per-task honest stats.
+    The resident-task spelling of :func:`run_ref_multi`, which holds
+    the sweep loop; each output is bit-for-bit the independent
+    ``run_swarm(task, config)`` call's.
     """
-    if not configs:
-        return MultiSwarmOutput(outputs=[])
-    if all(config.kernel != "object" for config in configs):
-        from repro.sim.kernel_columns import run_swarm_multi_columnar
-
-        return run_swarm_multi_columnar(task, configs)
-    groups: Dict[Tuple, List[int]] = {}
-    for position, config in enumerate(configs):
-        groups.setdefault(_schedule_signature(config), []).append(position)
-    outputs: List[Optional[SwarmOutput]] = [None] * len(configs)
-    # The allocation memo is shared across signature groups: an
-    # allocation is a pure function of (member states, matching flags),
-    # and member states already encode delta_tau / participation via
-    # their values.
-    if memo is None:
-        memo = _AllocationMemo()
-    hits_before, misses_before = memo.hits, memo.misses
-    for positions in groups.values():
-        _sweep_signature_group(task, configs, positions, outputs, memo)
-    return MultiSwarmOutput(
-        outputs=outputs,  # type: ignore[arg-type] - every slot is filled
-        memo_hits=memo.hits - hits_before,
-        memo_misses=memo.misses - misses_before,
-        schedule_builds=len(groups),
-    )
-
-
-class _SlotAccount:
-    """One sweep config's supply-side accumulators within a group.
-
-    The demand side of the accounting (demanded bits, watch-seconds,
-    per-user watched bits, day watch/demand) is identical for every
-    config sharing a schedule signature, so the group accumulates it
-    once; only what depends on supply -- server bits, per-layer peer
-    bits, per-user uploads -- is tracked per config, in exactly the
-    same addition order the single-config kernel performs.
-    """
-
-    __slots__ = ("server_total", "peer_total", "day_server", "day_peer", "uploads")
-
-    def __init__(self) -> None:
-        self.server_total = 0.0
-        self.peer_total: Dict[object, float] = {}
-        self.day_server: Dict[int, float] = {}
-        self.day_peer: Dict[int, Dict[object, float]] = {}
-        self.uploads: Dict[int, float] = {}
-
-
-def _sweep_signature_group(
-    task: SwarmTask,
-    configs: Sequence["SimulationConfig"],
-    positions: List[int],
-    outputs: List[Optional[SwarmOutput]],
-    memo: _AllocationMemo,
-) -> None:
-    """Sweep one schedule-signature group's shared membership timeline.
-
-    Maintains a single members dict whose values are ``(state,
-    supplies)`` pairs: one shared :class:`~repro.sim.matching.PeerState`
-    (the states differ only in supply, so ids, demand and geometry are
-    stored once) plus the per-config supply tuple, both computed at the
-    member's add event and never rebuilt.  Accounting is split:
-    demand-side aggregates accumulate once for the whole group,
-    supply-side aggregates accumulate per config (:class:`_SlotAccount`),
-    and the per-config :class:`SwarmOutput` values are materialized at
-    the end -- with float-addition sequences identical, field for field,
-    to what K independent :func:`run_swarm` calls perform.
-    """
-    group_configs = [configs[k] for k in positions]
-    lead = group_configs[0]
-    dtau = lead.delta_tau
-    windows_per_day = int(SECONDS_PER_DAY // dtau)
-    sessions = task.sessions
-    events = _build_events(sessions, lead)
-
-    # Config slots (group-local indices) partitioned by matching flags:
-    # each partition's memo misses are solved in one shared-structure
-    # match_window_multi call per stretch.
-    flag_groups: Dict[Tuple[bool, bool], List[int]] = {}
-    for j, config in enumerate(group_configs):
-        flag_groups.setdefault(
-            (config.allow_cross_isp_matching, config.locality_aware_matching), []
-        ).append(j)
-
-    # Group-shared (demand-side) accounting state.
-    shared_days: Dict[int, List[float]] = {}  # day -> [watch_seconds, demanded]
-    watched: Dict[int, float] = {}  # user_id -> watched bits
-    total_demanded = 0.0
-    watch_seconds = 0.0
-    slots = [_SlotAccount() for _ in positions]
-    # Per-config supplies are a pure function of (bitrate, per-config
-    # participation) -- and traces draw bitrates from a handful of
-    # device classes -- so the K-wide supply tuple is computed once per
-    # distinct (bitrate, participation pattern) instead of per session.
-    # With every config at full participation (the common sweep) the
-    # pattern collapses to a constant; otherwise each user's pattern is
-    # resolved once through the configs' own deterministic hash.
-    supply_cache: Dict[Tuple, Tuple[float, ...]] = {}
-    all_participate = all(
-        config.participation_rate >= 1.0 for config in group_configs
-    )
-    participation_cache: Dict[int, Tuple[bool, ...]] = {}
-
-    members: Dict[int, Tuple[PeerState, Tuple[float, ...]]] = {}
-    previous_window = 0
-    index = 0
-    num_events = len(events)
-    while index < num_events:
-        window = events[index][0]
-        if window > previous_window and members:
-            stretch_watch, total_demanded = _account_stretch_multi(
-                slots,
-                flag_groups,
-                members,
-                previous_window,
-                window,
-                windows_per_day,
-                dtau,
-                shared_days,
-                watched,
-                total_demanded,
-                memo,
-            )
-            watch_seconds += stretch_watch
-        previous_window = max(previous_window, window)
-        while index < num_events and events[index][0] == window:
-            _, kind, _, session = events[index]
-            if kind == _REMOVE:
-                members.pop(session.session_id, None)
-            elif kind == _DEMOTE:
-                entry = members.get(session.session_id)
-                if entry is not None:
-                    state, supplies = entry
-                    members[session.session_id] = (
-                        PeerState(
-                            member_id=state.member_id,
-                            user_id=state.user_id,
-                            demand=0.0,
-                            supply=state.supply,
-                            exchange=state.exchange,
-                            pop=state.pop,
-                            isp=state.isp,
-                            attachment=state.attachment,
-                        ),
-                        supplies,
-                    )
-            else:
-                attachment = session.attachment
-                bitrate = session.bitrate
-                demand = bitrate * dtau
-                if all_participate:
-                    pattern: Optional[Tuple[bool, ...]] = None
-                else:
-                    user_id = session.user_id
-                    pattern = participation_cache.get(user_id)
-                    if pattern is None:
-                        pattern = participation_cache[user_id] = tuple(
-                            config.participates(user_id)
-                            for config in group_configs
-                        )
-                supply_key = (bitrate, pattern)
-                supplies = supply_cache.get(supply_key)
-                if supplies is None:
-                    if pattern is None:
-                        supplies = tuple(
-                            config.upload_rate_for(bitrate) * dtau
-                            for config in group_configs
-                        )
-                    else:
-                        supplies = tuple(
-                            (config.upload_rate_for(bitrate) if participates else 0.0)
-                            * dtau
-                            for config, participates in zip(group_configs, pattern)
-                        )
-                    supply_cache[supply_key] = supplies
-                members[session.session_id] = (
-                    PeerState(
-                        member_id=session.session_id,
-                        user_id=session.user_id,
-                        demand=demand,
-                        supply=supplies[0],
-                        exchange=attachment.exchange,
-                        pop=attachment.pop,
-                        isp=session.isp,
-                        attachment=attachment,
-                    ),
-                    supplies,
-                )
-            index += 1
-
-    # Materialize each config's output from the shared + per-slot state.
-    arrival_rate = len(sessions) / task.horizon if task.horizon > 0 else 0.0
-    mean_duration = (
-        sum(s.duration for s in sessions) / len(sessions) if sessions else 0.0
-    )
-    capacity = watch_seconds / task.horizon if task.horizon > 0 else 0.0
-    isp = task.key.isp if task.key.isp is not None else "all"
-    for j, k in enumerate(positions):
-        slot = slots[j]
-        per_isp_day: Dict[Tuple[str, int], ByteLedger] = {}
-        for day, (day_watch, day_demanded) in shared_days.items():
-            day_peer = slot.day_peer.get(day)
-            per_isp_day[(isp, day)] = ByteLedger(
-                server_bits=slot.day_server.get(day, 0.0),
-                peer_bits=day_peer if day_peer is not None else {},
-                demanded_bits=day_demanded,
-                watch_seconds=day_watch,
-            )
-        uploads = slot.uploads
-        per_user = {
-            user_id: UserTraffic(
-                watched_bits=bits, uploaded_bits=uploads.get(user_id, 0.0)
-            )
-            for user_id, bits in watched.items()
-        }
-        outputs[k] = SwarmOutput(
-            result=SwarmResult(
-                key=task.key,
-                ledger=ByteLedger(
-                    server_bits=slot.server_total,
-                    peer_bits=slot.peer_total,
-                    demanded_bits=total_demanded,
-                    watch_seconds=watch_seconds,
-                    sessions=len(sessions),
-                ),
-                capacity=capacity,
-                arrival_rate=arrival_rate,
-                mean_duration=mean_duration,
-            ),
-            per_isp_day=per_isp_day,
-            per_user=per_user,
-        )
-
-
-def _account_stretch_multi(
-    slots: List[_SlotAccount],
-    flag_groups: Dict[Tuple[bool, bool], List[int]],
-    members: Dict[int, Tuple[PeerState, Tuple[float, ...]]],
-    w_from: int,
-    w_to: int,
-    windows_per_day: int,
-    dtau: float,
-    shared_days: Dict[int, List[float]],
-    watched: Dict[int, float],
-    total_demanded: float,
-    memo: _AllocationMemo,
-) -> Tuple[float, float]:
-    """Account one constant-membership stretch for every config at once.
-
-    The demand side (total/day demanded bits, watch-seconds, per-user
-    watched bits) accumulates once into the group-shared structures; the
-    supply side replays per config from a per-config allocation *view*
-    ``(server_bits, peer items, upload items)``, which comes from the
-    canonical-signature memo when this membership state was seen before
-    and otherwise from one shared-structure
-    :func:`~repro.sim.matching.match_window_multi` call per flag group.
-    ``total_demanded`` is the group's *running* demanded-bits total: it
-    is advanced one chunk at a time (never via a per-stretch subtotal),
-    replaying the flat addition sequence of the single-config ledger.
-    Returns ``(watch_seconds, total_demanded)``.
-    """
-    if len(members) == 1:
-        # The dominant stretch shape on catalogue-style traces: one
-        # member, served entirely by the CDN under every config.  The
-        # per-config delta is a single shared server/demand value, so
-        # the whole stretch accounts in a handful of adds per slot --
-        # value-for-value the additions the general path performs.
-        state, _supplies = next(iter(members.values()))
-        demand = state.demand
-        watch_per_window = dtau if demand > 0.0 else 0.0
-        user_id = state.user_id
-        first_day = w_from // windows_per_day
-        day_end = (first_day + 1) * windows_per_day
-        watch_total = 0.0
-        window = w_from
-        day = first_day
-        while window < w_to:
-            num_windows = min(w_to, day_end) - window
-            day_shared = shared_days.get(day)
-            if day_shared is None:
-                day_shared = shared_days[day] = [0.0, 0.0]
-            watch_chunk = watch_per_window * num_windows
-            server_chunk = demand * num_windows
-            day_shared[0] += watch_chunk
-            day_shared[1] += server_chunk
-            watch_total += watch_chunk
-            total_demanded += server_chunk
-            watched[user_id] = watched.get(user_id, 0.0) + server_chunk
-            for slot in slots:
-                slot.server_total += server_chunk
-                day_server = slot.day_server
-                day_server[day] = day_server.get(day, 0.0) + server_chunk
-            window += num_windows
-            day += 1
-            day_end += windows_per_day
-        return watch_total, total_demanded
-
-    bases = list(members.values())
-    shared_members = [state for state, _supplies in bases]
-    viewers = sum(1 for member in shared_members if member.demand > 0.0)
-    watch_per_window = viewers * dtau
-    # Bit-for-bit the window allocation's demand total: the same
-    # generator-sum over the same demands in the same member order.
-    demanded_per_window = sum(member.demand for member in shared_members)
-
-    # Views: (server_bits, peer items, upload items) per group slot.
-    # (Single-member stretches never reach here -- the fast path above
-    # returned -- so every stretch below has at least two members.)
-    views: Dict[int, Tuple[float, object, object]] = {}
-    memoizable = False
-    if memo.enabled:
-        user_ids = [member.user_id for member in shared_members]
-        distinct = sorted(set(user_ids))
-        memoizable = len(distinct) == len(user_ids)
-        if memoizable:
-            rank_of = {uid: rank for rank, uid in enumerate(distinct)}
-            shared_signature = tuple(
-                (member.demand, member.exchange, member.pop, member.isp, rank)
-                for member, rank in zip(
-                    shared_members, (rank_of[u] for u in user_ids)
-                )
-            )
-    for (allow_cross_isp, locality_aware), slot_ids in flag_groups.items():
-        pending: List[Tuple[int, Optional[Tuple]]] = []
-        if memoizable:
-            entries = memo.entries
-            for j in slot_ids:
-                signature = (
-                    allow_cross_isp,
-                    locality_aware,
-                    shared_signature,
-                    tuple(supplies[j] for _state, supplies in bases),
-                )
-                entry = entries.get(signature)
-                if entry is None:
-                    pending.append((j, signature))
-                else:
-                    server_bits, peer_items, ranked_uploads = entry
-                    views[j] = (
-                        server_bits,
-                        peer_items,
-                        [(distinct[rank], bits) for rank, bits in ranked_uploads],
-                    )
-                    memo.hits += 1
-        else:
-            pending = [(j, None) for j in slot_ids]
-        if pending:
-            profiles = [
-                [supplies[j] for _state, supplies in bases]
-                for j, _signature in pending
-            ]
-            solved = match_window_multi(
-                shared_members,
-                profiles,
-                allow_cross_isp=allow_cross_isp,
-                locality_aware=locality_aware,
-            )
-            for (j, signature), allocation in zip(pending, solved):
-                views[j] = (
-                    allocation.server_bits,
-                    tuple(allocation.peer_bits.items()),
-                    tuple(allocation.uploaded_bits.items()),
-                )
-                if signature is not None:
-                    # Uploads stored against user ranks: with unique
-                    # user ids every float match_window computes is
-                    # invariant under this order-preserving
-                    # relabelling, so replays are exact.
-                    memo.entries[signature] = (
-                        allocation.server_bits,
-                        tuple(allocation.peer_bits.items()),
-                        tuple(
-                            (rank_of[user_id], bits)
-                            for user_id, bits in allocation.uploaded_bits.items()
-                        ),
-                    )
-                    memo.misses += 1
-    if memoizable:
-        memo.reassess()
-
-    # Day-boundary chunks, shared by every config in the group (almost
-    # every stretch lies inside one day: take the single-chunk fast
-    # path without building a list).
-    first_day = w_from // windows_per_day
-    day_end = (first_day + 1) * windows_per_day
-    if w_to <= day_end:
-        chunks: Sequence[Tuple[int, int]] = ((w_to - w_from, first_day),)
-    else:
-        chunk_list = [(day_end - w_from, first_day)]
-        window = day_end
-        while window < w_to:
-            day = window // windows_per_day
-            day_end = (day + 1) * windows_per_day
-            chunk = min(w_to, day_end) - window
-            chunk_list.append((chunk, day))
-            window += chunk
-        chunks = chunk_list
-
-    # -- demand-side accounting, once for the whole group ---------------
-    watch_total = 0.0
-    for num_windows, day in chunks:
-        day_shared = shared_days.get(day)
-        if day_shared is None:
-            day_shared = shared_days[day] = [0.0, 0.0]
-        watch_chunk = watch_per_window * num_windows
-        demanded_chunk = demanded_per_window * num_windows
-        day_shared[0] += watch_chunk
-        day_shared[1] += demanded_chunk
-        watch_total += watch_chunk
-        total_demanded += demanded_chunk
-        for member in shared_members:
-            user_id = member.user_id
-            watched[user_id] = watched.get(user_id, 0.0) + member.demand * num_windows
-
-    # -- supply-side accounting, per config -----------------------------
-    for j, (server_bits, peer_items, upload_items) in views.items():
-        slot = slots[j]
-        day_server = slot.day_server
-        for num_windows, day in chunks:
-            server_chunk = server_bits * num_windows
-            slot.server_total += server_chunk
-            day_server[day] = day_server.get(day, 0.0) + server_chunk
-            if peer_items:
-                peer_total = slot.peer_total
-                day_peer = slot.day_peer.get(day)
-                if day_peer is None:
-                    day_peer = slot.day_peer[day] = {}
-                for layer, bits in peer_items:
-                    peer_chunk = bits * num_windows
-                    peer_total[layer] = peer_total.get(layer, 0.0) + peer_chunk
-                    day_peer[layer] = day_peer.get(layer, 0.0) + peer_chunk
-            if upload_items:
-                uploads = slot.uploads
-                for user_id, bits in upload_items:
-                    uploads[user_id] = uploads.get(user_id, 0.0) + bits * num_windows
-
-    return watch_total, total_demanded
+    return run_ref_multi(task, configs)
 
 
 # ----------------------------------------------------------------------
@@ -991,60 +461,61 @@ def _account_stretch_multi(
 # ----------------------------------------------------------------------
 
 
-def _is_extent_ref(ref: object) -> bool:
-    """Whether ``ref`` supports the zero-object extent protocol.
-
-    Duck-typed (``read_raw``/``read_columns``, provided by
-    :class:`repro.sim.grouping.ExtentTaskRef`) to keep this module free
-    of a grouping import; a resident :class:`SwarmTask` never does.
-    """
-    return not isinstance(ref, SwarmTask) and hasattr(ref, "read_raw")
-
-
 def run_ref(ref: object, config: "SimulationConfig") -> SwarmOutput:
-    """Run one task ref, decoding straight to columns when possible.
+    """Run one task ref: a resident :class:`SwarmTask` or an extent ref.
 
-    The ref-level dispatcher every backend funnels through: an extent
-    ref bound for the columnar kernel takes the zero-object path
-    (:func:`repro.sim.kernel_columns.run_ref_columnar` -- raw store
-    bytes to packed columns, no ``Session`` objects); anything else --
-    resident tasks, ``kernel="object"``, random matching -- materializes
-    via :func:`resolve_task` and runs :func:`run_swarm` unchanged.
-    Outputs are bit-for-bit identical either way (the extent columns
-    decode to the exact field values the objects would carry).
+    The ref-level dispatcher every backend funnels through.  On the
+    compiled path (:func:`_compiled_path`) an extent ref takes the
+    zero-object route -- raw store bytes to packed columns, no
+    ``Session`` objects (:func:`repro.sim.kernel_columns.\
+schedule_from_ref`).  Off it, the ref materializes via
+    :func:`resolve_task` and runs :func:`run_swarm_object`.  Outputs are
+    bit-for-bit identical either way (the extent columns decode to the
+    exact field values the objects would carry).
     """
-    if (
-        config.kernel != "object"
-        and config.locality_aware_matching
-        and _is_extent_ref(ref)
-    ):
-        from repro.sim.kernel_columns import run_ref_columnar
-
-        return run_ref_columnar(ref, config)
-    return run_swarm(resolve_task(ref), config)
+    columnar = _compiled_path(config)
+    if columnar is None:
+        return run_swarm_object(resolve_task(ref), config)
+    return columnar.run_ref_columnar(ref, config)
 
 
 def run_ref_multi(
-    ref: object,
-    configs: Sequence["SimulationConfig"],
-    memo: Optional[_AllocationMemo] = None,
+    ref: object, configs: Sequence["SimulationConfig"]
 ) -> MultiSwarmOutput:
-    """Multi-config :func:`run_ref`: zero-object when every config can.
+    """Run one task ref under every sweep config, sharing the schedule.
 
-    Mirrors :func:`run_swarm_multi`'s dispatch rule -- the columnar
-    multi path requires no config to pin ``kernel="object"``; random-
-    matching configs inside the columnar multi still materialize the
-    task lazily for their object-kernel runs.
+    Each config's own ``kernel`` field decides its path
+    (:func:`_compiled_path`).  The configs on the compiled path are
+    grouped by :func:`_schedule_signature`; each group builds one
+    :class:`~repro.sim.kernel_columns.ColumnSchedule` -- straight from
+    the raw records when ``ref`` is an extent ref -- and sweeps it once
+    per config.  Every other config runs :func:`run_swarm_object` on
+    the task, decoded at most once.  Each output is bit-for-bit what
+    ``run_ref(ref, configs[k])`` returns.
     """
-    if (
-        configs
-        and all(config.kernel != "object" for config in configs)
-        and _is_extent_ref(ref)
-    ):
-        from repro.sim.kernel_columns import run_ref_multi_columnar
-
-        return run_ref_multi_columnar(ref, configs)
-    return run_swarm_multi(resolve_task(ref), configs, memo)
+    outputs: List[Optional[SwarmOutput]] = [None] * len(configs)
+    groups: Dict[Tuple, List[int]] = {}
+    columnar = None
+    task: Optional[SwarmTask] = None
+    for position, config in enumerate(configs):
+        compiled = _compiled_path(config)
+        if compiled is not None:
+            columnar = compiled
+            groups.setdefault(_schedule_signature(config), []).append(position)
+            continue
+        if task is None:
+            task = resolve_task(ref)
+        outputs[position] = run_swarm_object(task, config)
+    for positions in groups.values():
+        schedule = columnar.schedule_from_ref(ref, configs[positions[0]])
+        for position in positions:
+            outputs[position] = columnar.run_from_schedule(
+                ref, configs[position], schedule
+            )
+    return MultiSwarmOutput(
+        outputs=outputs,  # type: ignore[arg-type] - every slot is filled
+        schedule_builds=len(groups),
+    )
 
 
 def run_shard(
@@ -1054,10 +525,10 @@ def run_shard(
 
     The unit of work a process backend ships to a worker: one pickle
     round-trip amortises over the whole shard.  Accepts resident
-    :class:`SwarmTask` values or lazy refs; extent refs go through the
-    zero-object columnar path (:func:`run_ref`), others are
-    materialized, swept and released before the next, so a worker holds
-    at most one decoded task at a time.
+    :class:`SwarmTask` values or lazy refs; each runs through
+    :func:`run_ref` (zero-object for extent refs on the compiled path)
+    and is released before the next, so a worker holds at most one
+    decoded task at a time.
     """
     return [run_ref(task, config) for task in tasks]
 
@@ -1070,14 +541,11 @@ def run_shard_multi(
     The multi-config counterpart of :func:`run_shard` -- and the whole
     point of the fan-out amortization: one pickle round-trip ships the
     task refs plus K config deltas, each task's sessions are decoded
-    exactly once (to columns on the zero-object path), and
-    :func:`run_ref_multi` shares the schedule across the configs.  The
-    allocation memo is shared across the shard's tasks (see
-    :func:`sweep_memo`); it only applies when a config pins the object
-    multi-kernel.  Task order is preserved.
+    once per schedule signature (to columns on the zero-object path),
+    and :func:`run_ref_multi` shares the schedule across the configs.
+    Task order is preserved.
     """
-    memo = sweep_memo()
-    return [run_ref_multi(task, configs, memo) for task in tasks]
+    return [run_ref_multi(task, configs) for task in tasks]
 
 
 def merge_outputs(

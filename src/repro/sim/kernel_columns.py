@@ -1,37 +1,39 @@
-"""Columnar swarm kernel: packed session columns + an optional C sweep.
+"""Columnar swarm kernel: packed session columns swept in C.
 
-The object kernel (:func:`repro.sim.kernel.run_swarm`) walks per-session
-python objects -- ``PeerState`` dataclasses, tuple events carrying
-``Session`` references, dict-of-object ledgers -- and its attribute
-traffic dominates the profile.  This module is the columnar
-counterpart: a :class:`ColumnSchedule` packs one swarm's sessions into
+The object kernel (:func:`repro.sim.kernel.run_swarm_object`) walks
+per-session python objects -- ``PeerState`` dataclasses, tuple events
+carrying ``Session`` references, dict-of-object ledgers -- and its
+attribute traffic dominates the profile.  This module is the fast
+path: a :class:`ColumnSchedule` packs one swarm's sessions into
 parallel scalar columns (demand, identity, dense geometry codes, sorted
-window events), and the sweep runs over integer indices with a
-linked-list membership timeline, either in pure python or -- when the
-optional ``repro.sim._ckernel`` extension is built -- in C.
+window events), and the compiled ``repro.sim._ckernel`` extension
+sweeps them over integer indices with a linked-list membership
+timeline.
 
 The contract is the one that makes the dispatch safe to default on:
-**bit-for-bit identity with the object kernel.**  Every float operation
-of :func:`~repro.sim.kernel.run_swarm` is replayed in the same order
-with the same association -- window indices use the object kernel's
-exact expressions (``int(start // dtau)``, ``int(math.ceil(end /
-dtau))``), matching runs through the array-form replay
-(:func:`repro.sim.matching.match_window_arrays` in python,
-the same sequence transcribed to C on the fast path), day chunks split
-identically, and even dict *insertion orders* (per-layer peer bits,
-per-(ISP, day) ledgers, per-user traffic) are reproduced, so reducers
-and serializers see indistinguishable outputs.
+**bit-for-bit identity with the object kernel.**  The C sweep replays
+every float operation of :func:`~repro.sim.kernel.run_swarm_object` and
+:func:`~repro.sim.matching.match_window` in the same order with the
+same association -- window indices use the object kernel's exact
+expressions (``int(start // dtau)``, ``int(math.ceil(end / dtau))``),
+day chunks split identically, and even dict *insertion orders*
+(per-layer peer bits, per-(ISP, day) ledgers, per-user traffic) are
+reproduced, so reducers and serializers see indistinguishable outputs.
 
-The compiled backend is selected once at import time: if
+The extension is optional and looked up once, at import time: when
 ``repro.sim._ckernel`` imports (built via ``python setup.py build_ext
---inplace`` or the ``compiled`` extra) it is used for every sweep;
-otherwise the pure-python fallback runs with identical results.  Set
-``REPRO_NO_CKERNEL=1`` to force the fallback even when the extension is
-present (the equivalence tests use this to exercise both paths).
+--inplace`` or the ``compiled`` extra), :data:`HAVE_COMPILED` is true
+and :func:`repro.sim.kernel._compiled_path` routes ``kernel="auto"``
+configs here; otherwise every config runs the object kernel, with
+identical results.  ``REPRO_NO_CKERNEL=1`` hides a built extension (the
+equivalence tests use it to exercise both installs).  The schedule
+builders exist in python as well as in C: the C builders decline
+lingering seeds (participation is a python hash), and the python-built
+schedule then runs on the same C sweep.
 
-Random (non-locality-aware) matching has no precomputable structure, so
-those configs stay on the object kernel -- the dispatchers in
-:mod:`repro.sim.kernel` route them there.
+Random (non-locality-aware) matching has no columnar form, so those
+configs stay on the object kernel -- the dispatch rule routes them
+there.
 """
 
 from __future__ import annotations
@@ -40,21 +42,18 @@ import math
 import os
 from array import array
 from time import perf_counter
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.sim.accounting import ByteLedger
 from repro.sim.kernel import (
     _ADD,
     _DEMOTE,
     _REMOVE,
-    MultiSwarmOutput,
     SwarmOutput,
     SwarmTask,
-    _schedule_signature,
     resolve_task,
     run_swarm_object,
 )
-from repro.sim.matching import match_window_arrays
 from repro.sim.profiling import PROFILE
 from repro.sim.results import SwarmResult, UserTraffic
 from repro.topology.layers import NetworkLayer
@@ -69,11 +68,8 @@ __all__ = [
     "HAVE_COMPILED",
     "ColumnSchedule",
     "run_from_schedule",
-    "run_swarm_columnar",
-    "run_swarm_multi_columnar",
     "schedule_from_ref",
     "run_ref_columnar",
-    "run_ref_multi_columnar",
 ]
 
 _ckernel = None
@@ -99,8 +95,8 @@ _LAYERS = (
 class ColumnSchedule:
     """One swarm's sessions packed into parallel scalar columns.
 
-    Built once per ``(task, schedule signature)`` -- the same sharing
-    unit as the object kernel's ``_build_events`` -- and reused across
+    Built once per ``(task, schedule signature)`` -- the schedule the
+    object kernel's ``_build_events`` would build -- and reused across
     every sweep config with that signature: the event timeline and the
     demand/identity/geometry columns depend only on ``(delta_tau,
     seed_linger_seconds, participation)``, while per-config supplies
@@ -109,17 +105,17 @@ class ColumnSchedule:
     Geometry is stored as dense per-swarm codes with the same equality
     structure as the object matcher's scope keys: ``ex_code`` equal iff
     ``(isp, exchange)`` equal, ``pop_code`` iff ``(isp, pop)``,
-    ``isp_code`` iff ``isp`` -- which is exactly what
-    :func:`~repro.sim.matching.match_window_arrays` requires.  Events
+    ``isp_code`` iff ``isp`` -- which is all the C matcher needs to form
+    :func:`~repro.sim.matching.match_window`'s scopes.  Events
     are packed into single sorted integers ``(window << 34) | (kind <<
     32) | session_index``: the bit layout makes integer order equal
     ``(window, kind, session_index)`` lexicographic order, and within a
     ``(window, kind)`` tie the session index reproduces the object
     kernel's creation-order tie-break, because each session contributes
     at most one event per kind and creation order is session order.
-    (Python integers never overflow the encoding; only the compiled
-    path needs ``window < 2**29`` to fit int64, and
-    :func:`run_from_schedule` falls back to python beyond that.)
+    (Python integers never overflow the encoding; only the C sweep
+    needs ``window < 2**29`` to fit int64, and :func:`run_from_schedule`
+    runs a wider schedule's task on the object kernel.)
     """
 
     __slots__ = (
@@ -134,7 +130,6 @@ class ColumnSchedule:
         "member_ids",
         "user_slot",
         "slot_users",
-        "slot_of",
         "num_users",
         "ex_code",
         "pop_code",
@@ -290,7 +285,6 @@ class ColumnSchedule:
         self.member_ids = member_ids
         self.user_slot = user_slot
         self.slot_users = slot_users
-        self.slot_of = slot_of
         self.num_users = len(slot_users)
         self.ex_code = ex_code
         self.pop_code = pop_code
@@ -350,13 +344,12 @@ class ColumnSchedule:
             (max_window - 1) // self.windows_per_day + 1 if max_window > 0 else 0
         )
         # List-form columns exist only on the python-built path
-        # (the python sweep never runs on a native schedule).
+        # (packed() serves a native schedule's buffers directly).
         self.demand = None
         self.bitrates = None
         self.user_ids = None
         self.member_ids = None
         self.user_slot = None
-        self.slot_of = None
         self.ex_code = None
         self.pop_code = None
         self.isp_code = None
@@ -507,7 +500,6 @@ class ColumnSchedule:
         self.member_ids = member_ids
         self.user_slot = user_slot
         self.slot_users = slot_users
-        self.slot_of = slot_of
         self.num_users = len(slot_users)
         self.ex_code = ex_code
         self.pop_code = pop_code
@@ -599,86 +591,36 @@ class ColumnSchedule:
         return packed
 
 
-def run_swarm_columnar(task: SwarmTask, config: "SimulationConfig") -> SwarmOutput:
-    """Columnar :func:`~repro.sim.kernel.run_swarm`: bit-for-bit equal."""
-    profile = PROFILE.enabled
-    if profile:
-        t0 = perf_counter()
-    schedule = ColumnSchedule(task, config)
-    if profile:
-        PROFILE.schedule_seconds += perf_counter() - t0
-    return run_from_schedule(task, config, schedule)
-
-
-def run_swarm_multi_columnar(
-    task: SwarmTask, configs: Sequence["SimulationConfig"]
-) -> MultiSwarmOutput:
-    """Columnar sweep: one schedule per signature group, K columnar runs.
-
-    Mirrors :func:`~repro.sim.kernel.run_swarm_multi`'s sharing unit
-    (the schedule signature) but replaces the shared-timeline
-    accumulator machinery with per-config columnar sweeps over one
-    shared :class:`ColumnSchedule` -- the sweep itself is fast enough
-    that re-running it per config beats the object multi-kernel, and
-    each output is bit-for-bit the single-config result by the columnar
-    identity law.  The allocation memo does not apply here
-    (``memo_hits``/``memo_misses`` report 0); ``schedule_builds``
-    counts distinct signatures that actually built a schedule.
-    Random-matching configs fall back to the object kernel per config.
-    """
-    if not configs:
-        return MultiSwarmOutput(outputs=[])
-    groups: Dict[Tuple, List[int]] = {}
-    for position, config in enumerate(configs):
-        groups.setdefault(_schedule_signature(config), []).append(position)
-    outputs: List[Optional[SwarmOutput]] = [None] * len(configs)
-    profile = PROFILE.enabled
-    schedule_builds = 0
-    for positions in groups.values():
-        # Built lazily: a group whose configs all use random matching
-        # runs entirely on the object kernel and needs no schedule.
-        schedule: Optional[ColumnSchedule] = None
-        for position in positions:
-            config = configs[position]
-            if config.locality_aware_matching:
-                if schedule is None:
-                    if profile:
-                        t0 = perf_counter()
-                    schedule = ColumnSchedule(task, config)
-                    if profile:
-                        PROFILE.schedule_seconds += perf_counter() - t0
-                    schedule_builds += 1
-                outputs[position] = run_from_schedule(task, config, schedule)
-            else:
-                outputs[position] = run_swarm_object(task, config)
-    return MultiSwarmOutput(
-        outputs=outputs,  # type: ignore[arg-type] - every slot is filled
-        memo_hits=0,
-        memo_misses=0,
-        schedule_builds=schedule_builds,
-    )
-
-
 def schedule_from_ref(
-    ref: "ExtentTaskRef", config: "SimulationConfig"
+    ref: "SwarmTask | ExtentTaskRef", config: "SimulationConfig"
 ) -> ColumnSchedule:
-    """Build a :class:`ColumnSchedule` straight from a shard extent.
+    """Build the :class:`ColumnSchedule` of one task ref.
 
-    The zero-object ingest path: the extent's raw bytes (or typed
-    columns) come directly off the store file and Session objects are
-    never created.  Three tiers, all bit-for-bit identical:
+    A resident :class:`SwarmTask` packs its ``Session`` objects
+    (``ColumnSchedule(task, config)``, the ``schedule build`` profile
+    phase).  An extent ref takes the zero-object ingest path: the
+    extent's raw bytes (or typed columns) come directly off the store
+    file and Session objects are never created.  Its three tiers are
+    bit-for-bit identical:
 
     1. **Fused** (compiled, no lingering): one ``_ckernel.decode_build``
        pass over the raw 56 B records decodes *and* builds the packed
        schedule.  Charged to the ``decode`` profile phase and counted in
        ``fused_tasks``.
-    2. **Columns** (pure python, or the C builder declined): batched
+    2. **Columns** (the C builder declined or is absent): batched
        ``struct.iter_unpack`` into typed arrays (``decode`` phase), then
        :meth:`ColumnSchedule.from_columns` (``schedule build`` phase).
     3. Lingering configs always take tier 2 -- ``config.participates``
        stays in python, same as the object-path builder.
     """
     profile = PROFILE.enabled
+    if isinstance(ref, SwarmTask):
+        if profile:
+            t0 = perf_counter()
+        schedule = ColumnSchedule(ref, config)
+        if profile:
+            PROFILE.schedule_seconds += perf_counter() - t0
+        return schedule
     count = ref.num_sessions
     if _ckernel is not None and count > 0 and config.seed_linger_seconds <= 0.0:
         if profile:
@@ -704,52 +646,16 @@ def schedule_from_ref(
     return schedule
 
 
-def run_ref_columnar(ref: "ExtentTaskRef", config: "SimulationConfig") -> SwarmOutput:
-    """Columnar run straight from a shard extent ref (zero-object).
+def run_ref_columnar(
+    ref: "SwarmTask | ExtentTaskRef", config: "SimulationConfig"
+) -> SwarmOutput:
+    """Columnar run of one task ref; zero-object for an extent ref.
 
-    ``ref`` carries ``key`` and ``horizon``, which is all
-    :func:`run_from_schedule` needs from a task -- the sessions
-    themselves only ever exist as columns.
+    An extent ref carries ``key`` and ``horizon``, which is all
+    :func:`run_from_schedule` needs from a task -- its sessions only
+    ever exist as columns.
     """
     return run_from_schedule(ref, config, schedule_from_ref(ref, config))
-
-
-def run_ref_multi_columnar(
-    ref: "ExtentTaskRef", configs: Sequence["SimulationConfig"]
-) -> MultiSwarmOutput:
-    """Zero-object counterpart of :func:`run_swarm_multi_columnar`.
-
-    One :func:`schedule_from_ref` per schedule-signature group, K sweeps
-    over it.  Random-matching configs need the object kernel; the task
-    is materialized (once, lazily) only for them.
-    """
-    if not configs:
-        return MultiSwarmOutput(outputs=[])
-    groups: Dict[Tuple, List[int]] = {}
-    for position, config in enumerate(configs):
-        groups.setdefault(_schedule_signature(config), []).append(position)
-    outputs: List[Optional[SwarmOutput]] = [None] * len(configs)
-    schedule_builds = 0
-    task: Optional[SwarmTask] = None
-    for positions in groups.values():
-        schedule: Optional[ColumnSchedule] = None
-        for position in positions:
-            config = configs[position]
-            if config.locality_aware_matching:
-                if schedule is None:
-                    schedule = schedule_from_ref(ref, config)
-                    schedule_builds += 1
-                outputs[position] = run_from_schedule(ref, config, schedule)
-            else:
-                if task is None:
-                    task = resolve_task(ref)
-                outputs[position] = run_swarm_object(task, config)
-    return MultiSwarmOutput(
-        outputs=outputs,  # type: ignore[arg-type] - every slot is filled
-        memo_hits=0,
-        memo_misses=0,
-        schedule_builds=schedule_builds,
-    )
 
 
 def run_from_schedule(
@@ -757,207 +663,35 @@ def run_from_schedule(
     config: "SimulationConfig",
     schedule: ColumnSchedule,
 ) -> SwarmOutput:
-    """Sweep a prebuilt schedule under one config and materialize.
+    """Sweep a prebuilt schedule under one config in C and materialize.
 
     ``task`` may be a :class:`SwarmTask` or an extent ref -- only its
-    ``key`` and ``horizon`` are read (see :func:`_materialize`).
+    ``key`` and ``horizon`` are read (see :func:`_materialize`).  The C
+    sweep takes events packed into int64, so a python-built schedule
+    with a window at or past ``2**29`` (or no sessions at all) declines:
+    the task then runs on :func:`~repro.sim.kernel.run_swarm_object`,
+    as it does in a process without the compiled module.  Results are
+    identical either way; the profile counts a declined task in
+    ``tasks`` but not in ``compiled_tasks``.
     """
-    supplies = schedule.supplies_for(config)
-    allow_cross = config.allow_cross_isp_matching
     profile = PROFILE.enabled
+    if _ckernel is None or not (
+        schedule.native or (schedule.n > 0 and schedule.ev_enc[-1] < (1 << 63))
+    ):
+        if profile:
+            PROFILE.tasks += 1
+        return run_swarm_object(resolve_task(task), config)
+    supplies = schedule.supplies_for(config)
     if profile:
         t0 = perf_counter()
-    compiled = _ckernel is not None and (
-        schedule.native
-        # Encoded events must fit int64 for the C path (window < 2**29;
-        # python integers are unbounded, so only packing is affected).
-        or (schedule.n > 0 and schedule.ev_enc[-1] < (1 << 63))
-    )
-    if compiled:
-        flat = _sweep_compiled(schedule, supplies, allow_cross, profile)
-    else:
-        flat = _sweep_python(schedule, supplies, allow_cross, profile)
+    flat = _sweep_compiled(schedule, supplies, config.allow_cross_isp_matching, profile)
     if profile:
         PROFILE.sweep_seconds += perf_counter() - t0
         PROFILE.match_seconds += flat[6]
         PROFILE.account_seconds += flat[7]
         PROFILE.tasks += 1
-        if compiled:
-            PROFILE.compiled_tasks += 1
+        PROFILE.compiled_tasks += 1
     return _materialize(task, schedule, flat)
-
-
-def _sweep_python(
-    schedule: ColumnSchedule,
-    supplies: List[float],
-    allow_cross: bool,
-    profile: bool,
-) -> Tuple:
-    """The pure-python columnar sweep (also the semantics reference for
-    the C transcription): linked-list membership over session indices,
-    array-form matching per stretch, flat accumulators per output field.
-
-    Flat accumulation is exact because every output field accumulates
-    through its own independent variable in stretch order -- the same
-    per-field float-addition sequence the object kernel performs
-    interleaved.
-    """
-    n = schedule.n
-    dtau = schedule.dtau
-    wpd = schedule.windows_per_day
-    ev = schedule.ev_enc
-    cur_demand = list(schedule.demand)
-    user_ids = schedule.user_ids
-    member_ids = schedule.member_ids
-    user_slot = schedule.user_slot
-    slot_of = schedule.slot_of
-    ex_code = schedule.ex_code
-    pop_code = schedule.pop_code
-    isp_code = schedule.isp_code
-
-    # Membership as a doubly linked list over session indices: insertion
-    # order equals the object kernel's dict order (adds append, demotes
-    # keep position, removals unlink).
-    nxt = [-1] * n
-    prv = [-1] * n
-    in_list = [False] * n
-    head = -1
-    tail = -1
-    live = 0
-
-    watch_total = 0.0
-    server_total = 0.0
-    demanded_total = 0.0
-    peer_totals: Dict[NetworkLayer, float] = {}
-    # day -> [watch, server, demanded, {layer: bits}] in first-touch order.
-    days: Dict[int, List] = {}
-    # user slot -> [watched, uploaded] in first-touch order.
-    users: Dict[int, List[float]] = {}
-    match_s = 0.0
-    account_s = 0.0
-
-    num_events = len(ev)
-    prev_w = 0
-    index = 0
-    while index < num_events:
-        w = ev[index] >> 34
-        if w > prev_w and live:
-            order = []
-            j = head
-            while j != -1:
-                order.append(j)
-                j = nxt[j]
-            stretch_demand = [cur_demand[j] for j in order]
-            viewers = 0
-            for demand in stretch_demand:
-                if demand > 0.0:
-                    viewers += 1
-            watch_per_window = viewers * dtau
-            if profile:
-                t0 = perf_counter()
-            demanded_bits, server_bits, peer_items, upload_items = (
-                match_window_arrays(
-                    stretch_demand,
-                    [supplies[j] for j in order],
-                    [user_ids[j] for j in order],
-                    [member_ids[j] for j in order],
-                    [ex_code[j] for j in order],
-                    [pop_code[j] for j in order],
-                    [isp_code[j] for j in order],
-                    allow_cross_isp=allow_cross,
-                )
-            )
-            if profile:
-                t1 = perf_counter()
-                match_s += t1 - t0
-            stretch_watch = 0.0
-            window = prev_w
-            while window < w:
-                day = window // wpd
-                day_end = (day + 1) * wpd
-                chunk = min(w, day_end) - window
-                entry = days.get(day)
-                if entry is None:
-                    entry = days[day] = [0.0, 0.0, 0.0, {}]
-                watch_chunk = watch_per_window * chunk
-                entry[0] += watch_chunk
-                server_chunk = server_bits * chunk
-                demanded_chunk = demanded_bits * chunk
-                server_total += server_chunk
-                demanded_total += demanded_chunk
-                entry[1] += server_chunk
-                entry[2] += demanded_chunk
-                day_peer = entry[3]
-                for layer, bits in peer_items:
-                    peer_chunk = bits * chunk
-                    peer_totals[layer] = peer_totals.get(layer, 0.0) + peer_chunk
-                    day_peer[layer] = day_peer.get(layer, 0.0) + peer_chunk
-                for j in order:
-                    slot = user_slot[j]
-                    traffic = users.get(slot)
-                    if traffic is None:
-                        traffic = users[slot] = [0.0, 0.0]
-                    traffic[0] += cur_demand[j] * chunk
-                for uid, bits in upload_items:
-                    traffic = users.get(slot_of[uid])
-                    if traffic is None:  # pragma: no cover - uploaders are members
-                        traffic = users[slot_of[uid]] = [0.0, 0.0]
-                    traffic[1] += bits * chunk
-                stretch_watch += watch_chunk
-                window += chunk
-            watch_total += stretch_watch
-            if profile:
-                account_s += perf_counter() - t1
-        if w > prev_w:
-            prev_w = w
-        while index < num_events:
-            event = ev[index]
-            if event >> 34 != w:
-                break
-            kind = (event >> 32) & 3
-            s = event & 0xFFFFFFFF
-            if kind == _REMOVE:
-                if in_list[s]:
-                    in_list[s] = False
-                    before = prv[s]
-                    after = nxt[s]
-                    if before != -1:
-                        nxt[before] = after
-                    else:
-                        head = after
-                    if after != -1:
-                        prv[after] = before
-                    else:
-                        tail = before
-                    live -= 1
-            elif kind == _DEMOTE:
-                if in_list[s]:
-                    cur_demand[s] = 0.0
-            else:
-                in_list[s] = True
-                prv[s] = tail
-                nxt[s] = -1
-                if tail == -1:
-                    head = s
-                else:
-                    nxt[tail] = s
-                tail = s
-                live += 1
-            index += 1
-
-    return (
-        watch_total,
-        server_total,
-        demanded_total,
-        list(peer_totals.items()),
-        [
-            (day, entry[0], entry[1], entry[2], list(entry[3].items()))
-            for day, entry in days.items()
-        ],
-        [(slot, traffic[0], traffic[1]) for slot, traffic in users.items()],
-        match_s,
-        account_s,
-    )
 
 
 def _sweep_compiled(

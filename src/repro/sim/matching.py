@@ -44,8 +44,6 @@ __all__ = [
     "PeerState",
     "WindowAllocation",
     "match_window",
-    "match_window_arrays",
-    "match_window_multi",
     "GroupKey",
     "BlockKey",
 ]
@@ -121,19 +119,6 @@ class WindowAllocation:
     @property
     def total_peer_bits(self) -> float:
         return sum(self.peer_bits.values())
-
-    def scaled(self, factor: float) -> "WindowAllocation":
-        """The same allocation over ``factor`` identical windows."""
-        if factor < 0:
-            raise ValueError(f"factor must be >= 0, got {factor!r}")
-        return WindowAllocation(
-            peer_bits={layer: bits * factor for layer, bits in self.peer_bits.items()},
-            server_bits=self.server_bits * factor,
-            uploaded_bits={
-                uid: bits * factor for uid, bits in self.uploaded_bits.items()
-            },
-            demanded_bits=self.demanded_bits * factor,
-        )
 
 
 def match_window(
@@ -211,319 +196,6 @@ def match_window(
 
     allocation.server_bits += sum(demands)
     return allocation
-
-
-def match_window_arrays(
-    demands_in: Sequence[float],
-    supplies_in: Sequence[float],
-    user_ids: Sequence[int],
-    member_ids: Sequence[int],
-    exchange_codes: Sequence[int],
-    pop_codes: Sequence[int],
-    isp_codes: Sequence[int],
-    *,
-    allow_cross_isp: bool = False,
-) -> Tuple[float, float, List[Tuple[NetworkLayer, float]], List[Tuple[int, float]]]:
-    """Array-form :func:`match_window`: columns in, flat allocation out.
-
-    The columnar kernel's matcher (:mod:`repro.sim.kernel_columns`):
-    instead of :class:`PeerState` objects it takes parallel columns for
-    the window's live members, in member order -- demands/supplies plus
-    the identity and geometry columns.  The geometry columns are dense
-    *codes* with the same equality structure as the object matcher's
-    scope keys (equal code iff equal ``(isp, exchange)`` / ``(isp,
-    pop)`` / ``isp``), which the schedule builder guarantees per swarm.
-
-    The replay is bit-for-bit: seed/fresh selection compares the same
-    ``(demand > 0, user_id, member_id)`` keys, scopes form in the same
-    first-appearance order, and every float operation -- generator
-    sums, left-associated block totals, drain arithmetic -- runs in
-    exactly the sequence :func:`match_window` performs.  Only
-    locality-aware matching is supported (random matching has no
-    precomputable structure and stays on the object kernel).
-
-    Returns ``(demanded_bits, server_bits, peer_items, upload_items)``
-    where ``peer_items`` / ``upload_items`` preserve the allocation
-    dicts' insertion order.
-    """
-    n = len(demands_in)
-    if n == 0:
-        return 0.0, 0.0, [], []
-    demanded_bits = sum(demands_in[i] for i in range(n))
-    if n == 1:
-        return demanded_bits, demands_in[0], [], []
-
-    positions = range(n)
-    seed_pos = min(
-        positions,
-        key=lambda i: (demands_in[i] > 0.0, user_ids[i], member_ids[i]),
-    )
-    watcher_positions = [
-        i for i in positions if i != seed_pos and demands_in[i] > 0.0
-    ]
-    fresh_pos = max(
-        watcher_positions,
-        key=lambda i: (user_ids[i], member_ids[i]),
-        default=None,
-    )
-    server_bits = demands_in[seed_pos]
-
-    demands = [0.0 if i == seed_pos else demands_in[i] for i in positions]
-    supplies = list(supplies_in)
-    if fresh_pos is not None:
-        supplies[fresh_pos] = 0.0
-
-    index_codes: List[int] = list(positions)
-    phase_specs: List[Tuple[NetworkLayer, Sequence[int], Sequence[int]]] = [
-        (NetworkLayer.EXCHANGE, exchange_codes, index_codes),
-        (NetworkLayer.POP, pop_codes, exchange_codes),
-        (NetworkLayer.CORE, isp_codes, pop_codes),
-    ]
-    if allow_cross_isp:
-        zero_codes = [0] * n
-        phase_specs.append((NetworkLayer.SERVER, zero_codes, isp_codes))
-
-    peer: Dict[NetworkLayer, float] = {}
-    uploaded: Dict[int, float] = {}
-    for layer, group_codes, block_codes in phase_specs:
-        scopes: Dict[int, List[int]] = {}
-        for i in positions:
-            scopes.setdefault(group_codes[i], []).append(i)
-        for indices in scopes.values():
-            if len(indices) < 2 and layer is NetworkLayer.EXCHANGE:
-                continue
-            total_demand = sum(demands[i] for i in indices)
-            total_supply = sum(supplies[i] for i in indices)
-            if total_demand <= _EPS or total_supply <= _EPS:
-                continue
-            block_totals: Dict[int, float] = {}
-            for i in indices:
-                block = block_codes[i]
-                # Left-associated on purpose: ``(total + demand) +
-                # supply`` replays match_window's rounding exactly.
-                block_totals[block] = (
-                    block_totals.get(block, 0.0) + demands[i] + supplies[i]
-                )
-            bound = total_demand + total_supply - max(block_totals.values())
-            transferred = min(total_demand, total_supply, bound)
-            if transferred <= _EPS:
-                continue
-            demand_factor = transferred / total_demand
-            supply_factor = transferred / total_supply
-            for i in indices:
-                supply = supplies[i]
-                if supply > 0.0:
-                    contributed = supply * supply_factor
-                    uid = user_ids[i]
-                    uploaded[uid] = uploaded.get(uid, 0.0) + contributed
-                    supplies[i] = supply - contributed
-                demand = demands[i]
-                if demand > 0.0:
-                    demands[i] = demand - demand * demand_factor
-            peer[layer] = peer.get(layer, 0.0) + transferred
-    server_bits += sum(demands)
-    return demanded_bits, server_bits, list(peer.items()), list(uploaded.items())
-
-
-def match_window_multi(
-    members: Sequence[PeerState],
-    supply_profiles: Sequence[Sequence[float]],
-    *,
-    allow_cross_isp: bool = False,
-    locality_aware: bool = True,
-) -> List[WindowAllocation]:
-    """Allocate one window under K supply profiles of one membership.
-
-    The sweep kernel's workhorse: one shared member list provides the
-    geometry, ids and demands, and ``supply_profiles[k]`` overrides the
-    per-member supplies for sweep config ``k`` (upload ratio / bandwidth
-    / participation are the swept axes -- only supply varies across a
-    sweep's configs within a schedule group).  Everything that depends
-    on membership and geometry alone is computed once: the seed and
-    fresh selection, the per-phase matching scopes, and each scope's
-    forbidden-block structure.  Only the per-config drain arithmetic
-    runs K times, and it replays *exactly* the float-operation sequence
-    :func:`match_window` performs -- same summation orders, same
-    in-place drains, same dict-accumulation orders -- so each returned
-    allocation is bit-for-bit what the independent call on members
-    carrying that profile's supplies would have produced.
-
-    Random (locality-blind) matching shares no precomputable structure
-    worth the complexity (its cost is the supply x demand pair loop,
-    which is per-config anyway); those calls delegate per profile.
-    """
-    if not supply_profiles:
-        return []
-    base = members
-    if not base:
-        return [WindowAllocation() for _ in supply_profiles]
-    if not locality_aware:
-        allocations = []
-        for profile in supply_profiles:
-            rebuilt = [
-                PeerState(
-                    member_id=m.member_id,
-                    user_id=m.user_id,
-                    demand=m.demand,
-                    supply=supply,
-                    exchange=m.exchange,
-                    pop=m.pop,
-                    isp=m.isp,
-                    attachment=m.attachment,
-                )
-                for m, supply in zip(base, profile)
-            ]
-            allocations.append(
-                match_window(
-                    rebuilt, allow_cross_isp=allow_cross_isp, locality_aware=False
-                )
-            )
-        return allocations
-
-    n = len(base)
-    demanded_bits = sum(m.demand for m in base)
-    if n == 1:
-        allocations = []
-        for _profile in supply_profiles:
-            allocation = WindowAllocation()
-            allocation.demanded_bits = demanded_bits
-            allocation.server_bits = base[0].demand
-            allocations.append(allocation)
-        return allocations
-
-    # Seed / fresh positions: the selectors compare only demand
-    # positivity and (user, member) ids, which are shared across the
-    # profiles, so both positions are computed once.  Ids are unique,
-    # so min/max have no ties and positional selection is exact.
-    positions = range(n)
-    seed_pos = min(
-        positions,
-        key=lambda i: (base[i].demand > 0.0, base[i].user_id, base[i].member_id),
-    )
-    watcher_positions = [
-        i for i in positions if i != seed_pos and base[i].demand > 0.0
-    ]
-    fresh_pos = max(
-        watcher_positions,
-        key=lambda i: (base[i].user_id, base[i].member_id),
-        default=None,
-    )
-    base_demands = [0.0 if i == seed_pos else base[i].demand for i in positions]
-
-    # Phase structure from the shared geometry: for each phase, the
-    # scopes in first-appearance order, each with its member indices and
-    # a dense renumbering of its forbidden blocks.  Mirrors the scope /
-    # block_totals dicts match_window builds per call, including the
-    # exchange phase's singleton-scope skip.
-    # Scopes that provably transfer nothing under *any* profile are
-    # compiled away up front: demands only ever shrink (and float
-    # addition is monotone for non-negative values), so a scope whose
-    # initial demand total is below the epsilon stays below it in every
-    # phase; likewise a scope none of whose members starts with positive
-    # supply in any profile keeps a zero supply total.  Dropping them
-    # skips only side-effect-free sums the per-profile loop would have
-    # discarded anyway, so outputs are untouched -- but seed-only and
-    # fresh-only scopes (the bulk of small-swarm scopes) cost nothing.
-    can_supply = [
-        i != fresh_pos and any(profile[i] > 0.0 for profile in supply_profiles)
-        for i in positions
-    ]
-    # Per-member scope keys, one attribute pass: each phase's forbidden
-    # block is exactly the previous phase's scope (the subtree already
-    # matched), so four key lists describe the whole phase stack without
-    # per-call lambdas.
-    exchange_keys: List[Hashable] = []
-    pop_keys: List[Hashable] = []
-    core_keys: List[Hashable] = []
-    for member in base:
-        isp = member.isp
-        exchange_keys.append((isp, member.exchange))
-        pop_keys.append((isp, member.pop))
-        core_keys.append(isp)
-    index_keys: List[Hashable] = list(positions)
-    phase_specs: List[Tuple[NetworkLayer, List[Hashable], List[Hashable]]] = [
-        (NetworkLayer.EXCHANGE, exchange_keys, index_keys),
-        (NetworkLayer.POP, pop_keys, exchange_keys),
-        (NetworkLayer.CORE, core_keys, pop_keys),
-    ]
-    if allow_cross_isp:
-        none_keys: List[Hashable] = [None] * n
-        phase_specs.append((NetworkLayer.SERVER, none_keys, core_keys))
-
-    structure: List[Tuple[NetworkLayer, List[Tuple[List[int], List[int], int]]]] = []
-    for layer, group_keys, block_keys in phase_specs:
-        scopes: Dict[Hashable, List[int]] = {}
-        for index, group in enumerate(group_keys):
-            scopes.setdefault(group, []).append(index)
-        compiled: List[Tuple[List[int], List[int], int]] = []
-        for indices in scopes.values():
-            if len(indices) < 2 and layer is NetworkLayer.EXCHANGE:
-                continue
-            if sum(base_demands[i] for i in indices) <= _EPS:
-                continue
-            if not any(can_supply[i] for i in indices):
-                continue
-            block_ids: List[int] = []
-            block_index: Dict[Hashable, int] = {}
-            for i in indices:
-                block = block_keys[i]
-                dense = block_index.get(block)
-                if dense is None:
-                    dense = block_index[block] = len(block_index)
-                block_ids.append(dense)
-            compiled.append((indices, block_ids, len(block_index)))
-        if compiled:
-            structure.append((layer, compiled))
-
-    allocations = []
-    for profile in supply_profiles:
-        allocation = WindowAllocation()
-        allocation.demanded_bits = demanded_bits
-        allocation.server_bits = base[seed_pos].demand
-        demands = base_demands.copy()
-        supplies = list(profile)
-        if fresh_pos is not None:
-            supplies[fresh_pos] = 0.0
-        uploaded = allocation.uploaded_bits
-        for layer, compiled in structure:
-            for indices, block_ids, num_blocks in compiled:
-                # One pass, plain adds: bit-for-bit the generator sums
-                # match_window computes (same order, same 0-start).
-                total_demand = 0.0
-                total_supply = 0.0
-                for i in indices:
-                    total_demand += demands[i]
-                    total_supply += supplies[i]
-                if total_demand <= _EPS or total_supply <= _EPS:
-                    continue
-                block_totals = [0.0] * num_blocks
-                for i, block in zip(indices, block_ids):
-                    # Left-associated on purpose: match_window computes
-                    # ``(total + demand) + supply``, and bit-for-bit
-                    # replay means replaying its rounding too.
-                    block_totals[block] = block_totals[block] + demands[i] + supplies[i]
-                bound = total_demand + total_supply - max(block_totals)
-                transferred = min(total_demand, total_supply, bound)
-                if transferred <= _EPS:
-                    continue
-                demand_factor = transferred / total_demand
-                supply_factor = transferred / total_supply
-                for i in indices:
-                    supply = supplies[i]
-                    if supply > 0.0:
-                        contributed = supply * supply_factor
-                        uid = members[i].user_id
-                        uploaded[uid] = uploaded.get(uid, 0.0) + contributed
-                        supplies[i] = supply - contributed
-                    demand = demands[i]
-                    if demand > 0.0:
-                        demands[i] = demand - demand * demand_factor
-                allocation.peer_bits[layer] = (
-                    allocation.peer_bits.get(layer, 0.0) + transferred
-                )
-        allocation.server_bits += sum(demands)
-        allocations.append(allocation)
-    return allocations
 
 
 def _match_randomly(

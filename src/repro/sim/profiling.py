@@ -1,14 +1,17 @@
 """Per-phase kernel timing counters (the ``--profile-kernel`` hook).
 
-The columnar kernel (:mod:`repro.sim.kernel_columns`) and the reducer
-(:func:`repro.sim.reduce.reduce_outputs`) accumulate wall-clock into the
-module-level :data:`PROFILE` singleton whenever it is enabled, split by
-phase: decode (store extent bytes -> columns, or the fused decode+build
-pass), schedule build, sweep (membership timeline), matching (seed/fresh
-selection + phase drains), drain/accounting (ledger and per-user
-arithmetic), and reduce (the output fold).  ``consume-local simulate
---profile-kernel`` and ``bench_kernel --profile`` enable it around a run
-and print the breakdown, so perf work measures instead of guessing.
+The compiled columnar path (:mod:`repro.sim.kernel_columns`), the
+task-ref resolver and the reducer (:class:`repro.sim.reduce.\
+StreamingReducer`) accumulate wall-clock into the module-level
+:data:`PROFILE` singleton whenever it is enabled, split by phase:
+decode (store extent bytes -> columns, objects, or the fused
+decode+build pass), schedule build, sweep (membership timeline),
+matching (seed/fresh selection + phase drains), drain/accounting
+(ledger and per-user arithmetic), and reduce (the output fold and the
+final result build, under every reduction mode).  ``consume-local
+simulate --profile-kernel`` and ``bench_kernel --profile`` enable it
+around a run and print the breakdown, so perf work measures instead of
+guessing.
 
 On the zero-object ingest path the compiled ``decode_build`` fuses
 decoding and schedule construction into a single pass over the raw
@@ -17,11 +20,15 @@ task is counted in ``fused_tasks`` (its ``schedule_seconds`` share is
 zero by construction -- there is no separate build step to time).
 
 Profiling is strictly observational: enabling it never changes results,
-only adds ``perf_counter`` calls around phases.  The compiled sweep
-times its matching/accounting split internally (it receives a profile
-flag) so the breakdown stays meaningful on the fast path; the object
-kernel does not report here (it predates the counters -- profile runs
-force the columnar kernel).
+only adds ``perf_counter`` calls around phases, and it never picks a
+kernel.  The compiled sweep times its matching/accounting split
+internally (it receives a profile flag) so the breakdown stays
+meaningful on the fast path.  Swarms on the object kernel --
+``kernel="object"``, random matching, or an install without the
+compiled extension -- are not counted and their sweeps not timed; only
+their decode and reduce phases report.  ``tasks`` counts the swarms the
+compiled path was handed, ``compiled_tasks`` those it swept in C (the
+rest declined to the object kernel).
 """
 
 from __future__ import annotations

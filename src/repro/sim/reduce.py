@@ -56,6 +56,7 @@ from typing import (
 
 from repro.sim.accounting import ByteLedger
 from repro.sim.policies import SwarmKey
+from repro.sim.profiling import PROFILE
 from repro.sim.results import (
     SimulationResult,
     SwarmResult,
@@ -309,7 +310,9 @@ class StreamingReducer:
     block is present the fold advances through every contiguous buffered
     block.  The fold itself is *the* reduction --
     :func:`~repro.sim.kernel.merge_outputs` wraps this class -- so any
-    completion order produces the batched result bit for bit.
+    completion order produces the batched result bit for bit.  With
+    :data:`~repro.sim.profiling.PROFILE` enabled, the fold and the final
+    result build are charged to its ``reduce`` phase.
 
     Args:
         delta_tau / horizon / upload_ratio: run parameters stamped on
@@ -367,6 +370,9 @@ class StreamingReducer:
             self.peak_resident = len(self._pending)
         if self._resident_outputs > self.peak_resident_outputs:
             self.peak_resident_outputs = self._resident_outputs
+        profile = PROFILE.enabled
+        if profile:
+            t0 = perf_counter()
         while self._next_index in self._pending:
             ready = self._pending.pop(self._next_index)
             for output in ready:
@@ -374,6 +380,8 @@ class StreamingReducer:
             self._next_index += len(ready)
             self._resident_outputs -= len(ready)
             self.blocks_folded += 1
+        if profile:
+            PROFILE.reduce_seconds += perf_counter() - t0
 
     def _fold(self, output: "SwarmOutput") -> None:
         """One output's worth of the canonical reduction.
@@ -451,11 +459,14 @@ class StreamingReducer:
                 f"{len(self._pending)} later blocks still buffered"
             )
         self._finalized = True
+        profile = PROFILE.enabled
+        if profile:
+            t0 = perf_counter()
         if self._users is not None:
             per_user = self._users.materialize()
         else:
             per_user = self._per_user
-        return SimulationResult(
+        result = SimulationResult(
             total=self._total,
             per_swarm=self._per_swarm,
             per_isp_day=self._per_isp_day,
@@ -464,6 +475,9 @@ class StreamingReducer:
             horizon=self._horizon,
             upload_ratio=self._upload_ratio,
         )
+        if profile:
+            PROFILE.reduce_seconds += perf_counter() - t0
+        return result
 
     def stats(self, mode: str) -> ReductionStats:
         """This reduction's :class:`ReductionStats` under ``mode``."""
@@ -568,13 +582,8 @@ def reduce_outputs(
 
     The implementation behind :func:`repro.sim.kernel.merge_outputs`:
     one output per block, delivered in order, so the reducer never
-    buffers.
+    buffers (and charges the profile's ``reduce`` phase itself).
     """
-    from repro.sim.profiling import PROFILE
-
-    profile = PROFILE.enabled
-    if profile:
-        t0 = perf_counter()
     reducer = StreamingReducer(
         delta_tau=delta_tau,
         horizon=horizon,
@@ -585,7 +594,4 @@ def reduce_outputs(
     for output in outputs:
         reducer.add(index, (output,))
         index += 1
-    result = reducer.result()
-    if profile:
-        PROFILE.reduce_seconds += perf_counter() - t0
-    return result
+    return reducer.result()

@@ -297,8 +297,9 @@ class TestReductionMatrix:
     external grouping obeys its sort-buffer bound, while doing it.
 
     The baseline runs ``kernel="object"`` and every matrix cell runs
-    ``kernel="columnar"``, so each cell is also a cross-kernel identity
-    check (see repro/sim/kernel_columns.py)."""
+    ``kernel="auto"`` -- the compiled columnar sweep when the extension
+    is built -- so each cell is also a cross-kernel identity check (see
+    repro/sim/kernel_columns.py)."""
 
     @pytest.fixture(scope="class")
     def reference(self, trace):
@@ -317,7 +318,7 @@ class TestReductionMatrix:
         backend = make_matrix_backend(backend_name, tmp_path)
         spill_dir = str(tmp_path / "spill") if reduction == "spill" else None
         config = SimulationConfig(
-            reduction=reduction, spill_dir=spill_dir, kernel="columnar"
+            reduction=reduction, spill_dir=spill_dir, kernel="auto"
         )
         # run_sessions=500 forces real spill-and-merge grouping on this
         # ~2.5K-session trace (and exercises worker-side extent decode).
@@ -356,8 +357,8 @@ class TestSweepMatrix:
     each per-config reducer inside the ``workers + 1`` residency bound.
 
     As in TestReductionMatrix, the baselines run ``kernel="object"``
-    and the sweep configs run ``kernel="columnar"``, so the whole
-    matrix is also a cross-kernel identity check."""
+    and the sweep configs run ``kernel="auto"``, so the whole matrix is
+    also a cross-kernel identity check."""
 
     RATIOS = (0.2, 0.6, 1.0)
 
@@ -389,7 +390,7 @@ class TestSweepMatrix:
         )
         simulator = Simulator(config, backend=backend, grouping=strategy)
         configs = [
-            SimulationConfig(upload_ratio=r, kernel="columnar") for r in self.RATIOS
+            SimulationConfig(upload_ratio=r, kernel="auto") for r in self.RATIOS
         ]
         try:
             results = simulator.run_sweep(trace, configs)

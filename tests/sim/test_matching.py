@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.matching import PeerState, WindowAllocation, match_window
+from repro.sim.matching import PeerState, match_window
 from repro.topology.layers import NetworkLayer
 
 
@@ -176,23 +176,6 @@ class TestCrossIsp:
 
 
 class TestWindowAllocation:
-    def test_scaled(self):
-        alloc = WindowAllocation(
-            peer_bits={NetworkLayer.POP: 10.0},
-            server_bits=5.0,
-            uploaded_bits={1: 10.0},
-            demanded_bits=15.0,
-        )
-        double = alloc.scaled(2.0)
-        assert double.peer_bits[NetworkLayer.POP] == 20.0
-        assert double.server_bits == 10.0
-        assert double.uploaded_bits[1] == 20.0
-        assert double.demanded_bits == 30.0
-
-    def test_scaled_rejects_negative(self):
-        with pytest.raises(ValueError):
-            WindowAllocation().scaled(-1.0)
-
     def test_peer_state_validation(self):
         with pytest.raises(ValueError):
             PeerState(member_id=0, user_id=0, demand=-1.0, supply=0.0, exchange=0, pop=0, isp="x")

@@ -13,6 +13,7 @@ import pytest
 from repro.sim import SimulationConfig, Simulator, simulate
 from repro.sim.backends import SerialBackend, ThreadBackend, contiguous_blocks
 from repro.sim.kernel import build_tasks, merge_outputs, run_shard
+from repro.sim.profiling import PROFILE
 from repro.sim.reduce import (
     REDUCTION_MODES,
     FootprintAccumulator,
@@ -302,6 +303,19 @@ class TestEngineReductionModes:
         reference = simulate(trace)
         result = simulate(trace, SimulationConfig(reduction=reduction))
         assert reference.identical_to(result)
+
+    @pytest.mark.parametrize("reduction", REDUCTION_MODES)
+    def test_profiled_run_times_the_reduce_phase(self, trace, reduction):
+        """Every reduction mode charges its fold to the reduce phase."""
+        PROFILE.reset()
+        PROFILE.enabled = True
+        try:
+            Simulator(SimulationConfig(reduction=reduction)).run(trace)
+            reduce_seconds = PROFILE.reduce_seconds
+        finally:
+            PROFILE.enabled = False
+            PROFILE.reset()
+        assert reduce_seconds > 0.0
 
     def test_last_reduction_stats_batched(self, trace):
         simulator = Simulator(SimulationConfig(), backend=SerialBackend())

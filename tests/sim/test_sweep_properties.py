@@ -31,7 +31,7 @@ LAW = settings(
 HORIZON = 2 * SECONDS_PER_DAY
 
 #: Small value spaces so examples collide on users and attachments --
-#: the memo and the seed/fresh tie-breaks get real work.
+#: the schedule sharing and the seed/fresh tie-breaks get real work.
 _attachments = st.sampled_from(
     [
         intern_attachment("ISP-1", 0, 0),

@@ -38,9 +38,17 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.sim import kernel_columns
 from repro.sim.engine import SimulationConfig
 from repro.sim.grouping import ExtentTaskRef
-from repro.sim.kernel import SwarmTask, run_ref, run_ref_multi, run_swarm_object
+from repro.sim.kernel import (
+    SwarmTask,
+    run_ref,
+    run_ref_multi,
+    run_swarm,
+    run_swarm_multi,
+    run_swarm_object,
+)
 from repro.sim.kernel_columns import ColumnSchedule, schedule_from_ref
 from repro.sim.policies import SwarmKey
+from repro.sim.profiling import PROFILE
 from repro.topology.nodes import intern_attachment
 from repro.trace.events import SECONDS_PER_DAY, Session
 from repro.trace.store import StoreWriter, clear_reader_cache
@@ -56,13 +64,13 @@ HORIZON = 2 * SECONDS_PER_DAY
 
 @contextmanager
 def _no_compiled_backend():
-    """Mask the compiled backend so the pure-python columnar path runs."""
-    saved = kernel_columns._ckernel
-    kernel_columns._ckernel = None
+    """Mask the compiled module, as an install without it sees it."""
+    saved = kernel_columns._ckernel, kernel_columns.HAVE_COMPILED
+    kernel_columns._ckernel, kernel_columns.HAVE_COMPILED = None, False
     try:
         yield
     finally:
-        kernel_columns._ckernel = saved
+        kernel_columns._ckernel, kernel_columns.HAVE_COMPILED = saved
 
 
 def assert_bitwise_identical(reference, candidate):
@@ -236,11 +244,12 @@ class TestZeroObjectOutputs:
     @LAW
     @given(task=swarm_tasks(), configs=st.lists(_configs, min_size=1, max_size=3))
     def test_run_ref_multi_equals_object_runs(self, task, configs):
-        configs = [replace(config, kernel="columnar") for config in configs]
+        configs = [replace(config, kernel="auto") for config in configs]
         ref = _store_ref(task)
         multi = run_ref_multi(ref, configs)
         assert len(multi.outputs) == len(configs)
-        assert multi.schedule_builds >= 1
+        if kernel_columns.HAVE_COMPILED:
+            assert multi.schedule_builds >= 1
         for config, output in zip(configs, multi.outputs):
             assert_bitwise_identical(run_swarm_object(task, config), output)
 
@@ -266,6 +275,71 @@ class TestZeroObjectOutputs:
         assert_bitwise_identical(
             run_swarm_object(task, config), run_ref(ref, config)
         )
+
+
+class TestWithoutCompiledModule:
+    @LAW
+    @given(task=swarm_tasks(), configs=st.lists(_configs, min_size=1, max_size=3))
+    def test_auto_runs_the_object_kernel(self, task, configs):
+        """Without the extension every ``"auto"`` entry point is the
+        object kernel, and a sweep builds no schedule."""
+        ref = _store_ref(task)
+        with _no_compiled_backend():
+            multi = run_swarm_multi(task, configs)
+            assert multi.schedule_builds == 0
+            for config, output in zip(configs, multi.outputs):
+                reference = run_swarm_object(task, config)
+                assert_bitwise_identical(reference, output)
+                assert_bitwise_identical(reference, run_swarm(task, config))
+                assert_bitwise_identical(reference, run_ref(ref, config))
+
+
+@pytest.mark.skipif(
+    not kernel_columns.HAVE_COMPILED, reason="compiled kernel not built"
+)
+class TestWideWindowDecline:
+    """Events past window ``2**29`` do not fit the C sweep's int64
+    encoding: the schedule is python-built and the task runs on the
+    object kernel instead, with identical results."""
+
+    def _task(self) -> SwarmTask:
+        dtau = SimulationConfig().delta_tau
+        far = float(2**29) * dtau
+        attachment = intern_attachment("ISP-1", 0, 0)
+        sessions = [
+            Session(
+                session_id=index,
+                user_id=index % 2,
+                content_id="item",
+                start=start,
+                duration=duration,
+                bitrate=1_000_000.0,
+                attachment=attachment,
+            )
+            for index, (start, duration) in enumerate(
+                [(0.0, 600.0), (30.0, 900.0), (far, 120.0), (far + 10.0, 45.0)]
+            )
+        ]
+        return SwarmTask(
+            key=SwarmKey(content_id="item"),
+            sessions=tuple(sessions),
+            horizon=far + 86_400.0,
+        )
+
+    @pytest.mark.parametrize("entry", ["task", "extent"])
+    def test_window_past_int64_encoding_runs_on_object_kernel(self, entry):
+        task = self._task()
+        config = SimulationConfig()
+        ref = task if entry == "task" else _store_ref(task)
+        PROFILE.reset()
+        PROFILE.enabled = True
+        try:
+            output = run_ref(ref, config)
+        finally:
+            PROFILE.enabled = False
+        assert_bitwise_identical(run_swarm_object(task, config), output)
+        assert (PROFILE.tasks, PROFILE.compiled_tasks) == (1, 0)
+        PROFILE.reset()
 
 
 @pytest.mark.skipif(
