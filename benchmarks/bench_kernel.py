@@ -30,9 +30,12 @@ a benchmark of a wrong kernel is meaningless.  The headline numbers are
 ``--repetitions``), gated against the 5x target the compiled kernel
 shipped with, and ``ingest_speedup`` (pr7 seconds / zero-object
 seconds), gated at 1.5x (``meets_target`` / ``meets_ingest_target`` in
-the JSON).  With the compiled backend present the zero-object pass must
-also actually hit the fused decoder (``fused_tasks > 0``) -- a silent
-fallback to object decoding fails the run.
+the JSON).  The two sides of each pair alternate within every
+repetition, so a slow phase of a noisy host slows both sides instead
+of one side's whole series.  With the compiled backend present the
+zero-object pass must also actually hit the fused decoder
+(``fused_tasks > 0``) -- a silent fallback to object decoding fails
+the run.
 
 Results overwrite BENCH_kernel.json at the repo root (override with
 ``--out``), stamped with the git revision, core count, Python version
@@ -59,7 +62,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
@@ -122,23 +125,28 @@ def _outputs_identical(a: SwarmOutput, b: SwarmOutput) -> bool:
     )
 
 
-def _time_kernel(run, tasks, config, repetitions: int) -> float:
-    """Best-of-N seconds for one full pass, GC paused for stability."""
-    best = float("inf")
+def _time_pair(first, second, tasks, config, repetitions: int) -> Tuple[float, float]:
+    """Best-of-N seconds for one full pass of each side, GC paused.
+
+    Each repetition times ``first`` and then ``second``, so the sides
+    alternate and a slow stretch of host time hits both of them.
+    """
+    best = [float("inf"), float("inf")]
     gc.collect()
     gc.disable()
     try:
         for _ in range(repetitions):
-            t0 = time.perf_counter()
-            for task in tasks:
-                run(task, config)
-            best = min(best, time.perf_counter() - t0)
-            gc.enable()
-            gc.collect()
-            gc.disable()
+            for side, run in enumerate((first, second)):
+                t0 = time.perf_counter()
+                for task in tasks:
+                    run(task, config)
+                best[side] = min(best[side], time.perf_counter() - t0)
+                gc.enable()
+                gc.collect()
+                gc.disable()
     finally:
         gc.enable()
-    return best
+    return best[0], best[1]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -194,8 +202,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         f"{'yes' if compiled else 'no (auto runs the object kernel)'}"
     )
 
-    object_seconds = _time_kernel(run_swarm_object, tasks, config, args.repetitions)
-    columnar_seconds = _time_kernel(run_swarm, tasks, config, args.repetitions)
+    object_seconds, columnar_seconds = _time_pair(
+        run_swarm_object, run_swarm, tasks, config, args.repetitions
+    )
 
     # Zero-object ingest comparison: the same workload replayed from
     # the sorted shard, end to end (decode + schedule build + sweep).
@@ -209,8 +218,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         """The previous external hot path: extent -> objects -> kernel."""
         return run_swarm(resolve_task(ref), cfg)
 
-    pr7_seconds = _time_kernel(run_pr7, refs, config, args.repetitions)
-    zero_object_seconds = _time_kernel(run_ref, refs, config, args.repetitions)
+    pr7_seconds, zero_object_seconds = _time_pair(
+        run_pr7, run_ref, refs, config, args.repetitions
+    )
 
     # Correctness gate: every output must be bit-for-bit the object
     # kernel's -- resident tasks and extent refs alike.  (Timed first,

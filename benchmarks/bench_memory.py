@@ -1,21 +1,21 @@
 #!/usr/bin/env python
 """Memory benchmark: coordinator residency vs reduction mode and trace size.
 
-The batched reduction materializes every swarm-shard output in the
-coordinator before folding -- resident partial count equal to the shard
-total, growing linearly with the trace.  The streaming reduction
-(``SimulationConfig(reduction="streaming")``, see ``repro.sim.reduce``)
-folds outputs as shards complete and must keep its resident partial
-count bounded by ``workers + 1`` no matter how large the trace gets.
-This benchmark measures both (peak resident partial count straight from
-the runtime's own ``ReductionStats``, Python heap peak via
-``tracemalloc``) across a sweep of trace sizes, verifies every mode is
-bit-for-bit identical to batched, and **fails loudly** if
+Both reduction modes (``streaming`` and ``spill``, see
+``repro.sim.reduce``) fold shard outputs as they complete and must keep
+the coordinator's resident partial count bounded by ``workers + 1`` no
+matter how large the trace gets.  This benchmark measures both (peak
+resident partial count straight from the runtime's own
+``ReductionStats``, Python heap peak via ``tracemalloc``) across a
+sweep of trace sizes, verifies every mode is bit-for-bit identical to
+the in-order reference fold (``merge_outputs`` over object-kernel
+outputs, no engine involved), and **fails loudly** if
 
-* a streaming/spill run ever holds more than ``workers + 1`` partials,
-* the streaming bound does not stay flat while batched residency grows
-  with trace size, or
-* any mode's result differs from the batched baseline.
+* a run ever holds more than ``workers + 1`` partials,
+* the streaming peak does not stay flat across trace sizes,
+* the largest trace folds no more outputs than the bound (so the bound
+  would constrain nothing), or
+* any mode's result differs from the reference.
 
 A second, **grouping** axis (``--grouping-axis``) measures the other
 memory ceiling: ``grouping="memory"`` buffers every session in the
@@ -48,10 +48,12 @@ import tracemalloc
 from dataclasses import replace
 from typing import List, Optional, Sequence
 
-from repro.sim.backends import ProcessPoolBackend, SerialBackend, ThreadBackend
+from repro.sim.backends import ProcessPoolBackend, SerialBackend
 from repro.sim.engine import SimulationConfig, Simulator
 from repro.sim.grouping import ExternalGrouping, MemoryGrouping
+from repro.sim.kernel import build_tasks, merge_outputs, run_swarm_object
 from repro.sim.reduce import REDUCTION_MODES
+from repro.sim.results import SimulationResult
 from repro.trace.events import Trace
 from repro.trace.generator import GeneratorConfig, TraceGenerator
 
@@ -69,9 +71,22 @@ def build_trace(size: float) -> Trace:
 def make_backend(name: str, workers: int):
     if name == "serial":
         return SerialBackend()
-    if name == "thread":
-        return ThreadBackend(workers)
     return ProcessPoolBackend(workers, min_sessions=0)
+
+
+def reference_fold(trace: Trace) -> SimulationResult:
+    """``merge_outputs`` over object-kernel outputs, in task order."""
+    config = SimulationConfig()
+    outputs = [
+        run_swarm_object(task, config)
+        for task in build_tasks(trace, trace.horizon, config.policy)
+    ]
+    return merge_outputs(
+        outputs,
+        delta_tau=config.delta_tau,
+        horizon=trace.horizon,
+        upload_ratio=config.upload_ratio,
+    )
 
 
 def measure(backend, workers: int, reduction: str, trace: Trace) -> dict:
@@ -91,6 +106,7 @@ def measure(backend, workers: int, reduction: str, trace: Trace) -> dict:
         "seconds": seconds,
         "heap_peak_mb": heap_peak / 1e6,
         "blocks": stats.blocks,
+        "outputs": stats.outputs,
         "peak_resident": stats.peak_resident,
         "peak_resident_outputs": stats.peak_resident_outputs,
     }
@@ -101,8 +117,8 @@ def run_benchmark(
 ) -> List[str]:
     """Sweep sizes x reduction modes; return the list of violations."""
     violations: List[str] = []
-    batched_peaks: List[int] = []
     streaming_peaks: List[int] = []
+    outputs_folded = 0
     bound = workers + 1
 
     for size in sizes:
@@ -112,27 +128,25 @@ def run_benchmark(
             f"\n-- trace {size:g}x: {len(trace)} sessions, "
             f"{len(trace.user_ids)} users --"
         )
-        baseline = None
+        reference = reference_fold(trace)
         for reduction in REDUCTION_MODES:
             row = measure(backend, workers, reduction, trace)
             marks = []
-            if reduction == "batched":
-                baseline = row["result"]
-                batched_peaks.append(row["peak_resident"])
-            else:
-                if not baseline.identical_to(row["result"]):
-                    violations.append(
-                        f"{size:g}x {reduction}: result differs from batched"
-                    )
-                    marks.append("!! RESULT MISMATCH")
-                if row["peak_resident"] > bound:
-                    violations.append(
-                        f"{size:g}x {reduction}: {row['peak_resident']} resident "
-                        f"partials exceeds workers + 1 = {bound}"
-                    )
-                    marks.append("!! UNBOUNDED")
-                if reduction == "streaming":
-                    streaming_peaks.append(row["peak_resident"])
+            if not reference.identical_to(row["result"]):
+                violations.append(
+                    f"{size:g}x {reduction}: result differs from the reference fold"
+                )
+                marks.append("!! RESULT MISMATCH")
+            if row["peak_resident"] > bound:
+                violations.append(
+                    f"{size:g}x {reduction}: {row['peak_resident']} resident "
+                    f"partials exceeds workers + 1 = {bound}"
+                )
+                marks.append("!! UNBOUNDED")
+            if reduction == "streaming":
+                streaming_peaks.append(row["peak_resident"])
+                if size == max(sizes):
+                    outputs_folded = row["outputs"]
             print(
                 f"   {reduction:>9}   {row['seconds']:7.3f}s   "
                 f"heap peak {row['heap_peak_mb']:8.2f} MB   "
@@ -143,22 +157,16 @@ def run_benchmark(
         if hasattr(backend, "close"):
             backend.close()
 
-    # Batched residency must track the shard count (non-decreasing with
-    # trace size -- the swarm-key space saturates at items x ISPs x
-    # bitrate classes, so growth is not strict forever -- and always
-    # far above the streaming bound) while streaming stays flat at the
-    # worker bound.  That gap is the whole point of the mode.
+    # The bound only means something if the run folds more outputs than
+    # it lets stay resident: at the largest size the shard total must
+    # exceed workers + 1, while the streaming peak stays flat at the
+    # worker bound across sizes.
+    if outputs_folded <= bound:
+        violations.append(
+            f"the largest trace folded only {outputs_folded} outputs, no more "
+            f"than the bound ({bound}); trace too small to measure anything"
+        )
     if len(sizes) > 1:
-        if any(later < earlier for earlier, later in zip(batched_peaks, batched_peaks[1:])):
-            violations.append(
-                f"batched resident partials shrank with trace size: "
-                f"{batched_peaks}"
-            )
-        if batched_peaks[-1] <= bound:
-            violations.append(
-                f"batched residency ({batched_peaks[-1]}) never exceeded the "
-                f"streaming bound ({bound}); trace too small to measure anything"
-            )
         if max(streaming_peaks) > bound:
             violations.append(
                 f"streaming resident partials exceeded the bound across "
@@ -271,13 +279,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "with --quick: 0.5 1)",
     )
     parser.add_argument(
-        "--backend", choices=("serial", "thread", "process"), default="serial",
+        "--backend", choices=("serial", "process"), default="serial",
         help="execution backend (default: serial -- residency is a "
         "coordinator property, so the serial bound of 1 is the tightest)",
     )
     parser.add_argument(
         "--workers", type=int, default=2,
-        help="worker count for thread/process backends (default: 2)",
+        help="worker count for the process backend (default: 2)",
     )
     parser.add_argument(
         "--quick", action="store_true",
@@ -326,8 +334,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"VIOLATION: {violation}")
         return 1
     print(
-        "ok: all modes bit-for-bit identical; streaming residency bounded "
-        f"by {workers + 1} while batched residency tracks the shard count"
+        "ok: all modes bit-for-bit identical to the reference fold; "
+        f"residency bounded by {workers + 1} while the shard count grows"
     )
     return 0
 

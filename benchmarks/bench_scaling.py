@@ -9,6 +9,11 @@ Every parallel result is checked for exact equality with the serial
 run before its timing is reported -- a wrong-but-fast backend fails
 loudly here.
 
+The rows are written to BENCH_scaling.json at the repo root (override
+with ``--out``), stamped with the git revision, core count, Python
+version and whether the C kernel was compiled, so parallel speedup
+claims can cite a committed record.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_scaling.py             # 10x trace
@@ -25,16 +30,26 @@ exit code reflects *correctness*, never speedup.
 from __future__ import annotations
 
 import argparse
+import json
 import os
+import platform
 import sys
 import time
+from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.sim.backends import ProcessPoolBackend, SerialBackend
-from repro.sim.engine import SimulationConfig, Simulator
-from repro.sim.results import SimulationResult
-from repro.trace.events import Trace
-from repro.trace.generator import GeneratorConfig, TraceGenerator
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from bench_london import git_revision  # noqa: E402
+
+from repro.sim.backends import ProcessPoolBackend, SerialBackend  # noqa: E402
+from repro.sim.engine import SimulationConfig, Simulator  # noqa: E402
+from repro.sim.kernel_columns import HAVE_COMPILED  # noqa: E402
+from repro.sim.results import SimulationResult  # noqa: E402
+from repro.trace.events import Trace  # noqa: E402
+from repro.trace.generator import GeneratorConfig, TraceGenerator  # noqa: E402
+
+DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_scaling.json"
 
 #: The 1x workload (matches bench_pipeline.py's trace).
 BASE_CONFIG = GeneratorConfig(
@@ -82,8 +97,9 @@ def run_benchmark(
             Simulator(SimulationConfig(), backend=SerialBackend()), trace, repeat
         )
         rows.append(
-            {"size": size, "workers": 1, "backend": "serial",
-             "seconds": serial_secs, "speedup": 1.0, "identical": True}
+            {"size": size, "sessions": len(trace), "workers": 1,
+             "backend": "serial", "seconds": serial_secs, "speedup": 1.0,
+             "identical": True}
         )
         print(f"   serial           {serial_secs:8.3f}s   1.00x")
         for workers in worker_counts:
@@ -96,8 +112,9 @@ def run_benchmark(
             identical = results_identical(serial_result, result)
             speedup = serial_secs / secs if secs > 0 else float("inf")
             rows.append(
-                {"size": size, "workers": workers, "backend": "process",
-                 "seconds": secs, "speedup": speedup, "identical": identical}
+                {"size": size, "sessions": len(trace), "workers": workers,
+                 "backend": "process", "seconds": secs, "speedup": speedup,
+                 "identical": identical}
             )
             flag = "" if identical else "   !! RESULT MISMATCH"
             print(
@@ -124,6 +141,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--quick", action="store_true",
         help="CI smoke preset: 1x trace, 2 workers, single repetition",
     )
+    parser.add_argument(
+        "--out", type=Path, default=DEFAULT_OUT,
+        help=f"where to write the JSON record (default: {DEFAULT_OUT})",
+    )
     args = parser.parse_args(argv)
 
     sizes = [1.0] if args.quick else args.sizes
@@ -140,6 +161,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     mismatches = [r for r in rows if not r["identical"]]
     best = max((r["speedup"] for r in rows if r["backend"] == "process"), default=0.0)
     print(f"\nbest parallel speedup: {best:.2f}x; mismatches: {len(mismatches)}")
+    record = {
+        "benchmark": "bench_scaling",
+        "revision": git_revision(),
+        "nproc": cores,
+        "python": platform.python_version(),
+        "compiled": HAVE_COMPILED,
+        "sizes": sizes,
+        "workers": workers,
+        "repeat": repeat,
+        "rows": rows,
+        "best_speedup": best,
+        "mismatches": len(mismatches),
+    }
+    args.out.write_text(json.dumps(record, indent=2) + "\n")
+    print(f"wrote {args.out}")
     return 1 if mismatches else 0
 
 

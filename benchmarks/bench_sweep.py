@@ -62,11 +62,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_london import git_revision  # noqa: E402
 
 from repro.experiments.config import ExperimentSettings, UNIFORM_DEVICE_MIX  # noqa: E402
-from repro.sim.backends import (  # noqa: E402
-    ProcessPoolBackend,
-    SerialBackend,
-    ThreadBackend,
-)
+from repro.sim.backends import ProcessPoolBackend, SerialBackend  # noqa: E402
 from repro.sim.engine import SimulationConfig, Simulator  # noqa: E402
 from repro.sim.kernel_columns import HAVE_COMPILED  # noqa: E402
 from repro.trace.events import Trace  # noqa: E402
@@ -94,8 +90,6 @@ def build_traces(scale: float, days: int) -> Dict[str, Trace]:
 def make_backend(name: str, workers: int):
     if name == "serial":
         return SerialBackend()
-    if name == "thread":
-        return ThreadBackend(workers)
     return ProcessPoolBackend(workers, min_sessions=0)
 
 
@@ -208,12 +202,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument("--days", type=int, default=7, help="trace length in days")
     parser.add_argument(
-        "--backend", choices=("serial", "thread", "process"), default="serial",
+        "--backend", choices=("serial", "process"), default="serial",
         help="execution backend for both sides of the comparison",
     )
     parser.add_argument(
         "--workers", type=int, default=2,
-        help="worker count for thread/process backends (default: 2)",
+        help="worker count for the process backend (default: 2)",
     )
     parser.add_argument(
         "--repetitions", type=int, default=None,

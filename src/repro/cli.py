@@ -16,9 +16,10 @@ Common options: ``--scale`` (trace size multiplier), ``--days``,
 ``--seed``, ``--quick`` (preset small scale), ``--out DIR``,
 ``--workers N`` (shard simulation swarms over N worker processes;
 bit-for-bit identical results, just faster on multi-core hardware),
-``--reduction MODE`` (how shard outputs fold: "batched" default,
-"streaming" bounds coordinator memory by workers + 1 resident shards,
-"spill" also keeps per-user deltas on disk; all bit-for-bit identical)
+``--reduction MODE`` (where per-user deltas live while shard outputs
+fold, with at most workers + 1 shards resident: "streaming" default
+packs them in memory, "spill" keeps them on disk; bit-for-bit
+identical)
 and ``--grouping MODE`` (how the session stream becomes swarm tasks:
 "memory" default, "external" groups out-of-core through a sorted shard
 file -- with ``--shard-dir DIR`` keeping the shard for out-of-core
@@ -423,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution backend (default: auto from --workers)",
     )
     _add_queue_dir_arg(serve)
-    _add_reduction_arg(serve)
     _add_grouping_args(serve)
     return parser
 
@@ -455,8 +455,8 @@ def _add_reduction_arg(cmd: argparse.ArgumentParser) -> None:
         choices=REDUCTION_MODES,
         default=None,
         help=(
-            "shard-output reduction mode (default: batched; streaming/"
-            "spill bound coordinator memory, identical results)"
+            "shard-output reduction mode (default: streaming; spill keeps "
+            "per-user deltas on disk, identical results)"
         ),
     )
 
@@ -687,7 +687,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             workers=args.workers,
             backend=args.backend,
             queue_dir=str(args.queue_dir) if args.queue_dir is not None else None,
-            reduction=args.reduction or "batched",
+            **({"reduction": args.reduction} if args.reduction else {}),
             spill_dir=str(args.spill_dir) if args.spill_dir is not None else None,
             grouping=args.grouping or "memory",
             shard_dir=str(args.shard_dir) if args.shard_dir is not None else None,
@@ -730,7 +730,6 @@ def _run_serve(args) -> int:
         workers=args.workers,
         backend=args.backend,
         queue_dir=str(args.queue_dir) if args.queue_dir is not None else None,
-        reduction=args.reduction or "batched",
         grouping=args.grouping or "memory",
         shard_dir=str(args.shard_dir) if args.shard_dir is not None else None,
     )

@@ -101,9 +101,9 @@ class ExperimentSettings:
             ``backend="distributed"`` (``None``: a run-scoped private
             queue with locally spawned workers).  Only meaningful with
             the distributed backend.
-        reduction: shard-output reduction mode ("batched", "streaming"
-            or "spill", see :data:`repro.sim.reduce.REDUCTION_MODES`);
-            ``None`` uses the simulator default ("batched").  Results
+        reduction: shard-output reduction mode ("streaming" or
+            "spill", see :data:`repro.sim.reduce.REDUCTION_MODES`);
+            ``None`` uses the simulator default.  Results
             are bit-for-bit identical across modes, so like ``workers``
             this is a pure resource knob (coordinator memory).
         grouping: session-grouping mode ("memory" or "external", see
@@ -205,7 +205,7 @@ class ExperimentSettings:
             workers=self.workers,
             backend=self.backend,
             queue_dir=self.queue_dir,
-            reduction=self.reduction or "batched",
+            **({"reduction": self.reduction} if self.reduction else {}),
             grouping=self.grouping or "memory",
             shard_dir=self.shard_dir,
         )

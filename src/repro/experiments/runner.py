@@ -4,8 +4,8 @@ Every driver consumes the shared :class:`ExperimentSettings`, including
 its ``workers`` knob: pass ``workers=N`` (or settings with it set) and
 each experiment's simulation shards its swarms over N worker processes
 -- results are bit-for-bit identical to the serial run, only faster.
-Likewise ``reduction="streaming"`` (or ``"spill"``) folds shard
-outputs incrementally as they complete, and ``grouping="external"``
+Likewise ``reduction="spill"`` keeps per-user deltas on disk until
+the result is built, and ``grouping="external"``
 groups the session stream out-of-core through a sorted shard file,
 bounding coordinator memory on large traces without changing a single
 bit of any report.

@@ -16,7 +16,6 @@ from repro.sim.backends import (
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
-    ThreadBackend,
     resolve_backend,
 )
 from repro.sim.engine import SimulationConfig, Simulator, SweepStats, simulate
@@ -110,7 +109,6 @@ __all__ = [
     "SwarmResult",
     "SwarmTask",
     "TaskPlan",
-    "ThreadBackend",
     "UserTraffic",
     "WorkItem",
     "WorkQueue",

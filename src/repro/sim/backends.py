@@ -4,25 +4,26 @@ The simulation is embarrassingly parallel across swarms -- the paper's
 simulator sweeps each swarm independently (Section IV.A) -- so the
 engine delegates the *placement* of per-swarm work to a pluggable
 backend while keeping the physics in :mod:`repro.sim.kernel` and the
-reduction in :func:`repro.sim.kernel.merge_outputs`.
+reduction in :class:`repro.sim.reduce.StreamingReducer`.
 
 Sharding / merge architecture::
 
-    sessions ──build_tasks──▶ [SwarmTask...]     (canonical order)
+    sessions ──build_tasks──▶ [SwarmTask...]      (canonical order)
                                    │
-                         backend.map_swarms      (any placement,
-                                   │              any completion order)
-                                   ▼
-                            [SwarmOutput...]     (task order restored)
+                        backend.iter_outputs      (any placement, bounded
+                                   │               in-flight window,
+                                   ▼               completion order)
+                     (start_index, [SwarmOutput...]) blocks
                                    │
-                            merge_outputs        (deterministic fold)
-                                   ▼
+                          StreamingReducer        (re-orders to task
+                                   │               order, folds as
+                                   ▼               blocks complete)
                            SimulationResult
 
-Because tasks are immutable, kernels are pure, and every backend
-restores task order before the fold, all three backends are bit-for-bit
-equivalent; the only degrees of freedom are wall-clock time and memory
-residency.
+Because tasks are immutable, kernels are pure, and the reducer restores
+task order before it folds, every backend is bit-for-bit equivalent;
+the only degrees of freedom are wall-clock time and memory residency
+(at most ``workers + 1`` blocks resident in the coordinator).
 
 Backends consume a **task plan** (:mod:`repro.sim.grouping`), not a
 materialized task list: a plan knows its task count and per-task
@@ -37,41 +38,18 @@ straight into packed schedule columns, no ``Session`` objects at all)
 task sequences are still accepted everywhere (normalized via
 :func:`~repro.sim.grouping.as_task_plan`).
 
-Every backend also exposes a **streaming** submission path
-(:meth:`ExecutionBackend.iter_outputs`) feeding the incremental
-reducer (:mod:`repro.sim.reduce`)::
-
-    sessions ──build_tasks──▶ [SwarmTask...]      (canonical order)
-                                   │
-                        backend.iter_outputs      (bounded in-flight
-                                   │               window, completion
-                                   ▼               order)
-                     (start_index, [SwarmOutput...]) blocks
-                                   │
-                          StreamingReducer        (re-orders to task
-                                   │               order, folds as
-                                   ▼               blocks complete)
-                           SimulationResult
-
-The streaming fold is the same reduction ``merge_outputs`` performs, so
-both paths are bit-for-bit identical; the difference is residency: the
-batched path holds every output until the fold, the streaming path at
-most ``workers + 1`` blocks (see ``SimulationConfig(reduction=...)``).
+Each backend has one submission path per run kind:
+:meth:`ExecutionBackend.iter_outputs` for single runs and
+:meth:`ExecutionBackend.iter_outputs_multi` for sweeps (one task ref
+plus K configs per round-trip).
 
 Backends:
 
 * :class:`SerialBackend` -- in-process loop; zero overhead, the
   baseline every other backend must reproduce exactly.
-* :class:`ThreadBackend` -- a thread pool.  The kernel is pure Python
-  and GIL-bound, so this mainly exercises the shared-nothing contract
-  (and becomes useful under free-threaded builds); it needs no
-  pickling.
 * :class:`ProcessPoolBackend` -- a :class:`concurrent.futures.\
-ProcessPoolExecutor` over interleaved shards of tasks.  Tasks are
-  round-robin-assigned to ``4 x workers`` shards so the heavy head of
-  the Zipf catalogue (tasks arrive sorted by content id, with wildly
-  uneven session counts) spreads across workers; each shard costs one
-  pickle round-trip.
+ProcessPoolExecutor` over contiguous, session-balanced shards of
+  tasks; each shard costs one pickle round-trip.
 * :class:`DistributedBackend` -- a coordinator over a crash-safe
   file-based work queue (:mod:`repro.sim.queue`).  Work items carry
   the same picklable refs the process pool ships, but through shared
@@ -99,7 +77,6 @@ from concurrent.futures import (
     FIRST_COMPLETED,
     Executor,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
@@ -143,7 +120,6 @@ __all__ = [
     "BACKEND_NAMES",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessPoolBackend",
     "DistributedBackend",
     "resolve_backend",
@@ -177,15 +153,14 @@ def contiguous_blocks(
     extent refs -- anything with a ``num_sessions`` attribute -- so
     balancing never forces a decode.
 
-    Unlike the batched path's round-robin interleave (which optimizes
-    pure load balance), streaming shards must be *contiguous* in task
-    order: the reducer folds strictly in task order, so a shard's
-    outputs become foldable the moment every earlier shard has folded
-    -- interleaved shards would all have to finish before the first
-    fold.  Balance is recovered by weighting the cut points with
-    session counts; each block's target is re-paced from the weight
-    *remaining* when it opens, so one overweight Zipf-head task absorbs
-    only its own block instead of starving every later cut.
+    Shards must be *contiguous* in task order: the reducer folds
+    strictly in task order, so a shard's outputs become foldable the
+    moment every earlier shard has folded -- interleaved shards would
+    all have to finish before the first fold.  Balance comes from
+    weighting the cut points with session counts; each block's target
+    is re-paced from the weight *remaining* when it opens, so one
+    overweight Zipf-head task absorbs only its own block instead of
+    starving every later cut.
 
     Returns ``(start_index, tasks)`` pairs covering every task exactly
     once, in task order; every block is non-empty.
@@ -293,67 +268,36 @@ class ExecutionBackend(ABC):
     name: str = "abstract"
 
     @abstractmethod
-    def map_swarms(
-        self, tasks: TaskSource, config: "SimulationConfig"
-    ) -> List[SwarmOutput]:
-        """Run every task, returning outputs **in task order**.
-
-        Accepts a lazy :class:`~repro.sim.grouping.TaskPlan` or a plain
-        task sequence.  Implementations may execute in any placement
-        and completion order, but must restore task order so the
-        caller's reduction is deterministic.
-        """
-
     def iter_outputs(
         self, tasks: TaskSource, config: "SimulationConfig"
     ) -> Iterator[OutputBlock]:
         """Yield ``(start_index, outputs)`` blocks as they complete.
 
-        The streaming counterpart of :meth:`map_swarms`: blocks may be
-        yielded in any completion order, but together they must cover
-        the task list exactly once in contiguous runs, tagged with the
-        task index of each run's first output so the
+        Accepts a lazy :class:`~repro.sim.grouping.TaskPlan` or a plain
+        task sequence.  Blocks may be yielded in any placement and
+        completion order, but together they must cover the task list
+        exactly once in contiguous runs, tagged with the task index of
+        each run's first output so the
         :class:`~repro.sim.reduce.StreamingReducer` can restore the
         canonical fold order.  Implementations bound how many blocks
         are in flight past the earliest unyielded block, which is what
         keeps the reducer's reorder buffer (and hence coordinator
         memory) bounded.
-
-        This base implementation delegates to :meth:`map_swarms` as one
-        degenerate block, so third-party backends keep working before
-        they grow a real streaming path.
         """
-        plan = as_task_plan(tasks)
-        if len(plan) == 0:
-            return
-        yield 0, self.map_swarms(plan, config)
-
-    def map_swarms_multi(
-        self, tasks: TaskSource, configs: Sequence["SimulationConfig"]
-    ) -> List[MultiSwarmOutput]:
-        """Run every task under every sweep config, **in task order**.
-
-        The fan-out half of the sweep amortization
-        (:func:`~repro.sim.kernel.run_ref_multi`): each task ref is
-        resolved once per schedule signature and swept for all K
-        configs, so the per-task cost -- pickling, shard decode,
-        schedule build -- is paid once instead of K times.  The base
-        implementation runs inline; parallel backends override it to
-        ship one task ref + K config deltas per worker round-trip.
-        """
-        plan = as_task_plan(tasks)
-        return [run_ref_multi(ref, configs) for ref in plan.refs()]
 
     def iter_outputs_multi(
         self, tasks: TaskSource, configs: Sequence["SimulationConfig"]
     ) -> Iterator[MultiOutputBlock]:
         """Yield ``(start_index, multi outputs)`` blocks as they complete.
 
-        The streaming counterpart of :meth:`map_swarms_multi`, with the
-        same block contract as :meth:`iter_outputs` (contiguous runs
-        covering the task list exactly once, bounded in-flight window).
-        The base implementation streams inline one task at a time, so
-        at most one task's K outputs are resident beyond the reducer.
+        The sweep counterpart of :meth:`iter_outputs`, with the same
+        block contract.  Each task ref is resolved once per schedule
+        signature and swept for all K configs
+        (:func:`~repro.sim.kernel.run_ref_multi`), so the per-task cost
+        -- pickling, shard decode, schedule build -- is paid once
+        instead of K times.  The base implementation streams inline one
+        task at a time, so at most one task's K outputs are resident
+        beyond the reducer.
         """
         return _iter_single_tasks_multi(as_task_plan(tasks).refs(), configs)
 
@@ -363,12 +307,6 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
 
-    def map_swarms(
-        self, tasks: TaskSource, config: "SimulationConfig"
-    ) -> List[SwarmOutput]:
-        plan = as_task_plan(tasks)
-        return [run_ref(ref, config) for ref in plan.refs()]
-
     def iter_outputs(
         self, tasks: TaskSource, config: "SimulationConfig"
     ) -> Iterator[OutputBlock]:
@@ -376,77 +314,13 @@ class SerialBackend(ExecutionBackend):
         return _iter_single_tasks(as_task_plan(tasks).refs(), config)
 
 
-class ThreadBackend(ExecutionBackend):
-    """Run swarms on a thread pool (shared-nothing, no pickling).
-
-    Task refs resolve inside the pool threads; with external grouping
-    the threads decode their extents through one shared store reader
-    (positional reads, no shared seek state), so decoding parallelises
-    along with the sweep.
-    """
-
-    name = "thread"
-
-    def __init__(self, workers: Optional[int] = None) -> None:
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers!r}")
-        self.workers = workers or _default_workers()
-
-    def map_swarms(
-        self, tasks: TaskSource, config: "SimulationConfig"
-    ) -> List[SwarmOutput]:
-        refs = as_task_plan(tasks).refs()
-        if not refs:
-            return []
-        with ThreadPoolExecutor(max_workers=self.workers) as executor:
-            return list(
-                executor.map(lambda ref: run_ref(ref, config), refs)
-            )
-
-    def iter_outputs(
-        self, tasks: TaskSource, config: "SimulationConfig"
-    ) -> Iterator[OutputBlock]:
-        """Single-task blocks over the pool, ``workers + 1`` in flight."""
-        refs = as_task_plan(tasks).refs()
-        if not refs:
-            return
-        blocks = [(index, [ref]) for index, ref in enumerate(refs)]
-        with ThreadPoolExecutor(max_workers=self.workers) as executor:
-            yield from _stream_blocks(
-                executor, blocks, self.workers + 1, run_shard, config
-            )
-
-    def map_swarms_multi(
-        self, tasks: TaskSource, configs: Sequence["SimulationConfig"]
-    ) -> List[MultiSwarmOutput]:
-        refs = as_task_plan(tasks).refs()
-        if not refs:
-            return []
-        with ThreadPoolExecutor(max_workers=self.workers) as executor:
-            return list(
-                executor.map(lambda ref: run_ref_multi(ref, configs), refs)
-            )
-
-    def iter_outputs_multi(
-        self, tasks: TaskSource, configs: Sequence["SimulationConfig"]
-    ) -> Iterator[MultiOutputBlock]:
-        """Single-task sweep blocks over the pool, ``workers + 1`` in flight."""
-        refs = as_task_plan(tasks).refs()
-        if not refs:
-            return
-        blocks = [(index, [ref]) for index, ref in enumerate(refs)]
-        with ThreadPoolExecutor(max_workers=self.workers) as executor:
-            yield from _stream_blocks(
-                executor, blocks, self.workers + 1, run_shard_multi, configs
-            )
-
-
 class ProcessPoolBackend(ExecutionBackend):
     """Run swarm shards on worker processes.
 
-    Tasks are interleaved round-robin into ``shards_per_worker x
-    workers`` shards (task ``i`` goes to shard ``i mod n``), submitted
-    concurrently, and reassembled into task order before returning.
+    Tasks are cut into contiguous, session-balanced shards
+    (:func:`contiguous_blocks`) and submitted with ``workers + 1`` in
+    flight; blocks come back in completion order and the reducer
+    restores task order.
 
     What crosses the process boundary is the plan's *refs*: resident
     tasks under memory grouping, but under external grouping just
@@ -461,7 +335,7 @@ class ProcessPoolBackend(ExecutionBackend):
     bit-for-bit identical either way.
 
     The worker pool is created lazily on first parallel use and then
-    **kept alive across** ``map_swarms`` **calls**, so drivers that run
+    **kept alive across runs**, so drivers that run
     many simulations through one backend (or one Simulator) pay pool
     startup once.  Call :meth:`close` (or rely on garbage collection /
     interpreter exit) to release the workers.
@@ -502,36 +376,6 @@ class ProcessPoolBackend(ExecutionBackend):
             self._executor = ProcessPoolExecutor(max_workers=self.workers)
         return self._executor
 
-    def map_swarms(
-        self, tasks: TaskSource, config: "SimulationConfig"
-    ) -> List[SwarmOutput]:
-        plan = as_task_plan(tasks)
-        num_tasks = len(plan)
-        if num_tasks == 0:
-            return []
-        num_shards = min(num_tasks, self.workers * self.shards_per_worker)
-        total_sessions = sum(plan.session_counts)
-        if num_shards <= 1 or self.workers <= 1 or total_sessions < self.min_sessions:
-            return [run_ref(ref, config) for ref in plan.refs()]
-        refs = plan.refs()
-        shard_indices = [
-            range(offset, num_tasks, num_shards) for offset in range(num_shards)
-        ]
-        outputs: List[Optional[SwarmOutput]] = [None] * num_tasks
-        try:
-            executor = self._pool()
-            futures = [
-                executor.submit(run_shard, [refs[i] for i in indices], config)
-                for indices in shard_indices
-            ]
-            for indices, future in zip(shard_indices, futures):
-                for i, output in zip(indices, future.result()):
-                    outputs[i] = output
-        except BrokenProcessPool:
-            self.close()  # next call starts a fresh pool
-            raise
-        return outputs  # type: ignore[return-value] - every slot is filled
-
     def iter_outputs(
         self, tasks: TaskSource, config: "SimulationConfig"
     ) -> Iterator[OutputBlock]:
@@ -541,82 +385,13 @@ class ProcessPoolBackend(ExecutionBackend):
         at a time instead, exactly like :class:`SerialBackend` -- same
         results, no pool spawn, and still O(1) resident outputs.
 
-        Unlike the batched path's fixed shard count, the streaming
-        shard count *grows* with the trace so that each shard carries
-        at most ~``min_sessions`` sessions: a resident shard's output
-        size is then bounded by a constant, and with the ``workers +
-        1`` in-flight window the coordinator's resident memory stays
-        O(workers), not O(trace).
+        The shard count *grows* with the trace so that each shard
+        carries at most ~``min_sessions`` sessions: a resident shard's
+        output size is then bounded by a constant, and with the
+        ``workers + 1`` in-flight window the coordinator's resident
+        memory stays O(workers), not O(trace).
         """
-        plan = as_task_plan(tasks)
-        if len(plan) == 0:
-            return
-        total_sessions = sum(plan.session_counts)
-        per_shard_quantum = max(1, self.min_sessions)
-        num_shards = min(
-            len(plan),
-            max(
-                self.workers * self.shards_per_worker,
-                -(-total_sessions // per_shard_quantum),  # ceil division
-            ),
-        )
-        if (
-            self.workers <= 1
-            or total_sessions < self.min_sessions
-            or num_shards <= 1
-        ):
-            yield from _iter_single_tasks(plan.refs(), config)
-            return
-        blocks = contiguous_blocks(plan.refs(), num_shards)
-        try:
-            yield from _stream_blocks(
-                self._pool(), blocks, self.workers + 1, run_shard, config
-            )
-        except BrokenProcessPool:
-            self.close()  # next call starts a fresh pool
-            raise
-
-    def map_swarms_multi(
-        self, tasks: TaskSource, configs: Sequence["SimulationConfig"]
-    ) -> List[MultiSwarmOutput]:
-        """Sweep-shard the task list over the pool, one ref set + K configs.
-
-        Mirrors :meth:`map_swarms`, but each shard round-trip carries the
-        config *list* once and returns K outputs per task -- pickling and
-        (under external grouping) shard decode amortize K-fold.  The
-        inline fallback weighs the workload as ``sessions x configs``,
-        since that is the actual sweep cost a pool spawn competes with.
-        """
-        plan = as_task_plan(tasks)
-        num_tasks = len(plan)
-        if num_tasks == 0:
-            return []
-        num_shards = min(num_tasks, self.workers * self.shards_per_worker)
-        total_sessions = sum(plan.session_counts)
-        if (
-            num_shards <= 1
-            or self.workers <= 1
-            or total_sessions * max(1, len(configs)) < self.min_sessions
-        ):
-            return [run_ref_multi(ref, configs) for ref in plan.refs()]
-        refs = plan.refs()
-        shard_indices = [
-            range(offset, num_tasks, num_shards) for offset in range(num_shards)
-        ]
-        outputs: List[Optional[MultiSwarmOutput]] = [None] * num_tasks
-        try:
-            executor = self._pool()
-            futures = [
-                executor.submit(run_shard_multi, [refs[i] for i in indices], configs)
-                for indices in shard_indices
-            ]
-            for indices, future in zip(shard_indices, futures):
-                for i, output in zip(indices, future.result()):
-                    outputs[i] = output
-        except BrokenProcessPool:
-            self.close()  # next call starts a fresh pool
-            raise
-        return outputs  # type: ignore[return-value] - every slot is filled
+        return self._stream(tasks, 1, _iter_single_tasks, run_shard, config)
 
     def iter_outputs_multi(
         self, tasks: TaskSource, configs: Sequence["SimulationConfig"]
@@ -626,12 +401,19 @@ class ProcessPoolBackend(ExecutionBackend):
         The shard quantum shrinks with the config count: a resident
         sweep block holds K outputs per task, so bounding the per-shard
         session count at ``min_sessions / K`` keeps the coordinator's
-        resident-output footprint at the single-run level.
+        resident-output footprint at the single-run level.  The inline
+        fallback likewise weighs the workload as ``sessions x configs``.
         """
+        return self._stream(
+            tasks, len(configs), _iter_single_tasks_multi, run_shard_multi, configs
+        )
+
+    def _stream(self, tasks: TaskSource, num_configs: int, inline, shard_fn, arg):
+        """The shared body of :meth:`iter_outputs` and :meth:`iter_outputs_multi`."""
         plan = as_task_plan(tasks)
         if len(plan) == 0:
             return
-        num_configs = max(1, len(configs))
+        num_configs = max(1, num_configs)
         total_sessions = sum(plan.session_counts)
         per_shard_quantum = max(1, self.min_sessions // num_configs)
         num_shards = min(
@@ -646,12 +428,12 @@ class ProcessPoolBackend(ExecutionBackend):
             or total_sessions * num_configs < self.min_sessions
             or num_shards <= 1
         ):
-            yield from _iter_single_tasks_multi(plan.refs(), configs)
+            yield from inline(plan.refs(), arg)
             return
         blocks = contiguous_blocks(plan.refs(), num_shards)
         try:
             yield from _stream_blocks(
-                self._pool(), blocks, self.workers + 1, run_shard_multi, configs
+                self._pool(), blocks, self.workers + 1, shard_fn, arg
             )
         except BrokenProcessPool:
             self.close()  # next call starts a fresh pool
@@ -700,8 +482,8 @@ class DistributedBackend(ExecutionBackend):
         poll_interval: coordinator/worker scan period in seconds.
         shards_per_worker: target task blocks per worker (same
             balancing role as in :class:`ProcessPoolBackend`).
-        shard_quantum: streaming-path cap on sessions per block, so
-            resident result blocks stay O(1)-sized (the sweep path
+        shard_quantum: cap on sessions per block, so resident
+            result blocks stay O(1)-sized (the sweep path
             divides it by the config count, like the process pool).
         progress_timeout: seconds without any activity -- no new
             result, no requeue, and no live (in-lease) claim -- before
@@ -863,7 +645,7 @@ class DistributedBackend(ExecutionBackend):
     # -- job plumbing ---------------------------------------------------
 
     def _streaming_shards(self, plan: TaskPlan, num_configs: int = 1) -> int:
-        """Block count for the streaming paths (bounded block size)."""
+        """Block count for a job (bounded block size)."""
         total_sessions = sum(plan.session_counts)
         quantum = max(1, self.shard_quantum // max(1, num_configs))
         return min(
@@ -1012,26 +794,6 @@ class DistributedBackend(ExecutionBackend):
 
     # -- ExecutionBackend API -------------------------------------------
 
-    def map_swarms(
-        self, tasks: TaskSource, config: "SimulationConfig"
-    ) -> List[SwarmOutput]:
-        plan = as_task_plan(tasks)
-        num_tasks = len(plan)
-        if num_tasks == 0:
-            return []
-        blocks = contiguous_blocks(
-            plan.refs(), min(num_tasks, self.workers * self.shards_per_worker)
-        )
-        outputs: List[Optional[SwarmOutput]] = [None] * num_tasks
-        spec = JobSpec(
-            kind="single", config=config, lease_timeout=self.lease_timeout
-        )
-        for start, outs in self._run_job(
-            blocks, spec, window=len(blocks), handoff=plan_handoff(plan)
-        ):
-            outputs[start : start + len(outs)] = outs
-        return outputs  # type: ignore[return-value] - every slot is filled
-
     def iter_outputs(
         self, tasks: TaskSource, config: "SimulationConfig"
     ) -> Iterator[OutputBlock]:
@@ -1045,26 +807,6 @@ class DistributedBackend(ExecutionBackend):
         yield from self._run_job(
             blocks, spec, window=self.workers + 1, handoff=plan_handoff(plan)
         )
-
-    def map_swarms_multi(
-        self, tasks: TaskSource, configs: Sequence["SimulationConfig"]
-    ) -> List[MultiSwarmOutput]:
-        plan = as_task_plan(tasks)
-        num_tasks = len(plan)
-        if num_tasks == 0:
-            return []
-        blocks = contiguous_blocks(
-            plan.refs(), min(num_tasks, self.workers * self.shards_per_worker)
-        )
-        outputs: List[Optional[MultiSwarmOutput]] = [None] * num_tasks
-        spec = JobSpec(
-            kind="sweep", configs=tuple(configs), lease_timeout=self.lease_timeout
-        )
-        for start, outs in self._run_job(
-            blocks, spec, window=len(blocks), handoff=plan_handoff(plan)
-        ):
-            outputs[start : start + len(outs)] = outs
-        return outputs  # type: ignore[return-value] - every slot is filled
 
     def iter_outputs_multi(
         self, tasks: TaskSource, configs: Sequence["SimulationConfig"]
@@ -1088,7 +830,6 @@ class DistributedBackend(ExecutionBackend):
 #: ``--backend`` choices.
 BACKEND_NAMES: tuple = (
     SerialBackend.name,
-    ThreadBackend.name,
     ProcessPoolBackend.name,
     DistributedBackend.name,
 )
@@ -1114,8 +855,6 @@ def resolve_backend(
         return SerialBackend()
     if backend == SerialBackend.name:
         return SerialBackend()
-    if backend == ThreadBackend.name:
-        return ThreadBackend(workers)
     if backend == ProcessPoolBackend.name:
         return ProcessPoolBackend(workers)
     if backend == DistributedBackend.name:

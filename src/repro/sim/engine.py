@@ -27,15 +27,15 @@ Sharding / merge architecture (the parallel runtime):
   session stream into canonically ordered, immutable
   :class:`~repro.sim.kernel.SwarmTask` shards
   (:func:`~repro.sim.kernel.build_tasks`), hands them to an execution
-  backend (:mod:`repro.sim.backends` -- serial loop, thread pool or
-  process pool, selected via ``SimulationConfig(workers=...,
+  backend (:mod:`repro.sim.backends` -- serial loop, process pool or
+  distributed work queue, selected via ``SimulationConfig(workers=...,
   backend=...)``), and deterministically folds the returned
-  :class:`~repro.sim.kernel.SwarmOutput` partials
-  (:func:`~repro.sim.kernel.merge_outputs`).
+  :class:`~repro.sim.kernel.SwarmOutput` partials as they complete
+  (:class:`~repro.sim.reduce.StreamingReducer`).
 * Each kernel run is a pure function of (task, config) and returns its
   own per-(ISP, day) and per-user deltas instead of mutating shared
-  dicts; backends restore task order before the fold, so every backend
-  -- and every worker count -- produces bit-for-bit identical
+  dicts; the reducer restores task order before it folds, so every
+  backend -- and every worker count -- produces bit-for-bit identical
   :class:`~repro.sim.results.SimulationResult` values.
 * :meth:`Simulator.run_stream` feeds the same pipeline from a lazy
   session iterator (e.g. ``TraceGenerator.iter_sessions()``) without
@@ -45,12 +45,12 @@ Sharding / merge architecture (the parallel runtime):
   resident) or "external" (out-of-core merge-sort into a shard file
   whose extents workers decode themselves; coordinator grouping
   memory bounded by the sort buffer -- :mod:`repro.sim.grouping`).
-* ``SimulationConfig(reduction=...)`` picks how shard outputs reduce:
-  "batched" materializes all outputs before the fold, "streaming"
-  folds them as shards complete with at most ``workers + 1`` blocks
-  resident, and "spill" additionally keeps per-user deltas on disk
-  until the result is built (:mod:`repro.sim.reduce`).  All grouping
-  and reduction modes are bit-for-bit identical.
+* ``SimulationConfig(reduction=...)`` picks where per-user deltas
+  live while shard outputs fold (at most ``workers + 1`` blocks
+  resident either way): "streaming" packs them into float columns,
+  "spill" keeps them on disk until the result is built
+  (:mod:`repro.sim.reduce`).  All grouping and reduction modes are
+  bit-for-bit identical.
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ from repro.sim.grouping import (
     TaskPlan,
     resolve_grouping,
 )
-from repro.sim.kernel import merge_outputs
 from repro.sim.policies import PAPER_POLICY, SwarmPolicy
 from repro.sim.reduce import (
     REDUCTION_MODES,
@@ -130,8 +129,8 @@ class SimulationConfig:
             runs serially; > 1 selects the process pool unless
             ``backend`` says otherwise.  Results are bit-for-bit
             identical at any worker count.
-        backend: execution backend name ("serial", "thread", "process"
-            or "distributed"); ``None`` auto-selects from ``workers``.
+        backend: execution backend name ("serial", "process" or
+            "distributed"); ``None`` auto-selects from ``workers``.
             See :mod:`repro.sim.backends`.  "distributed" fans swarm
             shards out over a file-based work queue to worker processes
             that may live on other hosts (``python -m
@@ -144,14 +143,13 @@ class SimulationConfig:
             queue served by locally spawned workers.  Only valid with
             the distributed backend.
         reduction: how shard outputs reduce into the final result (see
-            :data:`repro.sim.reduce.REDUCTION_MODES`).  "batched" (the
-            default) materializes every output before folding;
-            "streaming" folds outputs as shards complete, holding at
-            most ``workers + 1`` shard blocks resident and packing
-            per-user traffic into float columns; "spill" additionally
-            appends per-user deltas to a disk log until the final
-            result is materialized.  All three modes are bit-for-bit
-            identical -- the choice is a pure memory/IO trade.
+            :data:`repro.sim.reduce.REDUCTION_MODES`).  Both modes fold
+            outputs as shards complete, holding at most ``workers + 1``
+            shard blocks resident.  "streaming" (the default) packs
+            per-user traffic into float columns; "spill" appends
+            per-user deltas to a disk log until the final result is
+            materialized.  Both modes are bit-for-bit identical -- the
+            choice is a pure memory/IO trade.
         spill_dir: where "spill" mode writes its per-user delta log.
             ``None`` (the default) uses a run-scoped temporary
             directory that is removed once the result is built; an
@@ -197,7 +195,7 @@ class SimulationConfig:
     workers: Optional[int] = None
     backend: Optional[str] = None
     queue_dir: Optional[str] = None
-    reduction: str = "batched"
+    reduction: str = "streaming"
     spill_dir: Optional[str] = None
     grouping: str = "memory"
     shard_dir: Optional[str] = None
@@ -429,8 +427,7 @@ class Simulator:
         session *multiset*: ``run_stream(iter(trace), trace.horizon)``
         equals ``run(trace)`` bit for bit.
 
-        With ``config.reduction`` set to "streaming" or "spill" the
-        whole pipeline is end-to-end streaming: sessions in, folded
+        The whole pipeline is end-to-end streaming: sessions in, folded
         result out, with the peak resident shard count bounded by
         ``workers + 1`` instead of the shard total (see
         :mod:`repro.sim.reduce`).  Results are bit-for-bit identical
@@ -453,22 +450,6 @@ class Simulator:
             sessions, horizon, config.policy, cache_token=cache_token
         )
         try:
-            if config.reduction == "batched":
-                outputs = self.backend.map_swarms(plan, config)
-                self.last_reduction = ReductionStats(
-                    mode="batched",
-                    outputs=len(outputs),
-                    blocks=len(outputs),
-                    # Everything is resident at once by construction.
-                    peak_resident=len(outputs),
-                    peak_resident_outputs=len(outputs),
-                )
-                return merge_outputs(
-                    outputs,
-                    delta_tau=config.delta_tau,
-                    horizon=horizon,
-                    upload_ratio=config.upload_ratio,
-                )
             return self._run_streaming(plan, horizon)
         finally:
             # Cleanup before stats: a temporary shard is deleted here,
@@ -477,7 +458,7 @@ class Simulator:
             self.last_grouping = plan.stats()
 
     def _run_streaming(self, tasks: TaskPlan, horizon: float) -> SimulationResult:
-        """The incremental path: fold shard blocks as they complete."""
+        """Fold shard blocks into one result as they complete."""
         config = self.config
         temp_spill_dir: Optional[str] = None
         spill_path: Optional[Path] = None
@@ -575,37 +556,14 @@ class Simulator:
                     f"{policy!r} and {config.policy!r} (run separate sweeps "
                     "per policy -- the task partition is policy-defined)"
                 )
-        run_config = self.config
         self.last_reduction = None
         self.last_grouping = None
         self.last_sweep = None
         plan = self.grouping.plan(sessions, horizon, policy, cache_token=cache_token)
         try:
-            if run_config.reduction == "batched":
-                multis = self.backend.map_swarms_multi(plan, configs)
-                schedule_builds = sum(multi.schedule_builds for multi in multis)
-                results = [
-                    merge_outputs(
-                        (multi.outputs[position] for multi in multis),
-                        delta_tau=config.delta_tau,
-                        horizon=horizon,
-                        upload_ratio=config.upload_ratio,
-                    )
-                    for position, config in enumerate(configs)
-                ]
-                total_outputs = len(multis) * len(configs)
-                self.last_reduction = ReductionStats(
-                    mode="batched",
-                    outputs=total_outputs,
-                    blocks=total_outputs,
-                    # Everything is resident at once by construction.
-                    peak_resident=total_outputs,
-                    peak_resident_outputs=total_outputs,
-                )
-            else:
-                results, schedule_builds = self._run_streaming_sweep(
-                    plan, horizon, configs
-                )
+            results, schedule_builds = self._run_streaming_sweep(
+                plan, horizon, configs
+            )
         finally:
             # Cleanup before stats: a temporary shard is deleted here,
             # and the stats must not advertise a path that is gone.
@@ -625,7 +583,7 @@ class Simulator:
         horizon: float,
         configs: List[SimulationConfig],
     ):
-        """The incremental sweep path: K reducers fed from one block stream."""
+        """K reducers fed from one block stream, folding as blocks complete."""
         config = self.config
         temp_spill_dir: Optional[str] = None
         spill_root: Optional[Path] = None

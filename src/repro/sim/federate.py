@@ -218,10 +218,10 @@ def run_federation(
     Regions execute sequentially in name order (each job may itself be
     parallel or distributed); every region's swarm outputs feed both a
     per-region reducer and the global reducer at the swarm's task index
-    in the union run's canonical order.  The fold is always streaming
-    (``config.reduction`` / ``spill_dir`` describe single-run memory
-    trades and are not consulted here); results are bit-for-bit
-    identical to any reduction mode regardless.
+    in the union run's canonical order.  Both reducers keep the plain
+    dict fold (``config.reduction`` / ``spill_dir`` choose where a
+    single run keeps its per-user deltas and are not consulted here);
+    results are bit-for-bit identical to either reduction mode.
 
     Args:
         jobs: one :class:`RegionJob` per region; names must be unique.

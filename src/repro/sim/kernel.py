@@ -9,7 +9,7 @@ and its *entire* effect on the world is returned as a self-contained
 :class:`SwarmOutput` -- the swarm's ledger plus its own per-(ISP, day)
 and per-user deltas.  Nothing is shared, nothing is mutated, and a task
 round-trips through ``pickle`` unchanged, so the same kernel runs
-unmodified under the serial, thread and process backends
+unmodified under the serial, process and distributed backends
 (:mod:`repro.sim.backends`).
 
 Determinism contract:
@@ -20,9 +20,10 @@ Determinism contract:
   trace ordering, iterator chunking or backend.
 * :func:`run_swarm` consumes only its task and the config; two calls
   with equal arguments produce bit-for-bit equal outputs in any process.
-* :func:`merge_outputs` folds outputs in task order, so every backend
-  reduces to the identical float-addition sequence: parallel runs are
-  bit-for-bit equal to serial runs.
+* Outputs fold in task order (:func:`merge_outputs`, or the
+  :class:`~repro.sim.reduce.StreamingReducer` it wraps), so every
+  backend reduces to the identical float-addition sequence: parallel
+  runs are bit-for-bit equal to serial runs.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from repro.sim.accounting import ByteLedger
 from repro.sim.matching import PeerState, WindowAllocation, match_window
 from repro.sim.policies import SwarmKey, SwarmPolicy
 from repro.sim.profiling import PROFILE
-from repro.sim.reduce import reduce_outputs
+from repro.sim.reduce import StreamingReducer
 from repro.sim.results import SimulationResult, SwarmResult, UserTraffic
 from repro.trace.events import SECONDS_PER_DAY, Session
 
@@ -252,8 +253,13 @@ def run_swarm_object(task: SwarmTask, config: "SimulationConfig") -> SwarmOutput
     semantics reference the compiled columnar sweep must reproduce
     bit-for-bit (the hypothesis law in
     ``tests/sim/test_kernel_columns.py`` pins the contract), and the
-    kernel every config off the compiled path runs.
+    kernel every config off the compiled path runs.  With
+    :data:`~repro.sim.profiling.PROFILE` enabled, each call counts one
+    task and charges its time to the ``sweep`` phase.
     """
+    profile = PROFILE.enabled
+    if profile:
+        t0 = perf_counter()
     dtau = config.delta_tau
     windows_per_day = int(SECONDS_PER_DAY // dtau)
     sessions = task.sessions
@@ -322,6 +328,9 @@ def run_swarm_object(task: SwarmTask, config: "SimulationConfig") -> SwarmOutput
     output.result.capacity = (
         watch_seconds / task.horizon if task.horizon > 0 else 0.0
     )
+    if profile:
+        PROFILE.sweep_seconds += perf_counter() - t0
+        PROFILE.tasks += 1
     return output
 
 
@@ -557,19 +566,15 @@ def merge_outputs(
 ) -> SimulationResult:
     """Reduce swarm outputs (in the given order) into a final result.
 
-    Every backend hands outputs back in canonical task order, so the
-    fold performs the identical float-addition sequence no matter how
-    (or where, or in what completion order) the swarms actually ran.
-    The outputs themselves are never mutated or aliased: reducing the
-    same outputs twice gives the same result.
-
-    The fold itself lives in :class:`repro.sim.reduce.StreamingReducer`
-    -- this is the batched entry point to the same reduction the
-    streaming modes use, so the two paths cannot drift.
+    The in-order reference fold: one output per block, delivered in
+    order, through the same :class:`repro.sim.reduce.StreamingReducer`
+    every run uses, so the two cannot drift.  The outputs themselves
+    are never mutated or aliased: reducing the same outputs twice gives
+    the same result.
     """
-    return reduce_outputs(
-        outputs,
-        delta_tau=delta_tau,
-        horizon=horizon,
-        upload_ratio=upload_ratio,
+    reducer = StreamingReducer(
+        delta_tau=delta_tau, horizon=horizon, upload_ratio=upload_ratio
     )
+    for index, output in enumerate(outputs):
+        reducer.add(index, (output,))
+    return reducer.result()

@@ -671,16 +671,14 @@ def run_from_schedule(
     with a window at or past ``2**29`` (or no sessions at all) declines:
     the task then runs on :func:`~repro.sim.kernel.run_swarm_object`,
     as it does in a process without the compiled module.  Results are
-    identical either way; the profile counts a declined task in
-    ``tasks`` but not in ``compiled_tasks``.
+    identical either way; the object kernel counts a declined task in
+    the profile's ``tasks`` (not in ``compiled_tasks``).
     """
-    profile = PROFILE.enabled
     if _ckernel is None or not (
         schedule.native or (schedule.n > 0 and schedule.ev_enc[-1] < (1 << 63))
     ):
-        if profile:
-            PROFILE.tasks += 1
         return run_swarm_object(resolve_task(task), config)
+    profile = PROFILE.enabled
     supplies = schedule.supplies_for(config)
     if profile:
         t0 = perf_counter()

@@ -1,6 +1,7 @@
 """Per-phase kernel timing counters (the ``--profile-kernel`` hook).
 
 The compiled columnar path (:mod:`repro.sim.kernel_columns`), the
+object kernel (:func:`repro.sim.kernel.run_swarm_object`), the
 task-ref resolver and the reducer (:class:`repro.sim.reduce.\
 StreamingReducer`) accumulate wall-clock into the module-level
 :data:`PROFILE` singleton whenever it is enabled, split by phase:
@@ -24,11 +25,11 @@ only adds ``perf_counter`` calls around phases, and it never picks a
 kernel.  The compiled sweep times its matching/accounting split
 internally (it receives a profile flag) so the breakdown stays
 meaningful on the fast path.  Swarms on the object kernel --
-``kernel="object"``, random matching, or an install without the
-compiled extension -- are not counted and their sweeps not timed; only
-their decode and reduce phases report.  ``tasks`` counts the swarms the
-compiled path was handed, ``compiled_tasks`` those it swept in C (the
-rest declined to the object kernel).
+``kernel="object"``, random matching, an install without the compiled
+extension, or a task the C sweep declines -- are counted once each and
+their whole sweep is charged to ``sweep`` (it has no matching /
+accounting split).  ``tasks`` counts every swarm swept, on either
+kernel; ``compiled_tasks`` those swept in C.
 """
 
 from __future__ import annotations

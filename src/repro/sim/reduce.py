@@ -1,12 +1,10 @@
 """Incremental streaming reduction of swarm-shard outputs.
 
-The batched runtime materializes every :class:`~repro.sim.kernel.\
-SwarmOutput` in the coordinator before folding them
-(:func:`~repro.sim.kernel.merge_outputs`), which caps trace size well
-below the paper's month-of-London scale: 23.5M sessions across 3.3M
-users means millions of resident per-user and per-(ISP, day) dict
-entries *per buffered shard*.  This module is the bounded-memory
-alternative:
+Holding every :class:`~repro.sim.kernel.SwarmOutput` in the coordinator
+until one final fold would cap trace size well below the paper's
+month-of-London scale: 23.5M sessions across 3.3M users means millions
+of resident per-user and per-(ISP, day) dict entries *per buffered
+shard*.  This module folds them with bounded memory instead:
 
 * :class:`StreamingReducer` folds shard outputs into a running
   :class:`~repro.sim.results.SimulationResult` **as they complete**.
@@ -14,11 +12,12 @@ alternative:
   them back into canonical task order (the order
   :func:`~repro.sim.kernel.build_tasks` produced -- the same canonical
   order that underpins ``SimulationResult.from_partials``'s
-  fingerprint sort) and folds the identical float-addition sequence
-  the batched path performs, so streaming results are bit-for-bit
-  equal to batched ones.  Its reorder buffer is the *only* place
-  un-folded shards live, and with the backends' bounded in-flight
-  submission window it never holds more than ``workers + 1`` blocks.
+  fingerprint sort) and folds outputs in that order, so every
+  completion order performs the identical float-addition sequence and
+  every backend's result is bit-for-bit equal.  Its reorder buffer is
+  the *only* place un-folded shards live, and with the backends'
+  bounded in-flight submission window it never holds more than
+  ``workers + 1`` blocks.
 * :class:`FootprintAccumulator` keeps per-user traffic out of the
   dict-of-dataclasses representation while shards fold: packed
   ``array('d')`` columns (two floats per user) in memory, or -- with a
@@ -29,9 +28,9 @@ alternative:
   blocks folded, peak resident partials, spill location) so benchmarks
   and tests can assert the memory bound instead of trusting it.
 
-:func:`repro.sim.kernel.merge_outputs` is a thin wrapper over
-:class:`StreamingReducer`, so the batched and streaming reductions
-share one fold implementation and cannot drift.
+:func:`repro.sim.kernel.merge_outputs`, the in-order reference fold,
+is a thin wrapper over :class:`StreamingReducer`, so there is one fold
+implementation and it cannot drift.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ from time import perf_counter
 from typing import (
     TYPE_CHECKING,
     Dict,
-    Iterable,
     Iterator,
     List,
     Mapping,
@@ -77,22 +75,21 @@ __all__ = [
     "ReductionStats",
     "iter_user_deltas",
     "load_user_deltas",
-    "reduce_outputs",
 ]
 
 #: Selectable reduction modes, the single source of truth consumed by
 #: ``SimulationConfig`` validation and the CLI's ``--reduction`` choices.
 #:
-#: * ``"batched"``  -- materialize every shard output, then fold (the
-#:   historical behaviour; fastest for small traces, O(shards) memory).
-#: * ``"streaming"`` -- fold shard outputs as they complete; at most
-#:   ``workers + 1`` shard outputs resident, per-user traffic packed
-#:   into float columns until the final result is built.
-#: * ``"spill"``     -- streaming, plus per-user deltas appended to a
-#:   disk log instead of held in memory; the log is re-aggregated only
-#:   when the final result is materialized (and is left behind for
-#:   out-of-core consumers when ``spill_dir`` is set explicitly).
-REDUCTION_MODES: Tuple[str, ...] = ("batched", "streaming", "spill")
+#: Both fold shard outputs as they complete, with at most ``workers + 1``
+#: shard blocks resident:
+#:
+#: * ``"streaming"`` -- per-user traffic packed into float columns until
+#:   the final result is built (the default).
+#: * ``"spill"``     -- per-user deltas appended to a disk log instead of
+#:   held in memory; the log is re-aggregated only when the final result
+#:   is materialized (and is left behind for out-of-core consumers when
+#:   ``spill_dir`` is set explicitly).
+REDUCTION_MODES: Tuple[str, ...] = ("streaming", "spill")
 
 
 # ----------------------------------------------------------------------
@@ -130,7 +127,7 @@ class FootprintAccumulator:
     exactly) and only fixed-size running totals stay resident.
 
     Either way, :meth:`materialize` rebuilds the exact per-user dict the
-    batched reduction would have produced: additions happen in the same
+    plain dict fold would have produced: additions happen in the same
     (fold) order, so the result is bit-for-bit identical.
     """
 
@@ -208,11 +205,11 @@ class FootprintAccumulator:
         )
 
     def materialize(self) -> Dict[int, UserTraffic]:
-        """The exact per-user traffic map, as the batched fold builds it.
+        """The exact per-user traffic map, as the plain dict fold builds it.
 
         In-memory mode unpacks the float columns; spill mode closes and
         re-reads the delta log, aggregating records in file (= fold)
-        order.  Both reproduce the batched dict bit for bit.
+        order.  Both reproduce the plain dict bit for bit.
         """
         if self.spill_path is not None:
             self.close()
@@ -284,12 +281,10 @@ class ReductionStats:
         blocks: contiguous shard blocks the backend delivered.
         peak_resident: most blocks ever resident (buffered awaiting
             their turn in the fold, including the one being added).
-            Batched reduction reports the full block count here -- by
-            construction everything is resident at once.
         peak_resident_outputs: most swarm *outputs* ever resident
             across those blocks -- the honest memory unit when blocks
             hold more than one output each (the process backend's
-            shards).  Batched reduction reports the full output count.
+            shards).
         spill_path: where per-user deltas were spilled, if anywhere.
     """
 
@@ -310,7 +305,7 @@ class StreamingReducer:
     block is present the fold advances through every contiguous buffered
     block.  The fold itself is *the* reduction --
     :func:`~repro.sim.kernel.merge_outputs` wraps this class -- so any
-    completion order produces the batched result bit for bit.  With
+    completion order produces the in-order result bit for bit.  With
     :data:`~repro.sim.profiling.PROFILE` enabled, the fold and the final
     result build are charged to its ``reduce`` phase.
 
@@ -318,7 +313,8 @@ class StreamingReducer:
         delta_tau / horizon / upload_ratio: run parameters stamped on
             the final :class:`~repro.sim.results.SimulationResult`.
         users: optional :class:`FootprintAccumulator` receiving per-user
-            deltas; ``None`` keeps the plain dict fold (batched mode).
+            deltas; ``None`` keeps the plain dict fold (the service,
+            federation and :func:`~repro.sim.kernel.merge_outputs`).
     """
 
     def __init__(
@@ -386,8 +382,8 @@ class StreamingReducer:
     def _fold(self, output: "SwarmOutput") -> None:
         """One output's worth of the canonical reduction.
 
-        Mirrors (is) the batched fold: never mutates or aliases the
-        output, so re-reducing the same outputs stays idempotent.
+        Never mutates or aliases the output, so re-reducing the same
+        outputs stays idempotent.
         """
         result = output.result
         existing = self._per_swarm.get(result.key)
@@ -568,30 +564,3 @@ MultiSwarmOutput` per task, each with ``outputs`` aligned with the
             ),
             spill_path=spill_path,
         )
-
-
-def reduce_outputs(
-    outputs: Iterable["SwarmOutput"],
-    *,
-    delta_tau: float,
-    horizon: float,
-    upload_ratio: float,
-    users: Optional[FootprintAccumulator] = None,
-) -> SimulationResult:
-    """Fold already-ordered outputs through a :class:`StreamingReducer`.
-
-    The implementation behind :func:`repro.sim.kernel.merge_outputs`:
-    one output per block, delivered in order, so the reducer never
-    buffers (and charges the profile's ``reduce`` phase itself).
-    """
-    reducer = StreamingReducer(
-        delta_tau=delta_tau,
-        horizon=horizon,
-        upload_ratio=upload_ratio,
-        users=users,
-    )
-    index = 0
-    for output in outputs:
-        reducer.add(index, (output,))
-        index += 1
-    return reducer.result()

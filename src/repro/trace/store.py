@@ -357,7 +357,7 @@ class StoreReader:
 
     Reads go through ``os.pread`` (positional, no shared seek pointer),
     so one reader instance may serve many threads concurrently -- the
-    property the thread backend and the shared reader cache rely on.
+    property the shared reader cache relies on.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:

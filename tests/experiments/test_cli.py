@@ -68,17 +68,29 @@ class TestReductionFlag:
         assert settings.scale == 0.05  # still the quick preset
         assert settings.reduction == "spill"
 
-    def test_default_is_batched(self):
+    def test_default_is_streaming(self):
         from repro.cli import _settings_from
 
         args = build_parser().parse_args(["fig5", "--quick"])
         settings = _settings_from(args)
         assert settings.reduction is None
-        assert settings.simulation_config().reduction == "batched"
+        assert settings.simulation_config().reduction == "streaming"
 
     def test_rejects_unknown_reduction(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig5", "--reduction", "mapreduce"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["fig5", "--reduction", "batched"])
+
+    def test_serve_has_no_reduction_flag(self):
+        """The service folds through its own reducer, so the flag is gone."""
+        parser = build_parser()
+        args = parser.parse_args(["serve", "feed.jsonl", "--state-dir", "d"])
+        assert not hasattr(args, "reduction")
+        with pytest.raises(SystemExit):
+            parser.parse_args(
+                ["serve", "feed.jsonl", "--state-dir", "d", "--reduction", "spill"]
+            )
 
     def test_simulate_streaming_round_trip(self, tmp_path, capsys):
         path = tmp_path / "trace.jsonl"
@@ -129,10 +141,10 @@ class TestWorkersFlag:
 
     def test_simulate_accepts_workers_and_backend(self):
         args = build_parser().parse_args(
-            ["simulate", "t.jsonl", "--workers", "2", "--backend", "thread"]
+            ["simulate", "t.jsonl", "--workers", "2", "--backend", "process"]
         )
         assert args.workers == 2
-        assert args.backend == "thread"
+        assert args.backend == "process"
 
     def test_simulate_parallel_round_trip(self, tmp_path, capsys):
         path = tmp_path / "trace.jsonl"

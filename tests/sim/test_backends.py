@@ -2,8 +2,8 @@
 
 The runtime's core guarantee (see repro/sim/backends.py): swarm tasks
 are canonically ordered, kernels are pure, and outputs fold in task
-order -- so thread and process pools must reproduce the serial
-baseline *exactly* (float equality, not approx), across policies,
+order -- so the process pool and the distributed queue must reproduce
+the serial baseline *exactly* (float equality, not approx), across policies,
 participation rates and the lingering-seed extension.
 """
 
@@ -19,11 +19,10 @@ from repro.sim.backends import (
     DistributedBackend,
     ProcessPoolBackend,
     SerialBackend,
-    ThreadBackend,
     resolve_backend,
 )
 from repro.sim.grouping import ExternalGrouping
-from repro.sim.kernel import build_tasks, merge_outputs, run_swarm
+from repro.sim.kernel import build_tasks, merge_outputs, run_swarm, run_swarm_object
 from repro.sim.policies import SwarmPolicy
 from repro.sim.queue import WorkQueue
 from repro.sim.worker import run_worker
@@ -83,14 +82,31 @@ CONFIGS = {
 }
 
 
-class TestBackendEquivalence:
-    @pytest.mark.parametrize("name", sorted(CONFIGS))
-    def test_thread_backend_identical_to_serial(self, trace, name):
-        config = CONFIGS[name]
-        serial = Simulator(config, backend=SerialBackend()).run(trace)
-        threaded = Simulator(config, backend=ThreadBackend(4)).run(trace)
-        assert_identical(serial, threaded)
+def reference_fold(trace, config):
+    """The in-order reference: ``merge_outputs`` over object-kernel outputs.
 
+    Shares neither the engine nor the ``FootprintAccumulator`` with any
+    backend x reduction x grouping cell it is compared against.
+    """
+    outputs = [
+        run_swarm_object(task, config)
+        for task in build_tasks(trace, trace.horizon, config.policy)
+    ]
+    return merge_outputs(
+        outputs,
+        delta_tau=config.delta_tau,
+        horizon=trace.horizon,
+        upload_ratio=config.upload_ratio,
+    )
+
+
+def collect_outputs(backend, tasks, config):
+    """Every output of ``backend.iter_outputs``, restored to task order."""
+    blocks = sorted(backend.iter_outputs(tasks, config), key=lambda b: b[0])
+    return [output for _, block in blocks for output in block]
+
+
+class TestBackendEquivalence:
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_process_backend_identical_to_serial(self, trace, name):
         config = CONFIGS[name]
@@ -191,8 +207,9 @@ class TestBackendSelection:
 
     def test_explicit_names(self):
         assert isinstance(resolve_backend("serial", 8), SerialBackend)
-        assert isinstance(resolve_backend("thread", 3), ThreadBackend)
         assert isinstance(resolve_backend("process", 3), ProcessPoolBackend)
+        with pytest.raises(ValueError):
+            resolve_backend("thread", 3)
 
     def test_distributed_name_resolves_with_queue_dir(self, tmp_path):
         backend = resolve_backend("distributed", 2, str(tmp_path / "q"))
@@ -225,8 +242,8 @@ class TestBackendSelection:
         """No tasks -> no job, no workers, no queue traffic."""
         backend = DistributedBackend(2, queue_dir=tmp_path / "q")
         try:
-            assert backend.map_swarms([], SimulationConfig()) == []
             assert list(backend.iter_outputs([], SimulationConfig())) == []
+            assert list(backend.iter_outputs_multi([], [SimulationConfig()])) == []
             assert backend.live_workers() == 0  # nothing was ever spawned
         finally:
             backend.close()
@@ -250,8 +267,9 @@ class TestBackendSelection:
             )
         ).generate()
         tasks = build_tasks(trace, trace.horizon, config.policy)
-        outputs = backend.map_swarms(tasks, config)
+        outputs = collect_outputs(backend, tasks, config)
         assert len(outputs) == len(tasks)
+        assert backend._executor is None  # no pool was spawned
 
     def test_process_pool_small_workload_falls_back_inline(self, trace):
         """Below min_sessions the pool is never spawned (same results,
@@ -259,8 +277,9 @@ class TestBackendSelection:
         backend = ProcessPoolBackend(4, min_sessions=10**9)
         config = SimulationConfig()
         tasks = build_tasks(trace, trace.horizon, config.policy)
-        outputs = backend.map_swarms(tasks, config)
+        outputs = collect_outputs(backend, tasks, config)
         assert len(outputs) == len(tasks)
+        assert backend._executor is None  # no pool was spawned
 
     def test_simulator_caches_resolved_backend(self):
         simulator = Simulator(SimulationConfig(workers=2))
@@ -272,7 +291,6 @@ def make_matrix_backend(backend_name, tmp_path):
     on the test trace (no inline fallbacks, real worker processes)."""
     backends = {
         "serial": lambda: SerialBackend(),
-        "thread": lambda: ThreadBackend(3),
         # min_sessions=0 forces real worker processes on this trace.
         "process": lambda: ProcessPoolBackend(2, min_sessions=0),
         # A tiny shard quantum forces several work items through the
@@ -290,27 +308,23 @@ def make_matrix_backend(backend_name, tmp_path):
 
 class TestReductionMatrix:
     """Backend x reduction x grouping equivalence: every cell of the
-    {serial, thread, process, distributed} x {batched, streaming, spill}
-    x {memory, external} matrix, on both entry points (run /
-    run_stream), reproduces the serial-batched baseline bit for bit --
-    the streaming modes obey the ``workers + 1`` residency bound, and
-    external grouping obeys its sort-buffer bound, while doing it.
+    {serial, process, distributed} x {streaming, spill} x {memory,
+    external} matrix, on both entry points (run / run_stream),
+    reproduces the in-order reference fold (:func:`reference_fold`) bit
+    for bit -- while obeying the ``workers + 1`` residency bound, and
+    external grouping its sort-buffer bound.
 
-    The baseline runs ``kernel="object"`` and every matrix cell runs
+    The reference runs the object kernel and every matrix cell runs
     ``kernel="auto"`` -- the compiled columnar sweep when the extension
     is built -- so each cell is also a cross-kernel identity check (see
     repro/sim/kernel_columns.py)."""
 
     @pytest.fixture(scope="class")
     def reference(self, trace):
-        return Simulator(
-            SimulationConfig(kernel="object"), backend=SerialBackend()
-        ).run(trace)
+        return reference_fold(trace, SimulationConfig())
 
-    @pytest.mark.parametrize(
-        "backend_name", ["serial", "thread", "process", "distributed"]
-    )
-    @pytest.mark.parametrize("reduction", ["batched", "streaming", "spill"])
+    @pytest.mark.parametrize("backend_name", ["serial", "process", "distributed"])
+    @pytest.mark.parametrize("reduction", ["streaming", "spill"])
     @pytest.mark.parametrize("grouping", ["memory", "external"])
     def test_backend_reduction_equivalence(
         self, trace, reference, backend_name, reduction, grouping, tmp_path
@@ -333,9 +347,8 @@ class TestReductionMatrix:
             assert_identical(reference, from_run)
             stats = simulator.last_reduction
             assert stats is not None and stats.mode == reduction
-            if reduction != "batched":
-                workers = getattr(backend, "workers", 1)
-                assert 1 <= stats.peak_resident <= workers + 1
+            workers = getattr(backend, "workers", 1)
+            assert 1 <= stats.peak_resident <= workers + 1
             grouping_stats = simulator.last_grouping
             assert grouping_stats is not None and grouping_stats.mode == grouping
             if grouping == "external":
@@ -351,13 +364,13 @@ class TestReductionMatrix:
 
 class TestSweepMatrix:
     """Sweep x backend x reduction x grouping: ``run_sweep`` reproduces
-    the K independent serial-batched runs bit for bit in every cell of
-    the {serial, thread, process, distributed} x {batched, streaming,
-    spill} x {memory, external} matrix, while the streaming cells keep
-    each per-config reducer inside the ``workers + 1`` residency bound.
+    the K in-order reference folds (:func:`reference_fold`) bit for bit
+    in every cell of the {serial, process, distributed} x {streaming,
+    spill} x {memory, external} matrix, while keeping each per-config
+    reducer inside the ``workers + 1`` residency bound.
 
-    As in TestReductionMatrix, the baselines run ``kernel="object"``
-    and the sweep configs run ``kernel="auto"``, so the whole matrix is
+    As in TestReductionMatrix, the references run the object kernel and
+    the sweep configs run ``kernel="auto"``, so the whole matrix is
     also a cross-kernel identity check."""
 
     RATIOS = (0.2, 0.6, 1.0)
@@ -365,17 +378,12 @@ class TestSweepMatrix:
     @pytest.fixture(scope="class")
     def sweep_reference(self, trace):
         return [
-            Simulator(
-                SimulationConfig(upload_ratio=r, kernel="object"),
-                backend=SerialBackend(),
-            ).run(trace)
+            reference_fold(trace, SimulationConfig(upload_ratio=r))
             for r in self.RATIOS
         ]
 
-    @pytest.mark.parametrize(
-        "backend_name", ["serial", "thread", "process", "distributed"]
-    )
-    @pytest.mark.parametrize("reduction", ["batched", "streaming", "spill"])
+    @pytest.mark.parametrize("backend_name", ["serial", "process", "distributed"])
+    @pytest.mark.parametrize("reduction", ["streaming", "spill"])
     @pytest.mark.parametrize("grouping", ["memory", "external"])
     def test_sweep_matrix_cell(
         self, trace, sweep_reference, backend_name, reduction, grouping, tmp_path
@@ -402,10 +410,9 @@ class TestSweepMatrix:
             assert sweep_stats.configs == len(self.RATIOS)
             reduction_stats = simulator.last_reduction
             assert reduction_stats is not None and reduction_stats.mode == reduction
-            if reduction != "batched":
-                workers = getattr(backend, "workers", 1)
-                # peak_resident is the worst single per-config reducer.
-                assert 1 <= reduction_stats.peak_resident <= workers + 1
+            workers = getattr(backend, "workers", 1)
+            # peak_resident is the worst single per-config reducer.
+            assert 1 <= reduction_stats.peak_resident <= workers + 1
             grouping_stats = simulator.last_grouping
             assert grouping_stats is not None and grouping_stats.mode == grouping
 
@@ -587,10 +594,10 @@ class TestExecutorReuse:
         backend = ProcessPoolBackend(2, min_sessions=0)
         config = SimulationConfig()
         tasks = build_tasks(trace, trace.horizon, config.policy)
-        backend.map_swarms(tasks, config)
+        collect_outputs(backend, tasks, config)
         pool = backend._executor
         assert pool is not None
-        backend.map_swarms(tasks, config)
+        collect_outputs(backend, tasks, config)
         assert backend._executor is pool  # reused, not respawned
         backend.close()
         assert backend._executor is None
@@ -599,8 +606,8 @@ class TestExecutorReuse:
         backend = ProcessPoolBackend(2, min_sessions=0)
         config = SimulationConfig()
         tasks = build_tasks(trace, trace.horizon, config.policy)
-        first = backend.map_swarms(tasks, config)
+        first = collect_outputs(backend, tasks, config)
         backend.close()
-        second = backend.map_swarms(tasks, config)
-        assert len(first) == len(second)
+        second = collect_outputs(backend, tasks, config)
+        assert len(first) == len(second) == len(tasks)
         backend.close()

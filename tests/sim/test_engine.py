@@ -5,8 +5,10 @@ import math
 import pytest
 
 from repro.core import SavingsModel, VALANCIUS
-from repro.sim import SimulationConfig, Simulator, simulate
+from repro.sim import SimulationConfig, Simulator, kernel_columns, simulate
+from repro.sim.kernel import build_tasks, run_swarm
 from repro.sim.policies import SwarmPolicy
+from repro.sim.profiling import PROFILE
 from repro.topology.nodes import AttachmentPoint
 from repro.trace.diurnal import FLAT_PROFILE
 from repro.trace.events import SECONDS_PER_DAY, Session, Trace
@@ -312,3 +314,58 @@ class TestDeltaTauSensitivity:
         # Quantisation nudges totals slightly; savings must be stable.
         assert savings[2.0] == pytest.approx(savings[10.0], abs=0.01)
         assert savings[10.0] == pytest.approx(savings[60.0], abs=0.02)
+
+
+class TestKernelProfile:
+    """``PROFILE`` counts every swarm once, on either kernel."""
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        config = GeneratorConfig(
+            num_users=200, num_items=15, days=1, expected_sessions=900, seed=31
+        )
+        return TraceGenerator(config=config).generate()
+
+    @staticmethod
+    def profiled(run):
+        """``(tasks, compiled_tasks, sweep_seconds)`` of one profiled call."""
+        PROFILE.reset()
+        PROFILE.enabled = True
+        try:
+            run()
+            return PROFILE.tasks, PROFILE.compiled_tasks, PROFILE.sweep_seconds
+        finally:
+            PROFILE.enabled = False
+            PROFILE.reset()
+
+    def swarms(self, trace):
+        return len(build_tasks(trace, trace.horizon, SimulationConfig().policy))
+
+    def test_object_kernel_run_counts_and_times_every_swarm(self, trace):
+        simulator = Simulator(SimulationConfig(kernel="object"))
+        tasks, compiled, sweep = self.profiled(lambda: simulator.run(trace))
+        assert (tasks, compiled) == (self.swarms(trace), 0)
+        assert sweep > 0.0
+
+    def test_object_kernel_sweep_counts_each_config(self, trace):
+        configs = [
+            SimulationConfig(upload_ratio=ratio, kernel="object")
+            for ratio in (0.5, 1.0)
+        ]
+        simulator = Simulator(configs[0])
+        tasks, compiled, sweep = self.profiled(
+            lambda: simulator.run_sweep(trace, configs)
+        )
+        assert (tasks, compiled) == (self.swarms(trace) * len(configs), 0)
+        assert sweep > 0.0
+
+    def test_object_kernel_run_swarm_counts_once(self, trace):
+        config = SimulationConfig(kernel="object")
+        task = build_tasks(trace, trace.horizon, config.policy)[0]
+        assert self.profiled(lambda: run_swarm(task, config))[:2] == (1, 0)
+
+    def test_auto_run_counts_each_swarm_once(self, trace):
+        tasks, compiled, sweep = self.profiled(lambda: simulate(trace))
+        assert tasks == self.swarms(trace)
+        assert compiled == (tasks if kernel_columns.HAVE_COMPILED else 0)
+        assert sweep > 0.0

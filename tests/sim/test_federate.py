@@ -98,14 +98,13 @@ def test_per_region_results_match_standalone_runs(tmp_path):
 @pytest.mark.parametrize(
     "sim_config",
     [
-        SimulationConfig(workers=2, backend="thread"),
         SimulationConfig(workers=2, backend="process"),
         SimulationConfig(grouping="external"),
         SimulationConfig(
             workers=2, backend="distributed", reduction="streaming"
         ),
     ],
-    ids=["thread", "process", "external-grouping", "distributed"],
+    ids=["process", "external-grouping", "distributed"],
 )
 def test_parity_across_backends_and_groupings(tmp_path, sim_config):
     configs, paths = make_regions(tmp_path, cities=2)

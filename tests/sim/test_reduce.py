@@ -1,7 +1,8 @@
 """Unit tests for the incremental streaming reduction pipeline.
 
 Covers the StreamingReducer's reorder-buffer contract (any completion
-order folds to the batched result, residency is tracked honestly), the
+order folds to the in-order ``merge_outputs`` result, residency is
+tracked honestly), the
 FootprintAccumulator's packed/spilled per-user representations, the
 contiguous block partitioner, and the engine-level reduction modes.
 """
@@ -11,8 +12,8 @@ import random
 import pytest
 
 from repro.sim import SimulationConfig, Simulator, simulate
-from repro.sim.backends import SerialBackend, ThreadBackend, contiguous_blocks
-from repro.sim.kernel import build_tasks, merge_outputs, run_shard
+from repro.sim.backends import ProcessPoolBackend, SerialBackend, contiguous_blocks
+from repro.sim.kernel import build_tasks, merge_outputs, run_shard, run_swarm_object
 from repro.sim.profiling import PROFILE
 from repro.sim.reduce import (
     REDUCTION_MODES,
@@ -44,6 +45,15 @@ def reference_result(outputs, horizon):
     return merge_outputs(
         outputs, delta_tau=10.0, horizon=horizon, upload_ratio=1.0
     )
+
+
+@pytest.fixture(scope="module")
+def reference(trace):
+    """The in-order fold of object-kernel outputs: no engine involved."""
+    config = SimulationConfig()
+    tasks = build_tasks(trace, trace.horizon, config.policy)
+    outputs = [run_swarm_object(task, config) for task in tasks]
+    return reference_result(outputs, trace.horizon)
 
 
 class TestStreamingReducer:
@@ -288,7 +298,10 @@ class TestContiguousBlocks:
 
 class TestEngineReductionModes:
     def test_modes_registry(self):
-        assert REDUCTION_MODES == ("batched", "streaming", "spill")
+        assert REDUCTION_MODES == ("streaming", "spill")
+        assert SimulationConfig().reduction == "streaming"
+        with pytest.raises(ValueError, match="reduction"):
+            SimulationConfig(reduction="batched")
 
     def test_config_rejects_unknown_reduction(self):
         with pytest.raises(ValueError, match="reduction"):
@@ -299,8 +312,8 @@ class TestEngineReductionModes:
             SimulationConfig(reduction="streaming", spill_dir=str(tmp_path))
 
     @pytest.mark.parametrize("reduction", ["streaming", "spill"])
-    def test_streaming_modes_identical_to_batched(self, trace, reduction):
-        reference = simulate(trace)
+    def test_streaming_modes_identical_to_batched(self, trace, reference, reduction):
+        """Each mode equals the batched (in-order ``merge_outputs``) fold."""
         result = simulate(trace, SimulationConfig(reduction=reduction))
         assert reference.identical_to(result)
 
@@ -317,25 +330,24 @@ class TestEngineReductionModes:
             PROFILE.reset()
         assert reduce_seconds > 0.0
 
-    def test_last_reduction_stats_batched(self, trace):
-        simulator = Simulator(SimulationConfig(), backend=SerialBackend())
-        simulator.run(trace)
-        stats = simulator.last_reduction
-        assert stats.mode == "batched"
-        assert stats.peak_resident == stats.blocks == stats.outputs
-
-    def test_streaming_residency_bounded_by_workers_plus_one(self, trace):
+    def test_streaming_residency_bounded_by_workers_plus_one(
+        self, trace, reference
+    ):
         """The acceptance bound: resident partial count <= workers + 1."""
         workers = 3
-        simulator = Simulator(
-            SimulationConfig(reduction="streaming"), backend=ThreadBackend(workers)
-        )
-        result = simulator.run(trace)
+        backend = ProcessPoolBackend(workers, min_sessions=0)
+        simulator = Simulator(SimulationConfig(reduction="streaming"), backend=backend)
+        try:
+            result = simulator.run(trace)
+        finally:
+            backend.close()
         stats = simulator.last_reduction
         assert stats.mode == "streaming"
         assert 1 <= stats.peak_resident <= workers + 1
-        assert stats.outputs == stats.blocks  # thread path: one task per block
-        assert result.identical_to(simulate(trace))
+        # min_sessions=0 shrinks the shard quantum to one session, so
+        # every task ships as its own block.
+        assert stats.outputs == stats.blocks
+        assert result.identical_to(reference)
 
     def test_serial_streaming_residency_is_one(self, trace):
         simulator = Simulator(
@@ -368,8 +380,6 @@ class TestEngineReductionModes:
         """The streaming shard count grows with the trace (one shard
         per ~min_sessions sessions), so each resident block's size --
         not just the block count -- stays bounded."""
-        from repro.sim.backends import ProcessPoolBackend
-
         quantum = 200
         backend = ProcessPoolBackend(2, min_sessions=quantum)
         simulator = Simulator(
@@ -384,7 +394,7 @@ class TestEngineReductionModes:
         assert stats.blocks >= total_sessions // quantum
         assert stats.peak_resident <= backend.workers + 1
         # Resident outputs are bounded by the in-flight blocks' content,
-        # far below the full shard total the batched mode holds.
+        # far below the full shard total.
         assert stats.peak_resident_outputs < stats.outputs
         assert result.identical_to(simulate(trace))
 
