@@ -3,8 +3,8 @@
 The runtime's core guarantee (see repro/sim/backends.py): swarm tasks
 are canonically ordered, kernels are pure, and outputs fold in task
 order -- so the process pool and the distributed queue must reproduce
-the serial baseline *exactly* (float equality, not approx), across policies,
-participation rates and the lingering-seed extension.
+the serial baseline *exactly* (float equality, not approx), across
+policies, participation rates and the lingering-seed extension.
 """
 
 import os
