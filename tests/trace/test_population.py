@@ -1,5 +1,6 @@
 """Tests for the viewer population."""
 
+import hashlib
 import random
 from collections import Counter
 
@@ -85,6 +86,42 @@ class TestPopulationGeneration:
             Population.generate(10, device_mix=())
         with pytest.raises(ValueError):
             Population.generate(10, activity_sigma=-1.0)
+
+
+def population_digest(population):
+    """Hash of every user's id, attachment, device and exact activity."""
+    hasher = hashlib.sha256()
+    for user in population:
+        a = user.attachment
+        hasher.update(
+            f"{user.user_id},{a.isp},{a.pop},{a.exchange},"
+            f"{user.device.name},{user.activity!r};".encode()
+        )
+    return hasher.hexdigest()
+
+
+class TestPopulationDigest:
+    """Seeded populations pinned to the bit.
+
+    Every trace's viewers come from ``Population.generate``; reworking
+    its loop (hoisting cumulative weights and tree constants out of the
+    per-user draw) must leave every draw of the stream unchanged.
+    """
+
+    def test_default_london(self):
+        pop = Population.generate(3_000, rng=random.Random(20130901))
+        assert population_digest(pop) == (
+            "6be29365f606ada2b95fb4019add2a6b64dec12645441c2d23f1669bd43e6934"
+        )
+
+    def test_uneven_city(self):
+        city = default_london(3, (0.5, 0.3, 0.2), num_exchanges=40, num_pops=7)
+        pop = Population.generate(
+            1_000, city=city, activity_sigma=0.5, rng=random.Random(7)
+        )
+        assert population_digest(pop) == (
+            "0d610ca02e3681cc018626fd91533c18f3d1e6879cecdd7308947075b137e627"
+        )
 
 
 class TestPopulationAccess:
