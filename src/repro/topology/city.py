@@ -17,6 +17,7 @@ import bisect
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
 from repro.topology.isp import ISPNetwork
@@ -81,9 +82,14 @@ class CityNetwork:
     # Sampling
     # ------------------------------------------------------------------
 
+    @cached_property
+    def cumulative_shares(self) -> List[float]:
+        """Running sums of ``shares``, the inverse-CDF table of :meth:`sample_isp`."""
+        return list(itertools.accumulate(self.shares))
+
     def sample_isp(self, rng: random.Random) -> ISPNetwork:
         """Draw an ISP according to market share."""
-        cumulative = list(itertools.accumulate(self.shares))
+        cumulative = self.cumulative_shares
         point = rng.random() * cumulative[-1]
         return self.isps[bisect.bisect_right(cumulative, point)]
 

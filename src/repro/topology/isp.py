@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List
 
 from repro.core.localisation import LayerProbabilities
@@ -59,7 +60,7 @@ class ISPNetwork:
     # Structure
     # ------------------------------------------------------------------
 
-    @property
+    @cached_property
     def exchanges_per_pop(self) -> int:
         """Block size of the contiguous exchange -> PoP assignment."""
         return math.ceil(self.num_exchanges / self.num_pops)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.topology.city import CityNetwork, default_london
@@ -166,11 +167,13 @@ class Population:
         rng = rng or random.Random(0)
         city = city or default_london()
         devices = list(device_mix)
-        shares = [d.share for d in devices]
+        # What choices(weights=...) would accumulate per call: the same
+        # draws, built once.
+        cum_shares = list(accumulate(d.share for d in devices))
         users = []
         for user_id in range(num_users):
             attachment = city.sample_attachment(rng)
-            device = rng.choices(devices, weights=shares)[0]
+            device = rng.choices(devices, cum_weights=cum_shares)[0]
             activity = rng.lognormvariate(0.0, activity_sigma)
             users.append(
                 User(
