@@ -59,7 +59,7 @@ import os
 import shutil
 import tempfile
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence
 
@@ -95,6 +95,22 @@ __all__ = [
 #: ``SimulationConfig`` validation and the CLI's ``--kernel`` choices.
 #: Both modes are bit-for-bit identical (see ``SimulationConfig.kernel``).
 KERNEL_MODES: tuple = ("auto", "object")
+
+#: ``SimulationConfig`` fields that choose how a run executes, never
+#: what it computes: every value of each gives bit-for-bit identical
+#: results (see :meth:`SimulationConfig.results_config`).
+_EXECUTION_FIELDS = frozenset(
+    {
+        "workers",
+        "backend",
+        "queue_dir",
+        "reduction",
+        "spill_dir",
+        "grouping",
+        "shard_dir",
+        "kernel",
+    }
+)
 
 
 @dataclass(frozen=True)
@@ -255,6 +271,19 @@ class SimulationConfig:
             raise ValueError(
                 f"kernel must be one of {KERNEL_MODES}, got {self.kernel!r}"
             )
+
+    def results_config(self) -> "SimulationConfig":
+        """This config with every execution-only field at its default.
+
+        Worker count, backend, queue, reduction, spill and shard
+        directories, grouping and kernel change wall clock and memory,
+        never a result bit; two configs compute identical results
+        exactly when their ``results_config()`` are equal.
+        """
+        return replace(
+            self,
+            **{f.name: f.default for f in fields(self) if f.name in _EXECUTION_FIELDS},
+        )
 
     def upload_rate_for(self, bitrate: float) -> float:
         """A peer's upload bandwidth in bits/s given their bitrate."""

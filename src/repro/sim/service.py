@@ -508,10 +508,13 @@ class SimulationService:
             (and closes) one it builds itself.
 
     Raises:
-        ValueError: when resuming with a config that differs from the
-            checkpointed one (epoch geometry and policy define the
-            fold; silently changing them would corrupt the cumulative
-            result).
+        ValueError: when resuming with a config whose results differ
+            from the checkpointed one's (epoch geometry and policy
+            define the fold; silently changing them would corrupt the
+            cumulative result).  Execution-only simulation fields --
+            workers, backend, grouping, kernel, ... (see
+            :meth:`SimulationConfig.results_config`) -- may change
+            across a restart.
     """
 
     def __init__(
@@ -531,7 +534,7 @@ class SimulationService:
         checkpoint = ServiceCheckpoint.load(self.state_dir)
         self.resumed = checkpoint is not None
         if checkpoint is not None:
-            if checkpoint.config != config:
+            if _results_identity(checkpoint.config) != _results_identity(config):
                 raise ValueError(
                     f"state dir {self.state_dir} holds a checkpoint for a "
                     "different service config; clear the state dir or match "
@@ -751,6 +754,11 @@ class SimulationService:
             reducer=self._reducer,
             buffers={e: list(s) for e, s in self._buffers.items()},
         ).save(self.state_dir)
+
+
+def _results_identity(config: ServiceConfig) -> ServiceConfig:
+    """``config`` with its simulation's execution-only fields defaulted."""
+    return replace(config, simulation=config.simulation.results_config())
 
 
 # ----------------------------------------------------------------------

@@ -57,6 +57,22 @@ class TestConfigValidation:
         fixed = SimulationConfig(upload_bandwidth=4e6)
         assert fixed.upload_rate_for(1e6) == 4e6
 
+    def test_results_config_drops_only_execution_fields(self):
+        execution = SimulationConfig(
+            workers=3,
+            backend="distributed",
+            queue_dir="/queue",
+            reduction="spill",
+            spill_dir="/spill",
+            grouping="external",
+            shard_dir="/shard",
+            kernel="object",
+        )
+        assert execution.results_config() == SimulationConfig()
+        physics = SimulationConfig(upload_ratio=0.5, workers=2)
+        assert physics.results_config() == SimulationConfig(upload_ratio=0.5)
+        assert physics.results_config() != SimulationConfig().results_config()
+
 
 class TestSingleViewer:
     def test_lone_session_all_from_server(self):

@@ -400,6 +400,46 @@ class TestCrashResume:
         other = replace(service_config, epoch_seconds=2 * EPOCH)
         with pytest.raises(ValueError, match="different service config"):
             SimulationService(other, state)
+        physics = replace(
+            service_config,
+            simulation=replace(service_config.simulation, upload_ratio=0.5),
+        )
+        with pytest.raises(ValueError, match="different service config"):
+            SimulationService(physics, state)
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"workers": 2},
+            {"grouping": "external"},
+            {"backend": "process", "workers": 2},
+            {"kernel": "object"},
+        ],
+        ids=["workers", "external-grouping", "process-backend", "object-kernel"],
+    )
+    def test_resume_under_other_execution_knobs(
+        self, trace, service_config, batch_result, tmp_path, knobs
+    ):
+        """Execution-only fields change speed, never results, so a
+        restart may change them and still continue the same fold."""
+        state = tmp_path / "state"
+        service = SimulationService(service_config, state)
+        for session in trace.sessions[:800]:
+            service.ingest(session)
+        assert service.emitted >= 1
+        service.close()
+        other = replace(
+            service_config,
+            simulation=replace(service_config.simulation, **knobs),
+        )
+        resumed = SimulationService(other, state)
+        try:
+            assert resumed.resumed
+            resumed.run(iter(trace.sessions[resumed.cursor :]))
+            cumulative = resumed.result()
+        finally:
+            resumed.close()
+        assert cumulative.identical_to(batch_result)
 
     def test_corrupt_checkpoint_is_loud(self, tmp_path):
         (tmp_path / ServiceCheckpoint.FILENAME).write_bytes(b"not a pickle")
