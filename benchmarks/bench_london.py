@@ -16,9 +16,11 @@ out-of-core pipeline:
                                            until the result is built)
 
 and reports the Table I numbers realised by the run (users, IPs,
-sessions, hours watched) together with the paper-policy savings and --
-the point of the exercise -- the coordinator's peak RSS, which stays
-bounded by the sort buffer + the final result instead of the trace.
+sessions, hours watched) together with the paper-policy savings, a
+bit-for-bit result digest (``repro.sim.service.result_digest``, the
+one the repository benchmark checks its passes by) and -- the point of
+the exercise -- the coordinator's peak RSS, which stays bounded by the
+sort buffer + the final result instead of the trace.
 
 ``--density 1.0`` is the full 23.5M-session month: run it on a machine
 with several cores and a few GB of disk (the sorted shard is ~1.3 GB at
@@ -57,6 +59,7 @@ from repro.sim.engine import SimulationConfig, Simulator
 from repro.sim.grouping import ExternalGrouping
 from repro.sim.kernel_columns import HAVE_COMPILED
 from repro.sim.profiling import PROFILE
+from repro.sim.service import result_digest
 from repro.trace.generator import GeneratorConfig, TraceGenerator
 from repro.trace.stats import USERS_PER_IP
 
@@ -302,6 +305,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "peak_rss_mb": peak_rss_mb(),
         "runs_spilled": grouping.runs_spilled,
     }
+    # After the RSS reading: the digest streams the result's rows.
+    record["digest"] = result_digest(result)
+    print(f"   result digest: {record['digest']}")
     args.out.write_text(json.dumps(record, indent=2) + "\n")
     print(f"   wrote {args.out}")
 

@@ -49,18 +49,21 @@ long-running coordinator:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
 import pickle
 import uuid
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from pathlib import Path
 from typing import (
     Callable,
     ClassVar,
     Dict,
     Iterable,
+    Iterator,
     List,
     Optional,
     Union,
@@ -83,6 +86,7 @@ __all__ = [
     "ServiceCheckpoint",
     "ServiceConfig",
     "SimulationService",
+    "result_digest",
     "result_from_payload",
     "result_to_payload",
     "serve_jsonl",
@@ -254,20 +258,15 @@ def _key_from_payload(payload: Dict) -> SwarmKey:
     )
 
 
-def result_to_payload(result: SimulationResult) -> Dict[str, object]:
-    """A :class:`SimulationResult` as deterministic JSON-able data.
-
-    Collections are emitted in canonical sorted order and floats
-    survive ``json`` round-trips bit for bit (shortest-round-trip
-    ``repr``), so equal results always serialize to equal payloads --
-    the property the kill/restart tests compare sink files by.
-    """
+def _payload_fields(result: SimulationResult) -> Dict[str, object]:
+    """The payload's fields, its list fields as lazy canonical-order rows."""
+    per_user = result.per_user
     return {
         "delta_tau": result.delta_tau,
         "horizon": result.horizon,
         "upload_ratio": result.upload_ratio,
         "total": _ledger_to_payload(result.total),
-        "per_swarm": [
+        "per_swarm": (
             {
                 "key": _key_to_payload(key),
                 "ledger": _ledger_to_payload(swarm.ledger),
@@ -278,16 +277,49 @@ def result_to_payload(result: SimulationResult) -> Dict[str, object]:
             for key, swarm in sorted(
                 result.per_swarm.items(), key=lambda kv: kv[0].sort_key()
             )
-        ],
-        "per_isp_day": [
+        ),
+        "per_isp_day": (
             [isp, day, _ledger_to_payload(ledger)]
             for (isp, day), ledger in sorted(result.per_isp_day.items())
-        ],
-        "per_user": [
-            [uid, traffic.watched_bits, traffic.uploaded_bits]
-            for uid, traffic in sorted(result.per_user.items())
-        ],
+        ),
+        "per_user": (
+            [uid, per_user[uid].watched_bits, per_user[uid].uploaded_bits]
+            for uid in sorted(per_user)
+        ),
     }
+
+
+def result_to_payload(result: SimulationResult) -> Dict[str, object]:
+    """A :class:`SimulationResult` as deterministic JSON-able data.
+
+    Collections are emitted in canonical sorted order and floats
+    survive ``json`` round-trips bit for bit (shortest-round-trip
+    ``repr``), so equal results always serialize to equal payloads --
+    the property the kill/restart tests compare sink files by.
+    """
+    return {
+        name: list(value) if isinstance(value, Iterator) else value
+        for name, value in _payload_fields(result).items()
+    }
+
+
+def result_digest(result: SimulationResult) -> str:
+    """A bit-for-bit digest of ``result`` (hex blake2b-128).
+
+    Hashes :func:`result_to_payload`'s fields in sorted name order,
+    each list field as JSON chunks of 1,024 rows.  The rows are
+    streamed, so a paper-scale result (millions of users) is never
+    held as one payload.
+    """
+    hasher = hashlib.blake2b(digest_size=16)
+    for name, value in sorted(_payload_fields(result).items()):
+        hasher.update(name.encode())
+        if isinstance(value, Iterator):
+            while chunk := list(islice(value, 1024)):
+                hasher.update(json.dumps(chunk).encode())
+        else:
+            hasher.update(json.dumps(value).encode())
+    return hasher.hexdigest()
 
 
 def result_from_payload(payload: Dict) -> SimulationResult:

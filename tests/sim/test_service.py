@@ -27,6 +27,7 @@ from repro.sim.service import (
     ServiceCheckpoint,
     ServiceConfig,
     SimulationService,
+    result_digest,
     result_from_payload,
     result_to_payload,
     serve_jsonl,
@@ -213,6 +214,26 @@ class TestResultCodec:
         a = json.dumps(result_to_payload(batch_result), sort_keys=True)
         b = json.dumps(result_to_payload(batch_result), sort_keys=True)
         assert a == b
+
+    def test_digest_equals_the_benchmark_digest(self, batch_result, monkeypatch):
+        """``result_digest`` streams what perfbench's ``digest`` hashes
+        from the whole payload, over several 1,024-row chunks."""
+        payload = result_to_payload(batch_result)
+        payload["per_user"] += [
+            [uid, uid * 0.1, uid / 3.0] for uid in range(10_000, 12_500)
+        ]
+        result = result_from_payload(payload)
+        perfbench = Path(__file__).resolve().parents[2] / "perfbench"
+        monkeypatch.syspath_prepend(str(perfbench))
+        workloads = pytest.importorskip("workloads")
+        assert result_digest(result) == workloads.digest(result)
+        assert result_digest(batch_result) == workloads.digest(batch_result)
+
+    def test_digest_tells_results_apart(self, batch_result):
+        payload = result_to_payload(batch_result)
+        payload["per_user"][-1][1] += 1.0
+        changed = result_from_payload(payload)
+        assert result_digest(changed) != result_digest(batch_result)
 
 
 class TestJsonlSink:
