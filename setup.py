@@ -4,16 +4,18 @@ All metadata lives in pyproject.toml (PEP 621).  This file exists so
 that ``pip install -e .`` works in offline environments without the
 ``wheel`` package (setuptools' legacy develop-mode code path), and to
 declare the optional ``repro.sim._ckernel`` extension -- the compiled
-columnar sweep.  The extension is marked ``optional``: a missing or
-failing compiler produces a pure-python install that loses nothing but
-speed (every config then runs the object kernel).
+columnar sweep, which also replays the trace generator's random draws.
+The extension is marked ``optional``: a missing or failing compiler
+produces a pure-python install that loses nothing but speed (every
+config then runs the object kernel, and the generator its python loop).
 
 Build in place with::
 
     python setup.py build_ext --inplace
 
-``-ffp-contract=off`` is load-bearing: the C sweep's bit-for-bit
-contract with the object kernel forbids fused multiply-adds.
+``-ffp-contract=off`` is load-bearing: the bit-for-bit contracts of
+the C sweep with the object kernel, and of the generator replay with
+the python loop, forbid fused multiply-adds.
 """
 
 from setuptools import Extension, setup

@@ -1,4 +1,5 @@
-/* Compiled columnar swarm sweep (optional fast path).
+/* Compiled columnar swarm sweep (optional fast path), plus the trace
+ * generator's draw replay (replay_item, at the end of this file).
  *
  * A transcription of the object kernel -- repro/sim/kernel.py's
  * run_swarm_object and repro/sim/matching.py's match_window -- onto
@@ -1235,6 +1236,241 @@ done:
     return result;
 }
 
+/* ------------------------------------------------------------------ */
+/* Trace generator replay: everything TraceGenerator.iter_sessions     */
+/* draws for one catalogue item after its Poisson count -- the diurnal */
+/* start times, the activity-weighted viewers and one Beta completion  */
+/* per drawn session -- transcribed from repro/trace/generator.py's    */
+/* _item_columns (the semantics reference) and CPython's random.py     */
+/* (choices, betavariate, gammavariate; unchanged from 3.11 to 3.13).  */
+/* Every uniform comes from the generator's own bound random(), so the */
+/* Mersenne Twister state never leaves its random.Random object; the   */
+/* same uniforms feed the same float operations and libm calls in the  */
+/* same order, so the kept sessions are the python loop's to the bit.  */
+
+/* random.py's module constants as the shortest repr of each double
+ * (which parses back to the same bits): LOG4 = log(4.0),
+ * SG_MAGICCONST = 1.0 + log(4.5), and math.e. */
+#define RANDOM_LOG4 1.3862943611198906
+#define RANDOM_SG_MAGICCONST 2.504077396776274
+#define RANDOM_E 2.718281828459045
+#define SECONDS_PER_HOUR 3600.0
+
+static PyObject *array_type; /* array.array, imported at module init */
+
+static int uniform(PyObject *random, double *out) {
+    PyObject *value = PyObject_CallNoArgs(random);
+    if (!value) return -1;
+    *out = PyFloat_AsDouble(value);
+    Py_DECREF(value);
+    return (*out == -1.0 && PyErr_Occurred()) ? -1 : 0;
+}
+
+/* bisect.bisect_right(a, x, lo, hi) over a non-decreasing column. */
+static Py_ssize_t bisect_right(const double *a, double x, Py_ssize_t lo,
+                               Py_ssize_t hi) {
+    while (lo < hi) {
+        Py_ssize_t mid = (lo + hi) / 2;
+        if (x < a[mid])
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    return lo;
+}
+
+/* Python's min(a, b) and max(a, b): `a` unless `b` is strictly
+ * smaller (larger). */
+static double py_min(double a, double b) { return b < a ? b : a; }
+static double py_max(double a, double b) { return b > a ? b : a; }
+
+/* random.Random.gammavariate(alpha, 1.0), all three branches. */
+static int gamma_draw(PyObject *random, double alpha, double *out) {
+    double u, u1, u2, v, x, z, r;
+    if (alpha > 1.0) {
+        /* Cheng (1977). */
+        double ainv = sqrt(2.0 * alpha - 1.0);
+        double bbb = alpha - RANDOM_LOG4;
+        double ccc = alpha + ainv;
+        for (;;) {
+            if (uniform(random, &u1) < 0) return -1;
+            if (!(1e-7 < u1 && u1 < 0.9999999)) continue;
+            if (uniform(random, &u2) < 0) return -1;
+            u2 = 1.0 - u2;
+            v = log(u1 / (1.0 - u1)) / ainv;
+            x = alpha * exp(v);
+            z = u1 * u1 * u2;
+            r = bbb + ccc * v - x;
+            if (r + RANDOM_SG_MAGICCONST - 4.5 * z >= 0.0 || r >= log(z)) {
+                *out = x * 1.0;
+                return 0;
+            }
+        }
+    }
+    if (alpha == 1.0) {
+        /* expovariate(1.0) */
+        if (uniform(random, &u) < 0) return -1;
+        *out = -log(1.0 - u) * 1.0;
+        return 0;
+    }
+    /* Algorithm GS (Kennedy & Gentle) for 0 < alpha < 1. */
+    for (;;) {
+        double b, p;
+        if (uniform(random, &u) < 0) return -1;
+        b = (RANDOM_E + alpha) / RANDOM_E;
+        p = b * u;
+        if (p <= 1.0)
+            x = pow(p, 1.0 / alpha);
+        else
+            x = -log((b - p) / alpha);
+        if (uniform(random, &u1) < 0) return -1;
+        if (p > 1.0) {
+            if (u1 <= pow(x, alpha - 1.0)) break;
+        } else if (u1 <= exp(-x)) {
+            break;
+        }
+    }
+    *out = x * 1.0;
+    return 0;
+}
+
+/* random.Random.betavariate(alpha, beta): no second gamma draw when
+ * the first is zero. */
+static int beta_draw(PyObject *random, double alpha, double beta,
+                     double *out) {
+    double y, z;
+    if (gamma_draw(random, alpha, &y) < 0) return -1;
+    if (y == 0.0) {
+        *out = 0.0;
+        return 0;
+    }
+    if (gamma_draw(random, beta, &z) < 0) return -1;
+    *out = y / (y + z);
+    return 0;
+}
+
+static PyObject *new_array(const char *typecode, const void *data,
+                           Py_ssize_t nbytes) {
+    PyObject *raw = PyBytes_FromStringAndSize(data, nbytes);
+    if (!raw) return NULL;
+    PyObject *out = PyObject_CallFunction(array_type, "sO", typecode, raw);
+    Py_DECREF(raw);
+    return out;
+}
+
+static PyObject *replay_item(PyObject *self, PyObject *args) {
+    PyObject *random;
+    Py_buffer hourly_b, weights_b;
+    Py_ssize_t count;
+    double horizon, alpha, beta, min_s, item_duration;
+    if (!PyArg_ParseTuple(args, "Oy*dy*dddnd", &random, &hourly_b, &horizon,
+                          &weights_b, &alpha, &beta, &min_s, &count,
+                          &item_duration))
+        return NULL;
+
+    PyObject *result = NULL, *starts_a = NULL, *durations_a = NULL,
+             *viewers_a = NULL;
+    double *starts = NULL, *durations = NULL;
+    int64_t *viewers = NULL;
+    Py_ssize_t hours = hourly_b.len / (Py_ssize_t)sizeof(double);
+    Py_ssize_t n = weights_b.len / (Py_ssize_t)sizeof(double);
+    const double *cum = hourly_b.buf;
+    const double *cum_weights = weights_b.buf;
+
+    if (count < 0 || hours < 2 || n < 1) {
+        PyErr_SetString(PyExc_ValueError,
+                        "replay_item requires count >= 0, >= 2 hourly "
+                        "cumulative entries and >= 1 weight");
+        goto done;
+    }
+    if (alpha <= 0.0 || beta <= 0.0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "gammavariate: alpha and beta must be > 0.0");
+        goto done;
+    }
+    /* choices(): total = cum_weights[-1] + 0.0, validated. */
+    double weight_total = cum_weights[n - 1] + 0.0;
+    if (weight_total <= 0.0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "Total of weights must be greater than zero");
+        goto done;
+    }
+    if (!isfinite(weight_total)) {
+        PyErr_SetString(PyExc_ValueError, "Total of weights must be finite");
+        goto done;
+    }
+    Py_ssize_t cap = count > 0 ? count : 1;
+    starts = malloc(cap * sizeof(double));
+    durations = malloc(cap * sizeof(double));
+    viewers = malloc(cap * sizeof(int64_t));
+    if (!starts || !durations || !viewers) {
+        PyErr_NoMemory();
+        goto done;
+    }
+
+    /* DiurnalProfile sample_times: inverse CDF over the hourly table. */
+    double total = cum[hours - 1];
+    for (Py_ssize_t i = 0; i < count; i++) {
+        double point, frac;
+        if (uniform(random, &point) < 0) goto done;
+        point = point * total;
+        Py_ssize_t hour = bisect_right(cum, point, 0, hours) - 1;
+        if (hours - 2 < hour) hour = hours - 2;
+        if (hour < 0) { /* only a point below cum[0] == 0.0 gets here */
+            PyErr_SetString(PyExc_ValueError,
+                            "replay_item: point below the hourly table");
+            goto done;
+        }
+        double mass = cum[hour + 1] - cum[hour];
+        if (mass > 0) {
+            frac = (point - cum[hour]) / mass;
+        } else if (uniform(random, &frac) < 0) {
+            goto done;
+        }
+        double t = ((double)hour + frac) * SECONDS_PER_HOUR;
+        starts[i] = py_min(t, horizon - 1e-6);
+    }
+    /* choices(range(n), cum_weights=..., k=count) */
+    for (Py_ssize_t i = 0; i < count; i++) {
+        double u;
+        if (uniform(random, &u) < 0) goto done;
+        viewers[i] = bisect_right(cum_weights, u * weight_total, 0, n - 1);
+    }
+    /* One completion per drawn session; drops compact in place. */
+    Py_ssize_t kept = 0;
+    for (Py_ssize_t i = 0; i < count; i++) {
+        double completion;
+        if (beta_draw(random, alpha, beta, &completion) < 0) goto done;
+        double duration = py_max(item_duration * completion, min_s);
+        duration = py_min(duration, horizon - starts[i]);
+        if (duration < min_s) continue;
+        starts[kept] = starts[i];
+        durations[kept] = duration;
+        viewers[kept] = viewers[i];
+        kept++;
+    }
+
+    starts_a = new_array("d", starts, kept * (Py_ssize_t)sizeof(double));
+    durations_a =
+        starts_a ? new_array("d", durations, kept * (Py_ssize_t)sizeof(double))
+                 : NULL;
+    viewers_a = durations_a ? new_array("q", viewers,
+                                        kept * (Py_ssize_t)sizeof(int64_t))
+                            : NULL;
+    if (viewers_a) result = PyTuple_Pack(3, starts_a, durations_a, viewers_a);
+
+done:
+    Py_XDECREF(starts_a);
+    Py_XDECREF(durations_a);
+    Py_XDECREF(viewers_a);
+    free(starts);
+    free(durations);
+    free(viewers);
+    PyBuffer_Release(&hourly_b);
+    PyBuffer_Release(&weights_b);
+    return result;
+}
+
 static PyMethodDef ckernel_methods[] = {
     {"sweep", sweep, METH_VARARGS,
      "Columnar swarm sweep over packed schedule columns; returns the "
@@ -1251,6 +1487,10 @@ static PyMethodDef ckernel_methods[] = {
     {"supplies", supplies_helper, METH_VARARGS,
      "Per-session supply column from per-bitrate rates (and optional "
      "per-slot participation bytes) for a native-built schedule."},
+    {"replay_item", replay_item, METH_VARARGS,
+     "Replay one catalogue item's trace-generator draws after its "
+     "Poisson count through the bound random(); returns the kept "
+     "sessions' (starts, durations, viewer indices) arrays."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1258,11 +1498,17 @@ static struct PyModuleDef ckernel_module = {
     PyModuleDef_HEAD_INIT,
     "repro.sim._ckernel",
     "Compiled columnar swarm sweep (bit-for-bit replay of the object "
-    "kernel; see repro/sim/kernel_columns.py).",
+    "kernel; see repro/sim/kernel_columns.py) and trace-generator draw "
+    "replay (see repro/trace/generator.py).",
     -1,
     ckernel_methods,
 };
 
 PyMODINIT_FUNC PyInit__ckernel(void) {
+    PyObject *array_module = PyImport_ImportModule("array");
+    if (!array_module) return NULL;
+    array_type = PyObject_GetAttrString(array_module, "array");
+    Py_DECREF(array_module);
+    if (!array_type) return NULL;
     return PyModule_Create(&ckernel_module);
 }

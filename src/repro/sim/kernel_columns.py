@@ -26,7 +26,9 @@ The extension is optional and looked up once, at import time: when
 and :func:`repro.sim.kernel._compiled_path` routes ``kernel="auto"``
 configs here; otherwise every config runs the object kernel, with
 identical results.  ``REPRO_NO_CKERNEL=1`` hides a built extension (the
-equivalence tests use it to exercise both installs).  The schedule
+equivalence tests use it to exercise both installs).  This is the one
+place that decides whether the extension is loaded: the trace
+generator reads :data:`_ckernel` from here for its draw replay too.  The schedule
 builders exist in python as well as in C: the C builders decline
 lingering seeds (participation is a python hash), and the python-built
 schedule then runs on the same C sweep.

@@ -9,7 +9,8 @@ simulated capacities fluctuate around the Little's-law mean.
 :class:`DiurnalProfile` maps a time offset (seconds from the trace epoch)
 to a relative arrival intensity and supports inverse-CDF sampling of
 arrival times over a horizon, which is how the generator spreads each
-item's sessions over the month.
+item's sessions over the month (``_sample_times`` is that sampler's
+python reference; the compiled extension replays it bit for bit).
 """
 
 from __future__ import annotations
@@ -102,18 +103,26 @@ class DiurnalProfile:
         """
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
-        cumulative = self.hourly_cumulative(horizon)
-        total = cumulative[-1]
-        times = []
-        for _ in range(count):
-            point = rng.random() * total
-            hour = bisect.bisect_right(cumulative, point) - 1
-            hour = min(hour, len(cumulative) - 2)
-            mass = cumulative[hour + 1] - cumulative[hour]
-            frac = (point - cumulative[hour]) / mass if mass > 0 else rng.random()
-            t = (hour + frac) * SECONDS_PER_HOUR
-            times.append(min(t, horizon - 1e-6))
-        return times
+        return _sample_times(self.hourly_cumulative(horizon), count, horizon, rng)
+
+
+def _sample_times(
+    cumulative: List[float], count: int, horizon: float, rng: random.Random
+) -> List[float]:
+    """:meth:`DiurnalProfile.sample_times` over a prebuilt
+    :meth:`~DiurnalProfile.hourly_cumulative` table, which the trace
+    generator builds once per trace instead of once per item."""
+    total = cumulative[-1]
+    times = []
+    for _ in range(count):
+        point = rng.random() * total
+        hour = bisect.bisect_right(cumulative, point) - 1
+        hour = min(hour, len(cumulative) - 2)
+        mass = cumulative[hour + 1] - cumulative[hour]
+        frac = (point - cumulative[hour]) / mass if mass > 0 else rng.random()
+        t = (hour + frac) * SECONDS_PER_HOUR
+        times.append(min(t, horizon - 1e-6))
+    return times
 
 
 #: UK catch-up TV shape: evening peak, modest weekend daytime boost.

@@ -17,6 +17,17 @@ Scale is set by ``num_users`` / ``expected_sessions`` -- defaults are
 roughly 1:100 of the paper's London month (Table I), which keeps every
 experiment laptop-sized while exercising identical code paths.  All
 randomness flows from a single seed: traces are fully reproducible.
+
+When the optional compiled extension ``repro.sim._ckernel`` is loaded,
+each item's draws after its Poisson count (start times, viewers,
+completions) are replayed in C by ``replay_item``: it pulls every
+uniform from the generator's own ``random.Random`` and repeats
+:func:`_item_columns` -- the python semantics reference, and the path
+pure-python installs run -- float operation for float operation, so
+both yield the same sessions bit for bit.  ``repro.sim.kernel_columns``
+alone decides whether the extension is loaded (``REPRO_NO_CKERNEL=1``
+hides it); the generator reads that decision when it runs, so importing
+this module imports no simulation code.
 """
 
 from __future__ import annotations
@@ -24,12 +35,15 @@ from __future__ import annotations
 import math
 import random
 import zlib
+from array import array
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Mapping, Optional, Sequence, Tuple
+from functools import partial
+from itertools import accumulate
+from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.topology.city import CityNetwork, default_london
-from repro.trace.catalogue import Catalogue, ContentItem
-from repro.trace.diurnal import DiurnalProfile, UK_TV_PROFILE
+from repro.trace.catalogue import Catalogue
+from repro.trace.diurnal import DiurnalProfile, UK_TV_PROFILE, _sample_times
 from repro.trace.events import SECONDS_PER_DAY, Session, Trace
 from repro.trace.population import DEFAULT_DEVICE_MIX, DeviceProfile, Population
 
@@ -190,45 +204,56 @@ class TraceGenerator:
         stream keeps only what it selects.  Sessions arrive in
         generation order (grouped by content item), *not* sorted by
         start time; the simulator's canonical sharding makes the result
-        independent of that ordering.
+        independent of that ordering.  Each item's draws after its
+        Poisson count run in C when the compiled extension is loaded,
+        with the same result (see the module docstring).
         """
         catalogue = self.build_catalogue()
         population = self.build_population()
         rng = random.Random(self._derived_seed("sessions"))
-        horizon = self.config.horizon
-
-        users = list(population.users)
-        cum_weights = _cumulative(population.activity_weights())
+        config = self.config
+        horizon = config.horizon
+        # Loop invariants, built once per trace: the hourly inverse-CDF
+        # table, the activity cum_weights, the completion shape and each
+        # viewer's session fields.  A float minimum keeps clamped
+        # durations floats.
+        hourly = self.profile.hourly_cumulative(horizon)
+        cum_weights = list(accumulate(population.activity_weights()))
+        shape = (
+            config.completion_alpha,
+            config.completion_beta,
+            float(config.min_session_seconds),
+        )
+        rows = [
+            (u.user_id, u.bitrate, u.attachment, u.device.name)
+            for u in population.users
+        ]
+        replay = _compiled_replay()
+        if replay is None:
+            draw = partial(_item_columns, rng, hourly, horizon, cum_weights, *shape)
+        else:
+            hourly, cum_weights = array("d", hourly), array("d", cum_weights)
+            draw = partial(replay, rng.random, hourly, horizon, cum_weights, *shape)
 
         session_id = 0
         for item in catalogue:
             count = sample_poisson(rng, item.expected_views)
             if count == 0:
                 continue
-            times = self.profile.sample_times(count, horizon, rng)
-            viewers = rng.choices(users, cum_weights=cum_weights, k=count)
-            for start, viewer in zip(times, viewers):
-                duration = self._session_duration(item, rng)
-                duration = min(duration, horizon - start)
-                if duration < self.config.min_session_seconds:
-                    continue
+            content_id = item.content_id
+            for start, duration, viewer in zip(*draw(count, item.duration)):
+                user_id, bitrate, attachment, device = rows[viewer]
                 yield Session(
-                    session_id=session_id,
-                    user_id=viewer.user_id,
-                    content_id=item.content_id,
-                    start=start,
-                    duration=duration,
-                    bitrate=viewer.bitrate,
-                    attachment=viewer.attachment,
-                    device=viewer.device.name,
+                    session_id,
+                    user_id,
+                    content_id,
+                    start,
+                    duration,
+                    bitrate,
+                    attachment,
+                    device,
                 )
                 session_id += 1
-
-    def _session_duration(self, item: ContentItem, rng: random.Random) -> float:
-        completion = rng.betavariate(
-            self.config.completion_alpha, self.config.completion_beta
-        )
-        return max(item.duration * completion, self.config.min_session_seconds)
 
     def _derived_seed(self, stream: str) -> int:
         """Independent, stable seed per generation stream.
@@ -255,10 +280,52 @@ def generate_trace(
     return generator.generate()
 
 
-def _cumulative(weights: Sequence[float]) -> list:
-    total = 0.0
-    out = []
-    for w in weights:
-        total += w
-        out.append(total)
-    return out
+def _compiled_replay():
+    """``_ckernel.replay_item`` when the compiled extension is loaded.
+
+    Reads :mod:`repro.sim.kernel_columns`' one decision (which applies
+    ``REPRO_NO_CKERNEL``) at call time, so tests that mask it there
+    reach the python loop too.
+    """
+    from repro.sim import kernel_columns
+
+    ckernel = kernel_columns._ckernel
+    return None if ckernel is None else ckernel.replay_item
+
+
+def _item_columns(
+    rng: random.Random,
+    hourly: Sequence[float],
+    horizon: float,
+    cum_weights: Sequence[float],
+    alpha: float,
+    beta: float,
+    min_s: float,
+    count: int,
+    item_duration: float,
+) -> Tuple[List[float], List[float], List[int]]:
+    """One item's sessions after its Poisson count, as columns.
+
+    Draws ``count`` profile-shaped start times, then ``count``
+    activity-weighted viewer indices, then one Beta(``alpha``,
+    ``beta``) completion per drawn session in draw order -- dropped
+    sessions included, since their draws still advance ``rng``.  Each
+    duration is the completed share of ``item_duration``, at least
+    ``min_s``, cut at the horizon; a session cut below ``min_s`` is
+    dropped.  Returns the kept ``(starts, durations, viewers)``.
+
+    This is the semantics reference ``_ckernel.replay_item`` replays
+    bit for bit (it takes ``rng.random`` in place of ``rng``).
+    """
+    times = _sample_times(hourly, count, horizon, rng)
+    viewers = rng.choices(range(len(cum_weights)), cum_weights=cum_weights, k=count)
+    starts, durations, kept = [], [], []
+    for start, viewer in zip(times, viewers):
+        duration = max(item_duration * rng.betavariate(alpha, beta), min_s)
+        duration = min(duration, horizon - start)
+        if duration < min_s:
+            continue
+        starts.append(start)
+        durations.append(duration)
+        kept.append(viewer)
+    return starts, durations, kept

@@ -1,17 +1,26 @@
 """Tests for the synthetic trace generator."""
 
+import hashlib
+import os
 import random
+import subprocess
+import sys
+from array import array
 from collections import Counter
+from contextlib import contextmanager
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.trace.diurnal import FLAT_PROFILE
+from repro.sim import kernel_columns
+from repro.trace.diurnal import FLAT_PROFILE, UK_TV_PROFILE, DiurnalProfile
 from repro.trace.events import SECONDS_PER_DAY
 from repro.trace.generator import (
     GeneratorConfig,
     TraceGenerator,
+    _compiled_replay,
+    _item_columns,
     generate_trace,
     sample_poisson,
 )
@@ -239,3 +248,190 @@ class TestAttachmentInterning:
         first = TraceGenerator(config=SMALL).generate()
         second = TraceGenerator(config=SMALL).generate()
         assert first.sessions == second.sessions
+
+
+# ----------------------------------------------------------------------
+# The compiled replay law: _ckernel.replay_item == the python loop
+# ----------------------------------------------------------------------
+
+needs_compiled = pytest.mark.skipif(
+    not kernel_columns.HAVE_COMPILED, reason="compiled kernel not built"
+)
+
+
+@contextmanager
+def _python_loop():
+    """Mask the compiled module, as an install without it sees it."""
+    saved = kernel_columns._ckernel, kernel_columns.HAVE_COMPILED
+    kernel_columns._ckernel, kernel_columns.HAVE_COMPILED = None, False
+    try:
+        yield
+    finally:
+        kernel_columns._ckernel, kernel_columns.HAVE_COMPILED = saved
+
+
+def _sessions_digest(sessions):
+    """Hash of every session field, floats by exact repr."""
+    hasher = hashlib.sha256()
+    for session in sessions:
+        hasher.update(repr(session).encode())
+    return hasher.hexdigest()
+
+
+#: Beta shapes below, at and above 1 reach all three gammavariate
+#: branches (GS, exponential, Cheng).
+shapes = st.one_of(
+    st.sampled_from([0.3, 0.5, 1.0, 2.0, 6.0]),
+    st.floats(min_value=0.05, max_value=12.0),
+)
+
+#: Hourly weights with zero-weight hours (at least one positive).
+hourly_weights = st.lists(
+    st.sampled_from([0.0, 0.0, 0.05, 1.0, 2.4]), min_size=24, max_size=24
+).filter(lambda weights: sum(weights) > 0)
+
+profiles = st.one_of(
+    st.sampled_from([UK_TV_PROFILE, FLAT_PROFILE]),
+    st.builds(
+        DiurnalProfile,
+        hourly=hourly_weights.map(tuple),
+        weekend_multiplier=st.sampled_from([1.0, 0.5, 1.15]),
+    ),
+)
+
+configs = st.builds(
+    GeneratorConfig,
+    num_users=st.integers(min_value=1, max_value=120),
+    num_items=st.integers(min_value=1, max_value=30),
+    days=st.integers(min_value=1, max_value=3),
+    # Few items with many expected views reach sample_poisson's gauss
+    # branch (lam >= 30); many items with few views its product branch.
+    expected_sessions=st.floats(min_value=0.0, max_value=2_500.0),
+    zipf_exponent=st.floats(min_value=0.0, max_value=2.0),
+    completion_alpha=shapes,
+    completion_beta=shapes,
+    min_session_seconds=st.floats(min_value=0.5, max_value=6_000.0),
+    activity_sigma=st.floats(min_value=0.0, max_value=2.0),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+
+
+class _Scripted(random.Random):
+    """A seeded stream whose first uniforms are given."""
+
+    def __init__(self, seed, script):
+        super().__init__(seed)
+        self.script = list(script)
+
+    def random(self):
+        return self.script.pop(0) if self.script else super().random()
+
+
+@needs_compiled
+class TestCompiledReplay:
+    """The C replay of each item's draws is the python loop, bit for bit.
+
+    ``_ckernel.replay_item`` pulls every uniform from the generator's
+    own ``random.Random`` and repeats :func:`_item_columns`' float
+    operations; any divergence -- a swapped gamma draw, a missed
+    rejection, a ``min``/``max`` tie broken the other way -- desyncs
+    the stream and changes every later session.
+    """
+
+    @given(config=configs, profile=profiles)
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+    )
+    def test_compiled_stream_equals_python_loop(self, config, profile):
+        generator = TraceGenerator(config=config, profile=profile)
+        compiled = list(generator.iter_sessions())
+        with _python_loop():
+            reference = list(generator.iter_sessions())
+        assert compiled == reference
+        assert _sessions_digest(compiled) == _sessions_digest(reference)
+
+    def test_compiled_path_is_taken(self):
+        assert _compiled_replay() is not None
+        with _python_loop():
+            assert _compiled_replay() is None
+
+    @pytest.mark.parametrize("alpha, beta", [(0.5, 0.7), (1.0, 1.0), (6.0, 2.0)])
+    def test_zero_mass_hour_draws_a_second_uniform(self, alpha, beta):
+        """A point at the table's end lands in a zero-weight last hour.
+
+        ``random() * total`` never reaches ``total`` for a real stream,
+        so the scripted first uniform 1.0 forces ``mass == 0``: the
+        hour's offset is then a second uniform, and both paths must
+        consume it (equal generator states afterwards).
+        """
+        hourly = [0.0, 1.0, 3.0, 3.0]  # hours 0-2, the last weight 0
+        horizon, cum_weights = 3 * 3600.0, [0.5, 1.5, 1.75]
+        draws = (alpha, beta, 60.0, 40, 1800.0)
+        python_rng = _Scripted(3, [1.0])
+        reference = _item_columns(python_rng, hourly, horizon, cum_weights, *draws)
+        compiled_rng = _Scripted(3, [1.0])
+        compiled = _compiled_replay()(
+            compiled_rng.random,
+            array("d", hourly),
+            horizon,
+            array("d", cum_weights),
+            *draws,
+        )
+        assert [list(column) for column in compiled] == list(reference)
+        assert compiled_rng.getstate() == python_rng.getstate()
+        assert not python_rng.script and not compiled_rng.script
+        assert reference[0][0] >= 2 * 3600.0  # the zero-mass hour
+
+    def test_returns_typed_columns(self):
+        rng = random.Random(1)
+        starts, durations, viewers = _compiled_replay()(
+            rng.random, array("d", [0.0, 1.0]), 3600.0, array("d", [1.0]),
+            6.0, 2.0, 60.0, 5, 1800.0,
+        )
+        assert (starts.typecode, durations.typecode, viewers.typecode) == (
+            "d", "d", "q",
+        )
+
+    def test_invalid_inputs_raise(self):
+        replay = _compiled_replay()
+        hourly, weights = array("d", [0.0, 1.0]), array("d", [1.0])
+        rng = random.Random(1)
+        with pytest.raises(ValueError):
+            replay(rng.random, hourly, 3600.0, weights, 6.0, 2.0, 60.0, -1, 1800.0)
+        with pytest.raises(ValueError):
+            replay(rng.random, hourly, 3600.0, weights, 0.0, 2.0, 60.0, 1, 1800.0)
+        with pytest.raises(ValueError):
+            zero = array("d", [0.0])
+            replay(rng.random, hourly, 3600.0, zero, 6.0, 2.0, 60.0, 1, 1800.0)
+        with pytest.raises(ZeroDivisionError):
+            replay(lambda: 1 / 0, hourly, 3600.0, weights, 6.0, 2.0, 60.0, 1, 1800.0)
+
+    def test_compiled_stream_matches_no_ckernel_subprocess(self):
+        """A compiled install and a ``REPRO_NO_CKERNEL=1`` interpreter,
+        separated by a process boundary, generate the same trace."""
+        config = GeneratorConfig(
+            num_users=400, num_items=60, days=2, expected_sessions=3_000, seed=7
+        )
+        expected = _sessions_digest(TraceGenerator(config=config).iter_sessions())
+        code = (
+            "import hashlib\n"
+            "from repro.sim.kernel_columns import HAVE_COMPILED\n"
+            "from repro.trace.generator import GeneratorConfig, TraceGenerator\n"
+            "assert not HAVE_COMPILED\n"
+            "config = GeneratorConfig(num_users=400, num_items=60, days=2, "
+            "expected_sessions=3_000, seed=7)\n"
+            "hasher = hashlib.sha256()\n"
+            "for session in TraceGenerator(config=config).iter_sessions():\n"
+            "    hasher.update(repr(session).encode())\n"
+            "print(hasher.hexdigest())\n"
+        )
+        env = dict(os.environ, REPRO_NO_CKERNEL="1")
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(src)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == expected
