@@ -1383,6 +1383,10 @@ static PyObject *replay_item(PyObject *self, PyObject *args) {
                         "cumulative entries and >= 1 weight");
         goto done;
     }
+    if (count > PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(double)) {
+        PyErr_NoMemory();
+        goto done;
+    }
     if (alpha <= 0.0 || beta <= 0.0) {
         PyErr_SetString(PyExc_ValueError,
                         "gammavariate: alpha and beta must be > 0.0");
@@ -1416,7 +1420,7 @@ static PyObject *replay_item(PyObject *self, PyObject *args) {
         point = point * total;
         Py_ssize_t hour = bisect_right(cum, point, 0, hours) - 1;
         if (hours - 2 < hour) hour = hours - 2;
-        if (hour < 0) { /* only a point below cum[0] == 0.0 gets here */
+        if (hour < 0) { /* a point below cum[0]: no [0, 1) uniform gives one */
             PyErr_SetString(PyExc_ValueError,
                             "replay_item: point below the hourly table");
             goto done;

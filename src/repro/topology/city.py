@@ -83,13 +83,13 @@ class CityNetwork:
     # ------------------------------------------------------------------
 
     @cached_property
-    def cumulative_shares(self) -> List[float]:
+    def _cumulative_shares(self) -> List[float]:
         """Running sums of ``shares``, the inverse-CDF table of :meth:`sample_isp`."""
         return list(itertools.accumulate(self.shares))
 
     def sample_isp(self, rng: random.Random) -> ISPNetwork:
         """Draw an ISP according to market share."""
-        cumulative = self.cumulative_shares
+        cumulative = self._cumulative_shares
         point = rng.random() * cumulative[-1]
         return self.isps[bisect.bisect_right(cumulative, point)]
 

@@ -209,25 +209,18 @@ class TraceGenerator:
         with the same result (see the module docstring).
         """
         catalogue = self.build_catalogue()
-        population = self.build_population()
+        rows, cum_weights = _viewer_tables(self.build_population())
         rng = random.Random(self._derived_seed("sessions"))
         config = self.config
         horizon = config.horizon
-        # Loop invariants, built once per trace: the hourly inverse-CDF
-        # table, the activity cum_weights, the completion shape and each
-        # viewer's session fields.  A float minimum keeps clamped
-        # durations floats.
+        # Loop invariants, built once per trace.  A float minimum keeps
+        # clamped durations floats.
         hourly = self.profile.hourly_cumulative(horizon)
-        cum_weights = list(accumulate(population.activity_weights()))
         shape = (
             config.completion_alpha,
             config.completion_beta,
             float(config.min_session_seconds),
         )
-        rows = [
-            (u.user_id, u.bitrate, u.attachment, u.device.name)
-            for u in population.users
-        ]
         replay = _compiled_replay()
         if replay is None:
             draw = partial(_item_columns, rng, hourly, horizon, cum_weights, *shape)
@@ -278,6 +271,17 @@ def generate_trace(
         profile=profile or UK_TV_PROFILE,
     )
     return generator.generate()
+
+
+def _viewer_tables(population: Population) -> Tuple[List[tuple], List[float]]:
+    """Each viewer's ``(user_id, bitrate, attachment, device)`` session
+    fields, and the cumulative activity weights viewers are drawn by.
+
+    The session loop needs nothing else of the population, so the
+    ``User`` objects are not kept while sessions are drawn.
+    """
+    rows = [(u.user_id, u.bitrate, u.attachment, u.device.name) for u in population]
+    return rows, list(accumulate(population.activity_weights()))
 
 
 def _compiled_replay():
