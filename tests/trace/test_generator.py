@@ -342,7 +342,7 @@ class TestCompiledReplay:
     @settings(
         max_examples=60,
         deadline=None,
-        suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+        suppress_health_check=[HealthCheck.too_slow],
     )
     def test_compiled_stream_equals_python_loop(self, config, profile):
         generator = TraceGenerator(config=config, profile=profile)
