@@ -10,9 +10,10 @@
  * semantics reference.  Compile with -ffp-contract=off (setup.py
  * does) -- fused multiply-adds would change roundings.
  *
- * Inputs are the packed columns of a ColumnSchedule (stdlib array
- * buffers: f64 demand/supply, i64 user/member ids and event windows,
- * i32 dense codes and event sessions, i8 event kinds); the output is a
+ * Inputs are the packed columns of a ColumnSchedule, which build() and
+ * decode_build() below produce (f64 demand/supply, i64 user/member ids,
+ * i32 user slots and dense scope codes, and one sorted i64 event column
+ * packed as (window << 34) | (kind << 32) | session); the output is a
  * flat tuple the python side materializes into a SwarmOutput.  Dict
  * insertion orders are reproduced via first-touch order stamps
  * (per-layer peer bits, per-day ledgers, per-user traffic).
@@ -30,7 +31,7 @@
 
 #define K_REMOVE 0
 #define K_DEMOTE 1
-/* kind 2 is ADD (anything not remove/demote). */
+#define K_ADD 2 /* the sweep treats any kind but remove/demote as add */
 
 #define N_LAYERS 4 /* EXCHANGE, POP, CORE, SERVER -- phase index == layer */
 
@@ -173,15 +174,17 @@ static int check_len(const Py_buffer *buf, Py_ssize_t count,
 }
 
 /* ------------------------------------------------------------------ */
-/* Columnar schedule builder: the fast path for ColumnSchedule.        */
-/* Reads Session slots directly via member-descriptor offsets and      */
-/* replays the python builder's arithmetic exactly.  Declines (returns */
-/* None) whenever any assumption fails -- odd session types, non-float */
-/* times, huge windows -- and the python builder takes over.           */
+/* Columnar schedule builder.  Two front ends -- build() over Session  */
+/* slots, decode_build() over raw 56-byte store records -- feed one    */
+/* per-session core (Sched) that replays kernel.py's _build_events     */
+/* exactly, lingering seeds included.  Both return None to decline: a  */
+/* window at or past 2^29, a field that is not a float or a machine-   */
+/* width int, mixed session types, or a big-endian host; the task then */
+/* runs on the object kernel.                                          */
 
-/* Open-addressing map from uint64 keys (user ids, attachment pointers,
- * bitrate bit patterns) to dense int32 codes; capacity 2x expected
- * inserts keeps the load factor under 50%. */
+/* Open-addressing map from uint64 keys (user ids, scope keys,
+ * attachment pointers, bitrate bit patterns) to dense int32 codes;
+ * capacity 2x expected inserts keeps the load factor under 50%. */
 typedef struct {
     uint64_t *keys;
     int32_t *vals;
@@ -205,28 +208,21 @@ static void u64map_free(U64Map *m) {
     free(m->used);
 }
 
-/* Returns the probe slot for key; *found says whether it holds key. */
-static uint64_t u64map_probe(const U64Map *m, uint64_t key, int *found) {
+/* The first-encounter dense code of `key`: a new key gets *count, which
+ * then advances (so a caller sees a new key as *count moving). */
+static int32_t dense_code(U64Map *m, uint64_t key, int32_t *count) {
     uint64_t i = (key * UINT64_C(0x9E3779B97F4A7C15) >> 29) & m->mask;
     while (m->used[i]) {
-        if (m->keys[i] == key) {
-            *found = 1;
-            return i;
-        }
+        if (m->keys[i] == key) return m->vals[i];
         i = (i + 1) & m->mask;
     }
-    *found = 0;
-    return i;
-}
-
-static void u64map_set(U64Map *m, uint64_t slot, uint64_t key, int32_t val) {
-    m->used[slot] = 1;
-    m->keys[slot] = key;
-    m->vals[slot] = val;
+    m->used[i] = 1;
+    m->keys[i] = key;
+    return m->vals[i] = (*count)++;
 }
 
 /* Offset of a T_OBJECT(_EX) slot member, or -1 when `name` is not a
- * plain member descriptor on `tp` (caller declines to python). */
+ * plain member descriptor on `tp` (build declines). */
 static Py_ssize_t member_offset(PyTypeObject *tp, const char *name) {
     PyObject *descr = PyObject_GetAttrString((PyObject *)tp, name);
     if (!descr) {
@@ -243,7 +239,7 @@ static Py_ssize_t member_offset(PyTypeObject *tp, const char *name) {
 }
 
 /* CPython's float floor-division (floatobject.c float_divmod), so that
- * int(start // dtau) here is bit-for-bit the python builder's value. */
+ * int(start // dtau) here is bit-for-bit the object kernel's value. */
 static double py_float_floordiv(double vx, double wx) {
     double mod = fmod(vx, wx);
     double div = (vx - mod) / wx;
@@ -266,260 +262,269 @@ static int cmp_i64(const void *a, const void *b) {
     return (x > y) - (x < y);
 }
 
-/* Dense first-encounter code for `key` in dict `of` (the canonical
- * scope-key maps: equality, not identity, decides code sharing). */
-static int dense_code(PyObject *of, PyObject *key, int32_t *out) {
-    PyObject *val = PyDict_GetItemWithError(of, key);
-    if (val) {
-        long code = PyLong_AsLong(val);
-        if (code == -1 && PyErr_Occurred()) return -1;
-        *out = (int32_t)code;
-        return 0;
+/* An exact python int that fits int64 -> 0; anything else -> 1. */
+static int exact_i64(PyObject *o, int64_t *out) {
+    int overflow = 0;
+    if (!o || !PyLong_CheckExact(o)) return 1;
+    *out = PyLong_AsLongLongAndOverflow(o, &overflow);
+    return overflow != 0;
+}
+
+/* Events are packed into int64 as (w << 34) | ...; a wider swarm
+ * declines to the object kernel. */
+#define BUILD_WINDOW_LIMIT ((int64_t)1 << 29)
+
+/* One schedule under construction.  Scope codes are first-encounter
+ * dense codes over integer keys -- (isp << 32 | exchange), (isp << 32 |
+ * pop), isp -- where isp is any number bijective with the ISP name
+ * within the swarm (the store's interned isp_ref, or build()'s own
+ * first-encounter code), so both front ends assign the codes that the
+ * object matcher's string-keyed scopes imply. */
+typedef struct {
+    double dtau, linger;
+    PyObject *participates; /* borrowed: config.participates */
+    double *demand, *distinct;
+    int64_t *uid, *mid, *ev;
+    int32_t *slot, *exc, *popc, *ispc, *bcode;
+    uint8_t *lingers; /* per user slot: participates(uid), when lingering */
+    U64Map slot_map, ex_map, pop_map, isp_map, rate_map;
+    PyObject *slot_users;
+    int32_t num_slots, num_ex, num_pop, num_isp, num_rates;
+    Py_ssize_t num_ev;
+    int64_t max_window;
+    double dur_total;
+} Sched;
+
+static void sched_free(Sched *b) {
+    free(b->demand);
+    free(b->distinct);
+    free(b->uid);
+    free(b->mid);
+    free(b->ev);
+    free(b->slot);
+    free(b->exc);
+    free(b->popc);
+    free(b->ispc);
+    free(b->bcode);
+    free(b->lingers);
+    u64map_free(&b->slot_map);
+    u64map_free(&b->ex_map);
+    u64map_free(&b->pop_map);
+    u64map_free(&b->isp_map);
+    u64map_free(&b->rate_map);
+    Py_XDECREF(b->slot_users);
+}
+
+/* 0, or -1 with an exception set; sched_free is safe either way. */
+static int sched_init(Sched *b, Py_ssize_t n, double dtau, double linger,
+                      PyObject *participates) {
+    memset(b, 0, sizeof(*b));
+    b->dtau = dtau;
+    b->linger = linger;
+    b->participates = participates;
+    b->demand = malloc(n * sizeof(double));
+    b->distinct = malloc(n * sizeof(double));
+    b->uid = malloc(n * sizeof(int64_t));
+    b->mid = malloc(n * sizeof(int64_t));
+    b->ev = malloc(3 * n * sizeof(int64_t)); /* add, demote, remove */
+    b->slot = malloc(n * sizeof(int32_t));
+    b->exc = malloc(n * sizeof(int32_t));
+    b->popc = malloc(n * sizeof(int32_t));
+    b->ispc = malloc(n * sizeof(int32_t));
+    b->bcode = malloc(n * sizeof(int32_t));
+    b->lingers = malloc(n);
+    if (!b->demand || !b->distinct || !b->uid || !b->mid || !b->ev ||
+        !b->slot || !b->exc || !b->popc || !b->ispc || !b->bcode ||
+        !b->lingers || u64map_init(&b->slot_map, n) < 0 ||
+        u64map_init(&b->ex_map, n) < 0 || u64map_init(&b->pop_map, n) < 0 ||
+        u64map_init(&b->isp_map, n) < 0 || u64map_init(&b->rate_map, n) < 0) {
+        PyErr_NoMemory();
+        return -1;
     }
-    if (PyErr_Occurred()) return -1;
-    Py_ssize_t code = PyDict_GET_SIZE(of);
-    val = PyLong_FromSsize_t(code);
-    if (!val) return -1;
-    int rc = PyDict_SetItem(of, key, val);
-    Py_DECREF(val);
-    if (rc < 0) return -1;
-    *out = (int32_t)code;
+    b->slot_users = PyList_New(0);
+    return b->slot_users ? 0 : -1;
+}
+
+/* Add session i.  Returns 0, 1 to decline, or -1 with an exception. */
+static int sched_add(Sched *b, Py_ssize_t i, double start, double duration,
+                     double rate, int64_t uval, int64_t sval, uint64_t isp,
+                     uint64_t pop, uint64_t exchange) {
+    b->dur_total += duration;
+    double end = start + duration;
+    double fdiv = py_float_floordiv(start, b->dtau);
+    double ce = ceil(end / b->dtau);
+    if (!(fdiv >= 0.0) || fdiv >= (double)BUILD_WINDOW_LIMIT ||
+        !(ce >= 0.0) || ce >= (double)BUILD_WINDOW_LIMIT)
+        return 1;
+    int64_t w_start = (int64_t)fdiv;
+    int64_t w_end = (int64_t)ce;
+    if (w_end <= w_start) w_end = w_start + 1;
+
+    int32_t slots = b->num_slots;
+    int32_t s = dense_code(&b->slot_map, (uint64_t)uval, &b->num_slots);
+    if (b->num_slots != slots) {
+        PyObject *uo = PyLong_FromLongLong((long long)uval);
+        int lingers = 0;
+        if (!uo || PyList_Append(b->slot_users, uo) < 0) {
+            lingers = -1;
+        } else if (b->linger > 0.0) {
+            PyObject *r = PyObject_CallOneArg(b->participates, uo);
+            lingers = r ? PyObject_IsTrue(r) : -1;
+            Py_XDECREF(r);
+        }
+        Py_XDECREF(uo);
+        if (lingers < 0) return -1;
+        b->lingers[s] = (uint8_t)lingers;
+    }
+    /* A lingering participant demotes at w_end and is removed at
+     * ceil((end + linger) / dtau) when that is later; everyone else is
+     * removed at w_end. */
+    b->ev[b->num_ev++] = (w_start << 34) | ((int64_t)K_ADD << 32) | i;
+    int64_t w_remove = w_end;
+    if (b->linger > 0.0 && b->lingers[s]) {
+        double cl = ceil((end + b->linger) / b->dtau);
+        if (!(cl >= 0.0) || cl >= (double)BUILD_WINDOW_LIMIT) return 1;
+        if ((int64_t)cl > w_end) {
+            b->ev[b->num_ev++] = (w_end << 34) | ((int64_t)K_DEMOTE << 32) | i;
+            w_remove = (int64_t)cl;
+        }
+    }
+    b->ev[b->num_ev++] = (w_remove << 34) | ((int64_t)K_REMOVE << 32) | i;
+    if (w_remove > b->max_window) b->max_window = w_remove;
+
+    b->demand[i] = rate * b->dtau;
+    b->uid[i] = uval;
+    b->mid[i] = sval;
+    b->slot[i] = s;
+    b->exc[i] = dense_code(&b->ex_map, isp << 32 | exchange, &b->num_ex);
+    b->popc[i] = dense_code(&b->pop_map, isp << 32 | pop, &b->num_pop);
+    b->ispc[i] = dense_code(&b->isp_map, isp, &b->num_isp);
+    uint64_t rbits;
+    memcpy(&rbits, &rate, 8);
+    int32_t rates = b->num_rates;
+    b->bcode[i] = dense_code(&b->rate_map, rbits, &b->num_rates);
+    if (b->num_rates != rates) b->distinct[rates] = rate;
     return 0;
 }
 
-static int resolve_attachment(PyObject *att, PyObject *ex_of, PyObject *pop_of,
-                              PyObject *isp_of, int32_t *ex, int32_t *pop,
-                              int32_t *isp) {
-    PyObject *isp_o = PyObject_GetAttrString(att, "isp");
-    if (!isp_o) return -1;
-    PyObject *exch_o = PyObject_GetAttrString(att, "exchange");
-    PyObject *pop_o = exch_o ? PyObject_GetAttrString(att, "pop") : NULL;
-    PyObject *key_ex = pop_o ? PyTuple_Pack(2, isp_o, exch_o) : NULL;
-    PyObject *key_pop = key_ex ? PyTuple_Pack(2, isp_o, pop_o) : NULL;
-    int rc = -1;
-    if (key_pop && dense_code(ex_of, key_ex, ex) == 0 &&
-        dense_code(pop_of, key_pop, pop) == 0 &&
-        dense_code(isp_of, isp_o, isp) == 0)
-        rc = 0;
-    Py_XDECREF(key_ex);
-    Py_XDECREF(key_pop);
-    Py_DECREF(isp_o);
-    Py_XDECREF(exch_o);
-    Py_XDECREF(pop_o);
-    return rc;
+/* The 16-tuple ColumnSchedule wraps: the eight sweep columns, bitrate
+ * codes, distinct bitrates, slot users, scope counts, the mean duration
+ * and the last event window (which sizes the sweep's day arrays). */
+static PyObject *sched_result(Sched *b, Py_ssize_t n) {
+    qsort(b->ev, (size_t)b->num_ev, sizeof(int64_t), cmp_i64);
+    PyObject *distinct = PyList_New(b->num_rates);
+    if (!distinct) return NULL;
+    for (int32_t k = 0; k < b->num_rates; k++) {
+        PyObject *f = PyFloat_FromDouble(b->distinct[k]);
+        if (!f) {
+            Py_DECREF(distinct);
+            return NULL;
+        }
+        PyList_SET_ITEM(distinct, k, f);
+    }
+    Py_ssize_t f64 = n * sizeof(double), i64 = n * sizeof(int64_t),
+               i32 = n * sizeof(int32_t);
+    PyObject *result = Py_BuildValue(
+        "(y#y#y#y#y#y#y#y#y#OOnnndL)", (char *)b->demand, f64,
+        (char *)b->uid, i64, (char *)b->mid, i64, (char *)b->slot, i32,
+        (char *)b->exc, i32, (char *)b->popc, i32, (char *)b->ispc, i32,
+        (char *)b->ev, b->num_ev * (Py_ssize_t)sizeof(int64_t),
+        (char *)b->bcode, i32, distinct, b->slot_users,
+        (Py_ssize_t)b->num_ex, (Py_ssize_t)b->num_pop, (Py_ssize_t)b->num_isp,
+        b->dur_total / (double)n, (long long)b->max_window);
+    Py_DECREF(distinct);
+    return result;
 }
 
-/* Compiled-path windows are packed into int64 as (w << 34) | ...; a
- * wider swarm gets a python-built schedule, and the sweep declines it
- * to the object kernel. */
-#define BUILD_WINDOW_LIMIT ((int64_t)1 << 29)
+/* build()'s integer scope keys for one attachment: its ISP's
+ * first-encounter code in isp_of (python equality, as the object
+ * matcher's scope keys compare) and its pop and exchange, which must be
+ * ints in [0, 2^32) like the store's u32 fields.  Returns 0, 1 to
+ * decline, or -1 with an exception. */
+static int attachment_keys(PyObject *att, PyObject *isp_of, uint64_t *keys) {
+    PyObject *isp = PyObject_GetAttrString(att, "isp");
+    if (!isp) return -1;
+    PyObject *fresh = PyLong_FromSsize_t(PyDict_GET_SIZE(isp_of));
+    PyObject *code = fresh ? PyDict_SetDefault(isp_of, isp, fresh) : NULL;
+    if (code) keys[0] = (uint64_t)PyLong_AsSsize_t(code); /* borrowed */
+    Py_DECREF(isp);
+    Py_XDECREF(fresh);
+    if (!code) return -1;
+    for (int k = 1; k < 3; k++) {
+        PyObject *v = PyObject_GetAttrString(att, k == 1 ? "pop" : "exchange");
+        int64_t value = -1;
+        if (!v) return -1;
+        int decline = exact_i64(v, &value);
+        Py_DECREF(v);
+        if (decline || value < 0 || value > (int64_t)UINT32_MAX) return 1;
+        keys[k] = (uint64_t)value;
+    }
+    return 0;
+}
 
 static PyObject *build(PyObject *self, PyObject *args) {
-    PyObject *seq_in;
-    double dtau;
-    if (!PyArg_ParseTuple(args, "Od", &seq_in, &dtau)) return NULL;
+    PyObject *seq_in, *participates;
+    double dtau, linger;
+    if (!PyArg_ParseTuple(args, "OddO", &seq_in, &dtau, &linger,
+                          &participates))
+        return NULL;
     if (dtau <= 0.0) Py_RETURN_NONE;
     PyObject *seq = PySequence_Fast(seq_in, "sessions must be a sequence");
     if (!seq) return NULL;
     Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
-    if (n <= 0 || n > INT32_MAX) {
-        Py_DECREF(seq);
-        Py_RETURN_NONE;
-    }
     PyObject **items = PySequence_Fast_ITEMS(seq);
-    PyTypeObject *tp = Py_TYPE(items[0]);
-    Py_ssize_t off_start = member_offset(tp, "start");
-    Py_ssize_t off_dur = member_offset(tp, "duration");
-    Py_ssize_t off_rate = member_offset(tp, "bitrate");
-    Py_ssize_t off_uid = member_offset(tp, "user_id");
-    Py_ssize_t off_sid = member_offset(tp, "session_id");
-    Py_ssize_t off_att = member_offset(tp, "attachment");
-    if (off_start < 0 || off_dur < 0 || off_rate < 0 || off_uid < 0 ||
-        off_sid < 0 || off_att < 0) {
+    PyTypeObject *tp = n > 0 ? Py_TYPE(items[0]) : NULL;
+    static const char *fields[6] = {"start",   "duration",   "bitrate",
+                                    "user_id", "session_id", "attachment"};
+    Py_ssize_t off[6];
+    int slotted = n > 0 && n <= INT32_MAX;
+    for (int k = 0; k < 6 && slotted; k++)
+        slotted = (off[k] = member_offset(tp, fields[k])) >= 0;
+    if (!slotted) {
         Py_DECREF(seq);
         Py_RETURN_NONE;
     }
 
-    double *demand = malloc(n * sizeof(double));
-    int64_t *uid = malloc(n * sizeof(int64_t));
-    int64_t *mid = malloc(n * sizeof(int64_t));
-    int32_t *slot = malloc(n * sizeof(int32_t));
-    int32_t *exc = malloc(n * sizeof(int32_t));
-    int32_t *popc = malloc(n * sizeof(int32_t));
-    int32_t *ispc = malloc(n * sizeof(int32_t));
-    int32_t *bcode = malloc(n * sizeof(int32_t));
-    int64_t *ev = malloc(2 * n * sizeof(int64_t));
-    double *distinct = malloc(n * sizeof(double));
-    int32_t *att_ex = malloc(n * sizeof(int32_t));
-    int32_t *att_pop = malloc(n * sizeof(int32_t));
-    int32_t *att_isp = malloc(n * sizeof(int32_t));
-    U64Map slot_map = {0}, att_map = {0}, rate_map = {0};
-    PyObject *slot_users = NULL, *ex_of = NULL, *pop_of = NULL, *isp_of = NULL;
-    PyObject *distinct_list = NULL, *result = NULL;
-    int decline = 0;
-
-    if (!demand || !uid || !mid || !slot || !exc || !popc || !ispc || !bcode ||
-        !ev || !distinct || !att_ex || !att_pop || !att_isp ||
-        u64map_init(&slot_map, n) < 0 || u64map_init(&att_map, n) < 0 ||
-        u64map_init(&rate_map, n) < 0) {
+    Sched b;
+    U64Map att_map = {0};
+    uint64_t *att_keys = malloc(3 * n * sizeof(uint64_t));
+    PyObject *isp_of = PyDict_New(), *result = NULL;
+    int32_t num_att = 0;
+    int rc = sched_init(&b, n, dtau, linger, participates);
+    if (rc == 0 && (!att_keys || u64map_init(&att_map, n) < 0)) {
         PyErr_NoMemory();
-        goto done;
+        rc = -1;
     }
-    slot_users = PyList_New(0);
-    ex_of = PyDict_New();
-    pop_of = PyDict_New();
-    isp_of = PyDict_New();
-    if (!slot_users || !ex_of || !pop_of || !isp_of) goto done;
-
-    int32_t num_slots = 0, num_att = 0, num_rates = 0;
-    int64_t max_window = 0;
-    double dur_total = 0.0;
-
-    for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *s = items[i];
-        if (Py_TYPE(s) != tp) {
-            decline = 1;
-            goto done;
-        }
-        PyObject *v_start = *(PyObject **)((char *)s + off_start);
-        PyObject *v_dur = *(PyObject **)((char *)s + off_dur);
-        PyObject *v_rate = *(PyObject **)((char *)s + off_rate);
-        PyObject *v_uid = *(PyObject **)((char *)s + off_uid);
-        PyObject *v_sid = *(PyObject **)((char *)s + off_sid);
-        PyObject *att = *(PyObject **)((char *)s + off_att);
-        if (!v_start || !v_dur || !v_rate || !v_uid || !v_sid || !att ||
-            !PyFloat_CheckExact(v_start) || !PyFloat_CheckExact(v_dur) ||
-            !PyFloat_CheckExact(v_rate) || !PyLong_CheckExact(v_uid) ||
-            !PyLong_CheckExact(v_sid)) {
-            decline = 1;
-            goto done;
-        }
-        double start = PyFloat_AS_DOUBLE(v_start);
-        double duration = PyFloat_AS_DOUBLE(v_dur);
-        double rate = PyFloat_AS_DOUBLE(v_rate);
-        dur_total += duration;
-        double end = start + duration;
-        double fdiv = py_float_floordiv(start, dtau);
-        double ce = ceil(end / dtau);
-        if (!(fdiv >= 0.0) || fdiv >= (double)BUILD_WINDOW_LIMIT ||
-            !(ce >= 0.0) || ce >= (double)BUILD_WINDOW_LIMIT) {
-            decline = 1;
-            goto done;
-        }
-        int64_t w_start = (int64_t)fdiv;
-        int64_t w_end = (int64_t)ce;
-        if (w_end <= w_start) w_end = w_start + 1;
-        if (w_end > max_window) max_window = w_end;
-        ev[2 * i] = (w_start << 34) | ((int64_t)2 << 32) | (int64_t)i;
-        ev[2 * i + 1] = (w_end << 34) | (int64_t)i; /* K_REMOVE == 0 */
-        demand[i] = rate * dtau;
-
-        int64_t uval = PyLong_AsLongLong(v_uid);
-        if (uval == -1 && PyErr_Occurred()) {
-            PyErr_Clear();
-            decline = 1;
-            goto done;
-        }
-        int64_t sval = PyLong_AsLongLong(v_sid);
-        if (sval == -1 && PyErr_Occurred()) {
-            PyErr_Clear();
-            decline = 1;
-            goto done;
-        }
-        uid[i] = uval;
-        mid[i] = sval;
-
-        int found;
-        uint64_t mslot = u64map_probe(&slot_map, (uint64_t)uval, &found);
-        if (found) {
-            slot[i] = slot_map.vals[mslot];
-        } else {
-            u64map_set(&slot_map, mslot, (uint64_t)uval, num_slots);
-            if (PyList_Append(slot_users, v_uid) < 0) goto done;
-            slot[i] = num_slots++;
-        }
-
+    if (!isp_of) rc = -1;
+    for (Py_ssize_t i = 0; i < n && rc == 0; i++) {
+        PyObject *s = items[i], *v[6];
+        if ((rc = Py_TYPE(s) != tp)) break;
+        for (int k = 0; k < 6; k++) v[k] = *(PyObject **)((char *)s + off[k]);
+        int64_t uval, sval;
+        rc = !v[0] || !PyFloat_CheckExact(v[0]) || !v[1] ||
+             !PyFloat_CheckExact(v[1]) || !v[2] || !PyFloat_CheckExact(v[2]) ||
+             exact_i64(v[3], &uval) || exact_i64(v[4], &sval) || !v[5];
+        if (rc) break;
         /* Identity-keyed attachment cache; every attachment stays alive
-         * (referenced by its session) so pointers are unambiguous. */
-        uint64_t aslot =
-            u64map_probe(&att_map, (uint64_t)(uintptr_t)att, &found);
-        int32_t acode;
-        if (found) {
-            acode = att_map.vals[aslot];
-        } else {
-            if (resolve_attachment(att, ex_of, pop_of, isp_of, &att_ex[num_att],
-                                   &att_pop[num_att], &att_isp[num_att]) < 0)
-                goto done;
-            u64map_set(&att_map, aslot, (uint64_t)(uintptr_t)att, num_att);
-            acode = num_att++;
-        }
-        exc[i] = att_ex[acode];
-        popc[i] = att_pop[acode];
-        ispc[i] = att_isp[acode];
-
-        uint64_t rbits;
-        memcpy(&rbits, &rate, 8);
-        uint64_t rslot = u64map_probe(&rate_map, rbits, &found);
-        if (found) {
-            bcode[i] = rate_map.vals[rslot];
-        } else {
-            u64map_set(&rate_map, rslot, rbits, num_rates);
-            distinct[num_rates] = rate;
-            bcode[i] = num_rates++;
-        }
+         * (referenced by its session), so pointers are unambiguous. */
+        int32_t known = num_att;
+        int32_t a = dense_code(&att_map, (uint64_t)(uintptr_t)v[5], &num_att);
+        if (num_att != known)
+            rc = attachment_keys(v[5], isp_of, &att_keys[3 * a]);
+        if (rc == 0)
+            rc = sched_add(&b, i, PyFloat_AS_DOUBLE(v[0]),
+                           PyFloat_AS_DOUBLE(v[1]), PyFloat_AS_DOUBLE(v[2]),
+                           uval, sval, att_keys[3 * a], att_keys[3 * a + 1],
+                           att_keys[3 * a + 2]);
     }
-
-    qsort(ev, (size_t)(2 * n), sizeof(int64_t), cmp_i64);
-
-    distinct_list = PyList_New(num_rates);
-    if (!distinct_list) goto done;
-    for (int32_t k = 0; k < num_rates; k++) {
-        PyObject *f = PyFloat_FromDouble(distinct[k]);
-        if (!f) goto done;
-        PyList_SET_ITEM(distinct_list, k, f);
-    }
-
-    result = Py_BuildValue(
-        "(y#y#y#y#y#y#y#y#y#OOnnndL)", (char *)demand,
-        n * (Py_ssize_t)sizeof(double), (char *)uid,
-        n * (Py_ssize_t)sizeof(int64_t), (char *)mid,
-        n * (Py_ssize_t)sizeof(int64_t), (char *)slot,
-        n * (Py_ssize_t)sizeof(int32_t), (char *)exc,
-        n * (Py_ssize_t)sizeof(int32_t), (char *)popc,
-        n * (Py_ssize_t)sizeof(int32_t), (char *)ispc,
-        n * (Py_ssize_t)sizeof(int32_t), (char *)ev,
-        2 * n * (Py_ssize_t)sizeof(int64_t), (char *)bcode,
-        n * (Py_ssize_t)sizeof(int32_t), distinct_list, slot_users,
-        (Py_ssize_t)PyDict_GET_SIZE(ex_of), (Py_ssize_t)PyDict_GET_SIZE(pop_of),
-        (Py_ssize_t)PyDict_GET_SIZE(isp_of), dur_total / (double)n,
-        (long long)max_window);
-
-done:
-    free(demand);
-    free(uid);
-    free(mid);
-    free(slot);
-    free(exc);
-    free(popc);
-    free(ispc);
-    free(bcode);
-    free(ev);
-    free(distinct);
-    free(att_ex);
-    free(att_pop);
-    free(att_isp);
-    u64map_free(&slot_map);
+    if (rc == 0) result = sched_result(&b, n);
+    sched_free(&b);
     u64map_free(&att_map);
-    u64map_free(&rate_map);
-    Py_XDECREF(slot_users);
-    Py_XDECREF(ex_of);
-    Py_XDECREF(pop_of);
+    free(att_keys);
     Py_XDECREF(isp_of);
-    Py_XDECREF(distinct_list);
     Py_DECREF(seq);
-    if (result) return result;
-    if (decline && !PyErr_Occurred()) Py_RETURN_NONE;
-    return NULL;
+    if (rc == 1) Py_RETURN_NONE;
+    return result;
 }
 
 /* Fused zero-object ingest: decode raw 56-byte store records and build
@@ -530,19 +535,18 @@ done:
  * duration@28 (f64), bitrate@36 (f64), isp_ref@44 (u16), pop@46 (u32),
  * exchange@50 (u32), device_ref@54 (u16).  Packed little-endian, so the
  * doubles are unaligned (memcpy each field) and a big-endian host
- * declines to the python path.
- *
- * Scope codes are first-encounter dense codes over integer keys --
- * (isp_ref << 32 | exchange), (isp_ref << 32 | pop), isp_ref -- which
- * equal the string-keyed codes the python builders assign, because the
- * store's interned string table is a bijection within one file. */
+ * declines.  The store interns ISP names first-encounter per file, so
+ * isp_ref is bijective with the name. */
 #define DB_RECORD_SIZE 56
 
 static PyObject *decode_build(PyObject *self, PyObject *args) {
     Py_buffer buf;
     Py_ssize_t n;
-    double dtau;
-    if (!PyArg_ParseTuple(args, "y*nd", &buf, &n, &dtau)) return NULL;
+    double dtau, linger;
+    PyObject *participates;
+    if (!PyArg_ParseTuple(args, "y*nddO", &buf, &n, &dtau, &linger,
+                          &participates))
+        return NULL;
     const uint16_t endian_probe = 1;
     if (dtau <= 0.0 || n <= 0 || n > INT32_MAX ||
         buf.len != n * DB_RECORD_SIZE ||
@@ -551,38 +555,11 @@ static PyObject *decode_build(PyObject *self, PyObject *args) {
         Py_RETURN_NONE;
     }
 
-    double *demand = malloc(n * sizeof(double));
-    int64_t *uid = malloc(n * sizeof(int64_t));
-    int64_t *mid = malloc(n * sizeof(int64_t));
-    int32_t *slot = malloc(n * sizeof(int32_t));
-    int32_t *exc = malloc(n * sizeof(int32_t));
-    int32_t *popc = malloc(n * sizeof(int32_t));
-    int32_t *ispc = malloc(n * sizeof(int32_t));
-    int32_t *bcode = malloc(n * sizeof(int32_t));
-    int64_t *ev = malloc(2 * n * sizeof(int64_t));
-    double *distinct = malloc(n * sizeof(double));
-    U64Map slot_map = {0}, ex_map = {0}, pop_map = {0}, isp_map = {0};
-    U64Map rate_map = {0};
-    PyObject *slot_users = NULL, *distinct_list = NULL, *result = NULL;
-    int decline = 0;
-
-    if (!demand || !uid || !mid || !slot || !exc || !popc || !ispc || !bcode ||
-        !ev || !distinct || u64map_init(&slot_map, n) < 0 ||
-        u64map_init(&ex_map, n) < 0 || u64map_init(&pop_map, n) < 0 ||
-        u64map_init(&isp_map, n) < 0 || u64map_init(&rate_map, n) < 0) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    slot_users = PyList_New(0);
-    if (!slot_users) goto done;
-
-    int32_t num_slots = 0, num_ex = 0, num_pop = 0, num_isp = 0;
-    int32_t num_rates = 0;
-    int64_t max_window = 0;
-    double dur_total = 0.0;
+    Sched b;
+    PyObject *result = NULL;
     const uint8_t *base = (const uint8_t *)buf.buf;
-
-    for (Py_ssize_t i = 0; i < n; i++) {
+    int rc = sched_init(&b, n, dtau, linger, participates);
+    for (Py_ssize_t i = 0; i < n && rc == 0; i++) {
         const uint8_t *rec = base + i * DB_RECORD_SIZE;
         int64_t sval, uval;
         double start, duration, rate;
@@ -596,128 +573,20 @@ static PyObject *decode_build(PyObject *self, PyObject *args) {
         memcpy(&isp_ref, rec + 44, 2);
         memcpy(&popv, rec + 46, 4);
         memcpy(&exchv, rec + 50, 4);
-
-        dur_total += duration;
-        double end = start + duration;
-        double fdiv = py_float_floordiv(start, dtau);
-        double ce = ceil(end / dtau);
-        if (!(fdiv >= 0.0) || fdiv >= (double)BUILD_WINDOW_LIMIT ||
-            !(ce >= 0.0) || ce >= (double)BUILD_WINDOW_LIMIT) {
-            decline = 1;
-            goto done;
-        }
-        int64_t w_start = (int64_t)fdiv;
-        int64_t w_end = (int64_t)ce;
-        if (w_end <= w_start) w_end = w_start + 1;
-        if (w_end > max_window) max_window = w_end;
-        ev[2 * i] = (w_start << 34) | ((int64_t)2 << 32) | (int64_t)i;
-        ev[2 * i + 1] = (w_end << 34) | (int64_t)i; /* K_REMOVE == 0 */
-        demand[i] = rate * dtau;
-        uid[i] = uval;
-        mid[i] = sval;
-
-        int found;
-        uint64_t mslot = u64map_probe(&slot_map, (uint64_t)uval, &found);
-        if (found) {
-            slot[i] = slot_map.vals[mslot];
-        } else {
-            PyObject *uo = PyLong_FromLongLong((long long)uval);
-            if (!uo) goto done;
-            int rc = PyList_Append(slot_users, uo);
-            Py_DECREF(uo);
-            if (rc < 0) goto done;
-            u64map_set(&slot_map, mslot, (uint64_t)uval, num_slots);
-            slot[i] = num_slots++;
-        }
-
-        uint64_t key_ex = ((uint64_t)isp_ref << 32) | (uint64_t)exchv;
-        uint64_t eslot = u64map_probe(&ex_map, key_ex, &found);
-        if (found) {
-            exc[i] = ex_map.vals[eslot];
-        } else {
-            u64map_set(&ex_map, eslot, key_ex, num_ex);
-            exc[i] = num_ex++;
-        }
-        uint64_t key_pop = ((uint64_t)isp_ref << 32) | (uint64_t)popv;
-        uint64_t pslot = u64map_probe(&pop_map, key_pop, &found);
-        if (found) {
-            popc[i] = pop_map.vals[pslot];
-        } else {
-            u64map_set(&pop_map, pslot, key_pop, num_pop);
-            popc[i] = num_pop++;
-        }
-        uint64_t islot = u64map_probe(&isp_map, (uint64_t)isp_ref, &found);
-        if (found) {
-            ispc[i] = isp_map.vals[islot];
-        } else {
-            u64map_set(&isp_map, islot, (uint64_t)isp_ref, num_isp);
-            ispc[i] = num_isp++;
-        }
-
-        uint64_t rbits;
-        memcpy(&rbits, &rate, 8);
-        uint64_t rslot = u64map_probe(&rate_map, rbits, &found);
-        if (found) {
-            bcode[i] = rate_map.vals[rslot];
-        } else {
-            u64map_set(&rate_map, rslot, rbits, num_rates);
-            distinct[num_rates] = rate;
-            bcode[i] = num_rates++;
-        }
+        rc = sched_add(&b, i, start, duration, rate, uval, sval, isp_ref,
+                       popv, exchv);
     }
-
-    qsort(ev, (size_t)(2 * n), sizeof(int64_t), cmp_i64);
-
-    distinct_list = PyList_New(num_rates);
-    if (!distinct_list) goto done;
-    for (int32_t k = 0; k < num_rates; k++) {
-        PyObject *f = PyFloat_FromDouble(distinct[k]);
-        if (!f) goto done;
-        PyList_SET_ITEM(distinct_list, k, f);
-    }
-
-    result = Py_BuildValue(
-        "(y#y#y#y#y#y#y#y#y#OOnnndL)", (char *)demand,
-        n * (Py_ssize_t)sizeof(double), (char *)uid,
-        n * (Py_ssize_t)sizeof(int64_t), (char *)mid,
-        n * (Py_ssize_t)sizeof(int64_t), (char *)slot,
-        n * (Py_ssize_t)sizeof(int32_t), (char *)exc,
-        n * (Py_ssize_t)sizeof(int32_t), (char *)popc,
-        n * (Py_ssize_t)sizeof(int32_t), (char *)ispc,
-        n * (Py_ssize_t)sizeof(int32_t), (char *)ev,
-        2 * n * (Py_ssize_t)sizeof(int64_t), (char *)bcode,
-        n * (Py_ssize_t)sizeof(int32_t), distinct_list, slot_users,
-        (Py_ssize_t)num_ex, (Py_ssize_t)num_pop, (Py_ssize_t)num_isp,
-        dur_total / (double)n, (long long)max_window);
-
-done:
-    free(demand);
-    free(uid);
-    free(mid);
-    free(slot);
-    free(exc);
-    free(popc);
-    free(ispc);
-    free(bcode);
-    free(ev);
-    free(distinct);
-    u64map_free(&slot_map);
-    u64map_free(&ex_map);
-    u64map_free(&pop_map);
-    u64map_free(&isp_map);
-    u64map_free(&rate_map);
-    Py_XDECREF(slot_users);
-    Py_XDECREF(distinct_list);
+    if (rc == 0) result = sched_result(&b, n);
+    sched_free(&b);
     PyBuffer_Release(&buf);
-    if (result) return result;
-    if (decline && !PyErr_Occurred()) Py_RETURN_NONE;
-    return NULL;
+    if (rc == 1) Py_RETURN_NONE;
+    return result;
 }
 
-/* Supply column for a native-built schedule: out[i] = rates[bcode[i]]
- * (zeroed for non-participating slots).  rates[] is computed in python
- * as upload_rate_for(bitrate) * dtau per distinct bitrate, so values
- * match the python supplies_for exactly. */
+/* Supply column of a schedule: out[i] = rates[bcode[i]] (zeroed for
+ * non-participating slots).  rates[] is computed in python as
+ * upload_rate_for(bitrate) * dtau per distinct bitrate, so values are
+ * the object kernel's supply expression exactly. */
 static PyObject *supplies_helper(PyObject *self, PyObject *args) {
     Py_ssize_t n;
     Py_buffer bcode_b, rates_b, slot_b;
@@ -805,8 +674,14 @@ static PyObject *sweep(PyObject *self, PyObject *args) {
     const int32_t *pop = pop_b.buf;
     const int32_t *ispc = isp_b.buf;
     /* Events are packed (window << 34) | (kind << 32) | session_index;
-     * integer order == (window, kind, index) lexicographic order. */
+     * integer order == (window, kind, index) lexicographic order.  The
+     * last window bounds the days the sweep accounts into. */
     const int64_t *evp = ev_b.buf;
+    if (m > 0 && (evp[m - 1] >> 34) > (int64_t)num_days * windows_per_day) {
+        PyErr_SetString(PyExc_ValueError,
+                        "sweep: an event window lies past num_days");
+        goto done;
+    }
 
     Py_ssize_t ncodes = 1;
     if (num_ex > ncodes) ncodes = num_ex;
@@ -1480,17 +1355,18 @@ static PyMethodDef ckernel_methods[] = {
      "Columnar swarm sweep over packed schedule columns; returns the "
      "flat accumulator tuple kernel_columns materializes."},
     {"build", build, METH_VARARGS,
-     "Build packed schedule columns straight from Session objects "
-     "(no-linger case); returns None when the python builder should "
-     "take over."},
+     "build(sessions, dtau, linger, participates): packed schedule "
+     "columns straight from Session slots, lingering seeds included "
+     "(participates(uid) is called once per user when linger > 0); "
+     "returns None to decline, and the task runs on the object kernel."},
     {"decode_build", decode_build, METH_VARARGS,
-     "Fused zero-object ingest: decode raw 56-byte store records and "
-     "build packed schedule columns in one pass over the extent buffer "
-     "(no-linger case); returns None when the python path should take "
-     "over."},
+     "decode_build(raw, n, dtau, linger, participates): fused "
+     "zero-object ingest, decoding n raw 56-byte store records into "
+     "build()'s packed schedule in one pass; returns None to decline, "
+     "and the task runs on the object kernel."},
     {"supplies", supplies_helper, METH_VARARGS,
      "Per-session supply column from per-bitrate rates (and optional "
-     "per-slot participation bytes) for a native-built schedule."},
+     "per-slot participation bytes) for a schedule."},
     {"replay_item", replay_item, METH_VARARGS,
      "Replay one catalogue item's trace-generator draws after its "
      "Poisson count through the bound random(); returns the kept "

@@ -319,7 +319,8 @@ class SweepStats:
             distinct ``(delta_tau, seed_linger, participation)``
             signature, versus ``tasks x configs`` for independent runs
             (see :func:`repro.sim.kernel.run_ref_multi`); 0 when no
-            config runs compiled.
+            config runs compiled, and none for a task the C builders
+            decline.
         cache_hit: the grouping layer's shard-cache outcome (see
             :attr:`repro.sim.grouping.GroupingStats.cache_hit`).
     """

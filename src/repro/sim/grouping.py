@@ -57,7 +57,6 @@ from repro.trace.store import (
     STORE_VERSION,
     Extent,
     ExternalGroupSorter,
-    SessionColumns,
     ShardManifest,
     evict_reader,
     load_manifest,
@@ -155,10 +154,6 @@ class ExtentTaskRef:
         packed schedule columns -- no ``Session`` objects anywhere.
         """
         return shared_reader(self.path).read_raw_range(self.index, self.count)
-
-    def read_columns(self) -> "SessionColumns":
-        """The extent decoded into typed columns (the python decode path)."""
-        return shared_reader(self.path).read_columns(self.index, self.count)
 
 
 class TaskPlan(ABC):

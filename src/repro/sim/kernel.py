@@ -52,7 +52,6 @@ __all__ = [
     "resolve_task",
     "run_swarm",
     "run_swarm_object",
-    "run_swarm_multi",
     "run_ref",
     "run_ref_multi",
     "run_shard",
@@ -429,7 +428,8 @@ class MultiSwarmOutput:
             config list.
         schedule_builds: packed schedules built -- one per distinct
             ``(delta_tau, seed_linger, participation)`` signature among
-            the configs on the compiled path, 0 when none is.
+            the configs on the compiled path, 0 when none is or the C
+            builder declines the task.
     """
 
     outputs: List[SwarmOutput]
@@ -451,18 +451,6 @@ def _schedule_signature(config: "SimulationConfig") -> Tuple:
         config.seed_linger_seconds,
         config.participation_rate if config.seed_linger_seconds > 0.0 else None,
     )
-
-
-def run_swarm_multi(
-    task: SwarmTask, configs: Sequence["SimulationConfig"]
-) -> MultiSwarmOutput:
-    """Simulate one resident swarm under every config of a sweep.
-
-    The resident-task spelling of :func:`run_ref_multi`, which holds
-    the sweep loop; each output is bit-for-bit the independent
-    ``run_swarm(task, config)`` call's.
-    """
-    return run_ref_multi(task, configs)
 
 
 # ----------------------------------------------------------------------
@@ -498,32 +486,38 @@ def run_ref_multi(
     grouped by :func:`_schedule_signature`; each group builds one
     :class:`~repro.sim.kernel_columns.ColumnSchedule` -- straight from
     the raw records when ``ref`` is an extent ref -- and sweeps it once
-    per config.  Every other config runs :func:`run_swarm_object` on
-    the task, decoded at most once.  Each output is bit-for-bit what
+    per config.  Every other config, and every config of a group whose
+    builder declines the task, runs :func:`run_swarm_object` on the
+    task, decoded at most once.  Each output is bit-for-bit what
     ``run_ref(ref, configs[k])`` returns.
     """
-    outputs: List[Optional[SwarmOutput]] = [None] * len(configs)
     groups: Dict[Tuple, List[int]] = {}
     columnar = None
-    task: Optional[SwarmTask] = None
     for position, config in enumerate(configs):
         compiled = _compiled_path(config)
         if compiled is not None:
             columnar = compiled
             groups.setdefault(_schedule_signature(config), []).append(position)
-            continue
-        if task is None:
-            task = resolve_task(ref)
-        outputs[position] = run_swarm_object(task, config)
+    outputs: List[Optional[SwarmOutput]] = [None] * len(configs)
+    builds = 0
     for positions in groups.values():
         schedule = columnar.schedule_from_ref(ref, configs[positions[0]])
+        if schedule is None:
+            continue
+        builds += 1
         for position in positions:
             outputs[position] = columnar.run_from_schedule(
                 ref, configs[position], schedule
             )
+    task: Optional[SwarmTask] = None
+    for position, output in enumerate(outputs):
+        if output is None:
+            if task is None:
+                task = resolve_task(ref)
+            outputs[position] = run_swarm_object(task, configs[position])
     return MultiSwarmOutput(
         outputs=outputs,  # type: ignore[arg-type] - every slot is filled
-        schedule_builds=len(groups),
+        schedule_builds=builds,
     )
 
 

@@ -5,11 +5,11 @@ object kernel (:func:`repro.sim.kernel.run_swarm_object`), the
 task-ref resolver and the reducer (:class:`repro.sim.reduce.\
 StreamingReducer`) accumulate wall-clock into the module-level
 :data:`PROFILE` singleton whenever it is enabled, split by phase:
-decode (store extent bytes -> columns, objects, or the fused
-decode+build pass), schedule build, sweep (membership timeline),
-matching (seed/fresh selection + phase drains), drain/accounting
-(ledger and per-user arithmetic), and reduce (the output fold and the
-final result build, under every reduction mode).  ``consume-local
+decode (store extent bytes -> objects, or the fused decode+build
+pass), schedule build, sweep (membership timeline), matching
+(seed/fresh selection + phase drains), drain/accounting (ledger and
+per-user arithmetic), and reduce (the output fold and the final result
+build, under every reduction mode).  ``consume-local
 simulate --profile-kernel`` and ``bench_kernel --profile`` enable it
 around a run and print the breakdown, so perf work measures instead of
 guessing.
@@ -18,7 +18,9 @@ On the zero-object ingest path the compiled ``decode_build`` fuses
 decoding and schedule construction into a single pass over the raw
 extent buffer; that whole pass is charged to ``decode_seconds`` and the
 task is counted in ``fused_tasks`` (its ``schedule_seconds`` share is
-zero by construction -- there is no separate build step to time).
+zero by construction -- there is no separate build step to time).  A
+resident task's schedule comes from the compiled ``build``, charged to
+``schedule_seconds``.
 
 Profiling is strictly observational: enabling it never changes results,
 only adds ``perf_counter`` calls around phases, and it never picks a
@@ -26,7 +28,7 @@ kernel.  The compiled sweep times its matching/accounting split
 internally (it receives a profile flag) so the breakdown stays
 meaningful on the fast path.  Swarms on the object kernel --
 ``kernel="object"``, random matching, an install without the compiled
-extension, or a task the C sweep declines -- are counted once each and
+extension, or a task the C builders decline -- are counted once each and
 their whole sweep is charged to ``sweep`` (it has no matching /
 accounting split).  ``tasks`` counts every swarm swept, on either
 kernel; ``compiled_tasks`` those swept in C.

@@ -45,7 +45,6 @@ import json
 import os
 import struct
 import threading
-from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
@@ -69,7 +68,6 @@ __all__ = [
     "RECORD_SIZE",
     "STORE_VERSION",
     "StoreCorruptionError",
-    "SessionColumns",
     "StoreWriter",
     "StoreReader",
     "Extent",
@@ -122,41 +120,6 @@ class StoreCorruptionError(ValueError):
     extent read that comes back short.  Subclasses :class:`ValueError`
     so existing ``except ValueError`` call sites keep working.
     """
-
-
-@dataclass(frozen=True)
-class SessionColumns:
-    """One extent decoded straight into typed columns -- no objects.
-
-    The zero-object ingest primitive: every numeric field of the 56-byte
-    record lands in a stdlib :class:`array.array` (``q`` for integers,
-    ``d`` for IEEE-754 doubles, both lossless round-trips of the stored
-    values), and string-valued fields stay as integer refs into the
-    store file's interned tables.  ``content_table`` / ``isp_table`` /
-    ``device_table`` are the read-only tables themselves so callers can
-    intern ``isp_table[isp_refs[i]]`` at accounting boundaries -- but the
-    hot path never has to.
-
-    Within one store file the ref <-> string mapping is bijective
-    (:class:`_StringTable` interns first-encounter), so dense codes
-    computed over integer refs are identical to codes computed over the
-    strings -- the property the columnar schedule builder relies on.
-    """
-
-    count: int
-    session_ids: array
-    user_ids: array
-    content_refs: array
-    starts: array
-    durations: array
-    bitrates: array
-    isp_refs: array
-    pops: array
-    exchanges: array
-    device_refs: array
-    content_table: Sequence[str]
-    isp_table: Sequence[str]
-    device_table: Sequence[str]
 
 
 class _StringTable:
@@ -503,37 +466,6 @@ class StoreReader:
             self.read_raw_range(index, count)
             return []
         return self._decode(self.read_raw_range(index, count), count)
-
-    def read_columns(self, index: int, count: int) -> SessionColumns:
-        """Decode ``count`` records starting at ``index`` into columns.
-
-        The pure-python half of zero-object ingest: one batched
-        ``struct.iter_unpack`` pass transposed straight into typed
-        arrays.  Field values are bit-identical to the ones
-        :meth:`read_range` would put on :class:`Session` objects; string
-        fields stay as integer refs (see :class:`SessionColumns`).
-        """
-        buffer = self.read_raw_range(index, count)
-        if count == 0:
-            columns: Tuple[Sequence, ...] = ((),) * 10
-        else:
-            columns = tuple(zip(*_RECORD.iter_unpack(buffer)))
-        return SessionColumns(
-            count=count,
-            session_ids=array("q", columns[0]),
-            user_ids=array("q", columns[1]),
-            content_refs=array("q", columns[2]),
-            starts=array("d", columns[3]),
-            durations=array("d", columns[4]),
-            bitrates=array("d", columns[5]),
-            isp_refs=array("q", columns[6]),
-            pops=array("q", columns[7]),
-            exchanges=array("q", columns[8]),
-            device_refs=array("q", columns[9]),
-            content_table=self._content,
-            isp_table=self._isp,
-            device_table=self._device,
-        )
 
     def iter_sessions(self) -> Iterator[Session]:
         """Yield every session in record order, chunk-buffered."""

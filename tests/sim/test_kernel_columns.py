@@ -8,18 +8,17 @@ in iteration order.  ``hypothesis`` drives adversarial swarms at the
 contract: window-boundary ties (integer starts against dtau grids),
 single-member swarms, sessions shorter than one window, zero-supply
 configs (upload ratio 0, participation 0), lingering seeds and
-degenerate participation.  Without the extension ``"auto"`` runs the
-object kernel and the law holds trivially.  When the compiled backend
-is built, the schedule builders are additionally pinned against each
-other (native C-built schedules vs python-built).
+degenerate participation.  With the extension built, every schedule
+comes from its C builders, lingering seeds included; without it
+``"auto"`` runs the object kernel and the law holds trivially.
 
 ``hypothesis`` is an optional dependency: the module skips without it.
 """
 
 import os
+import struct
 import subprocess
 import sys
-from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
@@ -30,8 +29,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.sim import kernel_columns
 from repro.sim.engine import KERNEL_MODES, SimulationConfig
-from repro.sim.kernel import SwarmTask, run_swarm, run_swarm_multi, run_swarm_object
-from repro.sim.kernel_columns import ColumnSchedule, run_ref_columnar
+from repro.sim.kernel import SwarmTask, run_ref_multi, run_swarm, run_swarm_object
+from repro.sim.kernel_columns import run_ref_columnar, schedule_from_ref
 from repro.sim.policies import SwarmKey
 from repro.topology.nodes import intern_attachment
 from repro.trace.events import SECONDS_PER_DAY, Session
@@ -44,16 +43,9 @@ LAW = settings(
 
 HORIZON = 2 * SECONDS_PER_DAY
 
-
-@contextmanager
-def _no_compiled_backend():
-    """Mask the compiled module, as an install without it sees it."""
-    saved = kernel_columns._ckernel, kernel_columns.HAVE_COMPILED
-    kernel_columns._ckernel, kernel_columns.HAVE_COMPILED = None, False
-    try:
-        yield
-    finally:
-        kernel_columns._ckernel, kernel_columns.HAVE_COMPILED = saved
+needs_compiled = pytest.mark.skipif(
+    not kernel_columns.HAVE_COMPILED, reason="compiled kernel not built"
+)
 
 #: Small value spaces so examples collide on users, attachments and
 #: window boundaries -- the tie-breaks and dict orders get real work.
@@ -161,7 +153,7 @@ class TestColumnarIdentityLaw:
     @given(task=swarm_tasks(), configs=st.lists(_configs, min_size=1, max_size=4))
     def test_multi_columnar_equals_object_runs(self, task, configs):
         configs = [replace(config, kernel="auto") for config in configs]
-        multi = run_swarm_multi(task, configs)
+        multi = run_ref_multi(task, configs)
         assert len(multi.outputs) == len(configs)
         if kernel_columns.HAVE_COMPILED:
             assert multi.schedule_builds >= 1
@@ -169,34 +161,8 @@ class TestColumnarIdentityLaw:
             assert_bitwise_identical(run_swarm_object(task, config), output)
 
 
-@pytest.mark.skipif(
-    not kernel_columns.HAVE_COMPILED, reason="compiled kernel not built"
-)
+@needs_compiled
 class TestCompiledBackend:
-    @settings(max_examples=25, deadline=None)
-    @given(task=swarm_tasks())
-    def test_native_build_matches_python_build(self, task):
-        """The C schedule builder packs exactly what the python builder packs."""
-        config = SimulationConfig()
-        native = ColumnSchedule(task, config)
-        with _no_compiled_backend():
-            fallback = ColumnSchedule(task, config)
-        if not native.native:
-            return  # builder declined; nothing to compare
-        assert not fallback.native
-        for native_buf, fallback_buf in zip(native.packed(), fallback.packed()):
-            assert bytes(native_buf) == bytes(fallback_buf)
-        assert native.slot_users == fallback.slot_users
-        assert native.num_users == fallback.num_users
-        assert native.num_ex == fallback.num_ex
-        assert native.num_pop == fallback.num_pop
-        assert native.num_isp == fallback.num_isp
-        assert native.num_days == fallback.num_days
-        assert native.mean_duration == fallback.mean_duration
-        assert bytes(native.supplies_for(config)) == bytes(
-            __import__("array").array("d", fallback.supplies_for(config))
-        )
-
     def test_no_ckernel_env_disables_compiled(self):
         """REPRO_NO_CKERNEL hides the compiled module at import."""
         code = (
@@ -229,18 +195,14 @@ class TestColumnSchedule:
             attachment=attachment or intern_attachment("ISP-1", 0, 0),
         )
 
+    @needs_compiled
     def test_events_sorted_and_windows_match_object_expressions(self):
         config = SimulationConfig(delta_tau=60.0)
         task = self._task(
             [self._session(0, 1, 30.0, 45.0), self._session(1, 2, 59.0, 300.0)]
         )
-        schedule = ColumnSchedule(task, config)
-        if schedule.native:
-            import struct
-
-            events = list(struct.unpack("<4q", bytes(schedule.packed()[7])))
-        else:
-            events = schedule.ev_enc
+        schedule = schedule_from_ref(task, config)
+        events = list(struct.unpack("<4q", schedule.packed[7]))
         assert events == sorted(events)
         decoded = [(e >> 34, (e >> 32) & 3, e & 0xFFFFFFFF) for e in events]
         # Session 0: [30, 75) -> windows [0, 2); session 1: [59, 359) -> [0, 6).
@@ -248,14 +210,32 @@ class TestColumnSchedule:
         assert (0, 2, 1) in decoded and (6, 0, 1) in decoded
         assert schedule.num_days == 1
 
+    @needs_compiled
     def test_sub_window_session_occupies_one_window(self):
         config = SimulationConfig(delta_tau=60.0)
         task = self._task([self._session(0, 1, 120.0, 1.0)])
-        schedule = ColumnSchedule(task, config)
+        schedule = schedule_from_ref(task, config)
         output = run_ref_columnar(task, config)
         reference = run_swarm_object(task, config)
         assert schedule.n == 1
         assert_bitwise_identical(reference, output)
+
+    @needs_compiled
+    def test_unpackable_fields_decline_to_object_kernel(self):
+        """An int start, or a pop past the u32 scope keys, declines
+        ``build``; the task runs on the object kernel, identically."""
+        config = SimulationConfig(delta_tau=60.0)
+        first = self._session(0, 1, 0.0, 300.0)
+        wide = intern_attachment("ISP-1", 2**32, 0)
+        for odd in (
+            replace(first, session_id=1, start=120),
+            replace(first, session_id=1, attachment=wide),
+        ):
+            task = self._task([first, odd])
+            assert schedule_from_ref(task, config) is None
+            assert_bitwise_identical(
+                run_swarm_object(task, config), run_ref_columnar(task, config)
+            )
 
     def test_kernel_mode_validation(self):
         assert KERNEL_MODES == ("auto", "object")
@@ -266,6 +246,6 @@ class TestColumnSchedule:
     def test_random_matching_config_uses_object_kernel_in_multi(self):
         config = SimulationConfig(locality_aware_matching=False)
         task = self._task([self._session(0, 1, 0.0, 120.0)])
-        multi = run_swarm_multi(task, [config])
+        multi = run_ref_multi(task, [config])
         assert multi.schedule_builds == 0
         assert_bitwise_identical(run_swarm_object(task, config), multi.outputs[0])

@@ -1,10 +1,10 @@
-"""Sweep equivalence: run_swarm_multi / run_sweep == K independent runs.
+"""Sweep equivalence: run_ref_multi / run_sweep == K independent runs.
 
 The sweep runtime's whole contract is "bit-for-bit identical to the
 K-independent-runs baseline, just cheaper".  This module pins that
 contract at every level:
 
-* kernel: ``run_swarm_multi`` vs K x ``run_swarm`` (hypothesis property
+* kernel: ``run_ref_multi`` vs K x ``run_swarm`` (hypothesis property
   over adversarial random swarms and config mixes -- shared users, ties,
   lingering seeds, mixed delta_tau / participation / matching flags);
 * engine: ``Simulator.run_sweep`` / ``run_sweep_stream`` vs per-config
@@ -23,9 +23,9 @@ from repro.sim.kernel import (
     MultiSwarmOutput,
     SwarmTask,
     build_tasks,
+    run_ref_multi,
     run_shard_multi,
     run_swarm,
-    run_swarm_multi,
 )
 from repro.sim.kernel_columns import HAVE_COMPILED
 from repro.sim.matching import PeerState, WindowAllocation
@@ -94,7 +94,7 @@ class TestKernelSweepEquivalence:
     def test_multi_matches_independent_runs(self, trace):
         tasks = build_tasks(trace, trace.horizon, SimulationConfig().policy)
         for task in tasks:
-            multi = run_swarm_multi(task, SWEEP_CONFIGS)
+            multi = run_ref_multi(task, SWEEP_CONFIGS)
             assert len(multi.outputs) == len(SWEEP_CONFIGS)
             for position, config in enumerate(SWEEP_CONFIGS):
                 assert_output_identical(
@@ -114,7 +114,7 @@ class TestKernelSweepEquivalence:
 
     def test_empty_config_list(self, trace):
         task = build_tasks(trace, trace.horizon, SimulationConfig().policy)[0]
-        multi = run_swarm_multi(task, [])
+        multi = run_ref_multi(task, [])
         assert multi.outputs == []
         assert multi.schedule_builds == 0
 
@@ -127,9 +127,9 @@ class TestKernelSweepEquivalence:
         task = build_tasks(trace, trace.horizon, SimulationConfig().policy)[0]
         ratios_only = [SimulationConfig(upload_ratio=r) for r in (0.2, 0.5, 1.0)]
         built = 1 if HAVE_COMPILED else 0
-        assert run_swarm_multi(task, ratios_only).schedule_builds == built
+        assert run_ref_multi(task, ratios_only).schedule_builds == built
         mixed = ratios_only + [SimulationConfig(delta_tau=30.0)]
-        assert run_swarm_multi(task, mixed).schedule_builds == 2 * built
+        assert run_ref_multi(task, mixed).schedule_builds == 2 * built
 
 
 class TestSimulatorSweep:
@@ -257,7 +257,7 @@ class TestSlotsTypesPickle:
 
     def test_multi_swarm_output_round_trip(self, trace):
         task = build_tasks(trace, trace.horizon, SimulationConfig().policy)[0]
-        multi = run_swarm_multi(task, [SimulationConfig(upload_ratio=0.4)])
+        multi = run_ref_multi(task, [SimulationConfig(upload_ratio=0.4)])
         clone = pickle.loads(pickle.dumps(multi))
         assert isinstance(clone, MultiSwarmOutput)
         assert_output_identical(multi.outputs[0], clone.outputs[0])

@@ -1,10 +1,10 @@
-"""Property test: run_swarm_multi == K x run_swarm, bit for bit.
+"""Property test: run_ref_multi == K x run_swarm, bit for bit.
 
 The sweep kernel's contract handed to ``hypothesis``: for *any* swarm
 (adversarial structure -- shared users, tying start times, lingering
 seeds) and *any* config list (mixed upload ratios, bandwidth overrides,
 participation rates, window sizes, matching flags), every output of
-``run_swarm_multi`` equals the corresponding independent ``run_swarm``
+``run_ref_multi`` equals the corresponding independent ``run_swarm``
 output exactly -- float equality on every ledger field, every (ISP,
 day) delta and every per-user delta.  ``hypothesis`` is an optional
 dependency: the module skips when it is missing.
@@ -17,7 +17,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.sim.engine import SimulationConfig
-from repro.sim.kernel import SwarmTask, run_swarm, run_swarm_multi
+from repro.sim.kernel import SwarmTask, run_ref_multi, run_swarm
 from repro.sim.policies import SwarmKey
 from repro.topology.nodes import intern_attachment
 from repro.trace.events import SECONDS_PER_DAY, Session
@@ -118,7 +118,7 @@ class TestSweepKernelLaw:
     @LAW
     @given(task=swarm_tasks(), configs=st.lists(_configs, min_size=1, max_size=6))
     def test_multi_equals_independent_runs(self, task, configs):
-        multi = run_swarm_multi(task, configs)
+        multi = run_ref_multi(task, configs)
         assert len(multi.outputs) == len(configs)
         for config, output in zip(configs, multi.outputs):
             assert_bitwise_equal(run_swarm(task, config), output)

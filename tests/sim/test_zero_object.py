@@ -2,20 +2,18 @@
 
 The zero-object path (``schedule_from_ref`` / ``run_ref``) builds the
 packed columnar schedule straight from a shard extent's raw 56-byte
-records -- through the fused C decoder when built, through typed
-stdlib-array columns otherwise -- without ever materialising a
-``Session``.  Its contract is *byte* equality: the packed columns must
-be identical to what the object-path builder
-(``ColumnSchedule(task, config)``) packs from resident sessions, and
-the swept outputs must be bit-for-bit the object kernel's.
+records in one fused C pass (``_ckernel.decode_build``), without ever
+materialising a ``Session``.  Its contract is *byte* equality: the
+packed columns must be identical to what ``_ckernel.build`` packs from
+the resident sessions, and the swept outputs must be bit-for-bit the
+object kernel's.
 
 ``hypothesis`` drives adversarial stores at the contract: duplicate
 users, window-boundary starts, sub-window durations, multi-ISP
-attachments, lingering seeds (which the fused decoder must decline
-into the column fallback).  A subprocess check pins the fused C
-decoder against a ``REPRO_NO_CKERNEL=1`` interpreter, so compiled and
-pure-python installs are provably interchangeable at the store-file
-boundary.
+attachments and lingering seeds.  A subprocess check pins compiled
+outputs against a ``REPRO_NO_CKERNEL=1`` interpreter (the object
+kernel), so compiled and pure-python installs are provably
+interchangeable at the store-file boundary.
 
 ``hypothesis`` is an optional dependency: the module skips without it.
 """
@@ -43,7 +41,6 @@ from repro.sim.kernel import (
     run_ref,
     run_ref_multi,
     run_swarm,
-    run_swarm_multi,
     run_swarm_object,
 )
 from repro.sim.kernel_columns import ColumnSchedule, schedule_from_ref
@@ -60,6 +57,10 @@ LAW = settings(
 )
 
 HORIZON = 2 * SECONDS_PER_DAY
+
+needs_compiled = pytest.mark.skipif(
+    not kernel_columns.HAVE_COMPILED, reason="compiled kernel not built"
+)
 
 
 @contextmanager
@@ -193,8 +194,8 @@ def _clean_readers():
 def _schedule_bytes(schedule: ColumnSchedule) -> bytes:
     """Everything the sweep consumes, as one comparable byte string."""
     digest = hashlib.sha256()
-    for buffer in schedule.packed():
-        digest.update(bytes(buffer))
+    for buffer in schedule.packed:
+        digest.update(buffer)
     digest.update(
         repr(
             (
@@ -211,25 +212,16 @@ def _schedule_bytes(schedule: ColumnSchedule) -> bytes:
     return digest.digest()
 
 
+@needs_compiled
 class TestPackedEqualityLaw:
     @LAW
     @given(task=swarm_tasks(), config=_configs)
     def test_ref_schedule_packs_object_schedule(self, task, config):
-        """Extent -> columns packing is byte-equal to object-path packing."""
+        """``decode_build`` over an extent packs what ``build`` packs."""
         ref = _store_ref(task)
         assert _schedule_bytes(schedule_from_ref(ref, config)) == _schedule_bytes(
-            ColumnSchedule(task, config)
+            schedule_from_ref(task, config)
         )
-
-    @LAW
-    @given(task=swarm_tasks(), config=_configs)
-    def test_ref_schedule_packs_object_schedule_pure_python(self, task, config):
-        """The same law with the compiled module masked off entirely."""
-        ref = _store_ref(task)
-        with _no_compiled_backend():
-            assert _schedule_bytes(
-                schedule_from_ref(ref, config)
-            ) == _schedule_bytes(ColumnSchedule(task, config))
 
 
 class TestZeroObjectOutputs:
@@ -285,7 +277,7 @@ class TestWithoutCompiledModule:
         object kernel, and a sweep builds no schedule."""
         ref = _store_ref(task)
         with _no_compiled_backend():
-            multi = run_swarm_multi(task, configs)
+            multi = run_ref_multi(task, configs)
             assert multi.schedule_builds == 0
             for config, output in zip(configs, multi.outputs):
                 reference = run_swarm_object(task, config)
@@ -294,13 +286,11 @@ class TestWithoutCompiledModule:
                 assert_bitwise_identical(reference, run_ref(ref, config))
 
 
-@pytest.mark.skipif(
-    not kernel_columns.HAVE_COMPILED, reason="compiled kernel not built"
-)
+@needs_compiled
 class TestWideWindowDecline:
     """Events past window ``2**29`` do not fit the C sweep's int64
-    encoding: the schedule is python-built and the task runs on the
-    object kernel instead, with identical results."""
+    encoding: both C builders decline, and the task runs on the object
+    kernel instead, with identical results."""
 
     def _task(self) -> SwarmTask:
         dtau = SimulationConfig().delta_tau
@@ -331,6 +321,7 @@ class TestWideWindowDecline:
         task = self._task()
         config = SimulationConfig()
         ref = task if entry == "task" else _store_ref(task)
+        assert schedule_from_ref(ref, config) is None
         PROFILE.reset()
         PROFILE.enabled = True
         try:
@@ -341,10 +332,30 @@ class TestWideWindowDecline:
         assert (PROFILE.tasks, PROFILE.compiled_tasks) == (1, 0)
         PROFILE.reset()
 
+    @pytest.mark.parametrize("entry", ["task", "extent"])
+    def test_sweep_runs_a_declined_task_on_object_kernel(self, entry):
+        task = self._task()
+        configs = [
+            SimulationConfig(),
+            SimulationConfig(
+                upload_ratio=0.4, seed_linger_seconds=180.0, participation_rate=0.35
+            ),
+        ]
+        ref = task if entry == "task" else _store_ref(task)
+        PROFILE.reset()
+        PROFILE.enabled = True
+        try:
+            multi = run_ref_multi(ref, configs)
+        finally:
+            PROFILE.enabled = False
+        for config, output in zip(configs, multi.outputs):
+            assert_bitwise_identical(run_swarm_object(task, config), output)
+        assert multi.schedule_builds == 0
+        assert (PROFILE.tasks, PROFILE.compiled_tasks) == (2, 0)
+        PROFILE.reset()
 
-@pytest.mark.skipif(
-    not kernel_columns.HAVE_COMPILED, reason="compiled kernel not built"
-)
+
+@needs_compiled
 class TestFusedDecoder:
     def _deterministic_task(self) -> SwarmTask:
         """200 sessions with colliding users, windows and attachments."""
@@ -374,57 +385,103 @@ class TestFusedDecoder:
             horizon=HORIZON,
         )
 
-    def test_fused_decode_matches_no_ckernel_subprocess(self):
-        """The fused C decoder equals a REPRO_NO_CKERNEL=1 interpreter.
+    def test_compiled_outputs_match_no_ckernel_subprocess(self):
+        """Compiled ``run_ref`` equals a ``REPRO_NO_CKERNEL=1`` interpreter.
 
         The strongest interchangeability statement: a compiled install
-        and a pure-python install, separated by a process boundary,
-        derive identical packed schedules from the same store file.
+        and a pure-python one (the object kernel), separated by a
+        process boundary, derive the same output digest from the same
+        store file, with and without lingering seeds.
         """
-        task = self._deterministic_task()
-        ref = _store_ref(task)
-        schedule = schedule_from_ref(ref, SimulationConfig())
-        assert schedule.native, "fused decoder unexpectedly declined"
+        ref = _store_ref(self._deterministic_task())
         code = (
-            "import hashlib\n"
             "from repro.sim.engine import SimulationConfig\n"
             "from repro.sim.grouping import ExtentTaskRef\n"
-            "from repro.sim.kernel_columns import HAVE_COMPILED, schedule_from_ref\n"
+            "from repro.sim.kernel import merge_outputs, run_ref\n"
+            "from repro.sim.kernel_columns import HAVE_COMPILED\n"
             "from repro.sim.policies import SwarmKey\n"
-            "assert not HAVE_COMPILED\n"
+            "from repro.sim.profiling import PROFILE\n"
+            "from repro.sim.service import result_digest\n"
             f"ref = ExtentTaskRef(path={ref.path!r}, index=0, "
             f"count={ref.count}, key=SwarmKey(content_id='item'), "
             f"horizon={ref.horizon!r})\n"
-            "schedule = schedule_from_ref(ref, SimulationConfig())\n"
-            "digest = hashlib.sha256()\n"
-            "for buffer in schedule.packed():\n"
-            "    digest.update(bytes(buffer))\n"
-            "digest.update(repr((schedule.slot_users, schedule.num_users, "
-            "schedule.num_ex, schedule.num_pop, schedule.num_isp, "
-            "schedule.num_days, schedule.mean_duration)).encode())\n"
-            "print(digest.hexdigest())\n"
+            "PROFILE.enabled = True\n"
+            "for config in (SimulationConfig(), SimulationConfig("
+            "seed_linger_seconds=180.0, participation_rate=0.35)):\n"
+            "    result = merge_outputs([run_ref(ref, config)], "
+            "delta_tau=config.delta_tau, horizon=ref.horizon, "
+            "upload_ratio=config.upload_ratio)\n"
+            "    print(result_digest(result))\n"
+            "print(HAVE_COMPILED, PROFILE.compiled_tasks)\n"
         )
-        env = dict(os.environ, REPRO_NO_CKERNEL="1")
         src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-        env["PYTHONPATH"] = os.path.abspath(src)
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == _schedule_bytes(schedule).hex()
+        lines = {}
+        for hidden in (False, True):
+            env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+            env.pop("REPRO_NO_CKERNEL", None)
+            if hidden:
+                env["REPRO_NO_CKERNEL"] = "1"
+            proc = subprocess.run(
+                [sys.executable, "-c", code],
+                env=env,
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            lines[hidden] = proc.stdout.split()
+        assert lines[False][-2:] == ["True", "2"]
+        assert lines[True][-2:] == ["False", "0"]
+        assert lines[False][:2] == lines[True][:2]
 
-    def test_fused_decoder_declines_lingering_seeds(self):
-        """Seed linger needs participation identity -> the column path."""
+    def test_fused_decoder_builds_lingering_seeds(self):
+        """Lingering seeds take the fused path and pack what ``build`` packs."""
         task = self._deterministic_task()
         ref = _store_ref(task)
-        config = SimulationConfig(
-            seed_linger_seconds=180.0, participation_rate=0.35
-        )
-        schedule = schedule_from_ref(ref, config)
-        assert not schedule.native
+        config = SimulationConfig(seed_linger_seconds=180.0, participation_rate=0.35)
+        PROFILE.reset()
+        PROFILE.enabled = True
+        try:
+            schedule = schedule_from_ref(ref, config)
+        finally:
+            PROFILE.enabled = False
+        assert PROFILE.fused_tasks == 1
+        PROFILE.reset()
+        assert len(schedule.packed[7]) > 2 * 8 * schedule.n  # demote events
         assert _schedule_bytes(schedule) == _schedule_bytes(
-            ColumnSchedule(task, config)
+            schedule_from_ref(task, config)
         )
+
+    def test_linger_past_midnight_matches_object_kernel(self):
+        """A linger remove after every session end sizes the day ledgers.
+
+        The last session ends at 86,390 s; at ``delta_tau`` 10 its 600 s
+        linger removes it at window 8,699, past midnight (window 8,640),
+        so the schedule spans two days although every session ends on
+        day 0.
+        """
+        attachment = intern_attachment("ISP-1", 0, 0)
+        sessions = tuple(
+            Session(
+                session_id=index,
+                user_id=index + 1,
+                content_id="item",
+                start=start,
+                duration=duration,
+                bitrate=1_500_000.0,
+                attachment=attachment,
+            )
+            for index, (start, duration) in enumerate(
+                [(85_800.0, 590.0), (86_000.0, 300.0)]
+            )
+        )
+        task = SwarmTask(
+            key=SwarmKey(content_id="item", isp="ISP-1"),
+            sessions=sessions,
+            horizon=HORIZON,
+        )
+        config = SimulationConfig(delta_tau=10.0, seed_linger_seconds=600.0)
+        reference = run_swarm_object(task, config)
+        assert ("ISP-1", 1) in reference.per_isp_day
+        for ref in (task, _store_ref(task)):
+            assert schedule_from_ref(ref, config).num_days == 2
+            assert_bitwise_identical(reference, run_ref(ref, config))

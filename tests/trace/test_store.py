@@ -176,38 +176,6 @@ class TestRawAndColumnReads:
             with pytest.raises(ValueError):
                 reader.read_raw_range(-1, 1)
 
-    def test_columns_match_decoded_sessions(self, trace, tmp_path):
-        path = write_store(trace, tmp_path / "t.store")
-        with StoreReader(path) as reader:
-            sessions = reader.read_range(5, 17)
-            columns = reader.read_columns(5, 17)
-        assert columns.count == 17
-        for i, session in enumerate(sessions):
-            assert columns.session_ids[i] == session.session_id
-            assert columns.user_ids[i] == session.user_id
-            assert (
-                columns.content_table[columns.content_refs[i]]
-                == session.content_id
-            )
-            assert columns.starts[i] == session.start
-            assert columns.durations[i] == session.duration
-            assert columns.bitrates[i] == session.bitrate
-            attachment = session.attachment
-            assert columns.isp_table[columns.isp_refs[i]] == attachment.isp
-            assert columns.pops[i] == attachment.pop
-            assert columns.exchanges[i] == attachment.exchange
-            assert (
-                columns.device_table[columns.device_refs[i]] == session.device
-            )
-
-    def test_empty_column_read(self, trace, tmp_path):
-        path = write_store(trace, tmp_path / "t.store")
-        with StoreReader(path) as reader:
-            columns = reader.read_columns(4, 0)
-        assert columns.count == 0
-        assert len(columns.starts) == 0
-        assert len(columns.session_ids) == 0
-
 
 class TestSharedReaderCache:
     def test_same_instance_until_evicted(self, trace, tmp_path):
