@@ -95,34 +95,12 @@ INGEST_SPEEDUP_TARGET = 1.5
 
 
 def _outputs_identical(a: SwarmOutput, b: SwarmOutput) -> bool:
-    """Bit-for-bit equality of two swarm outputs, dict orders included."""
-    ra, rb = a.result, b.result
-    la, lb = ra.ledger, rb.ledger
-    return (
-        la.server_bits == lb.server_bits
-        and la.demanded_bits == lb.demanded_bits
-        and la.watch_seconds == lb.watch_seconds
-        and la.sessions == lb.sessions
-        and list(la.peer_bits.items()) == list(lb.peer_bits.items())
-        and ra.capacity == rb.capacity
-        and ra.arrival_rate == rb.arrival_rate
-        and ra.mean_duration == rb.mean_duration
-        and list(a.per_isp_day.keys()) == list(b.per_isp_day.keys())
-        and all(
-            a.per_isp_day[k].server_bits == b.per_isp_day[k].server_bits
-            and a.per_isp_day[k].demanded_bits == b.per_isp_day[k].demanded_bits
-            and a.per_isp_day[k].watch_seconds == b.per_isp_day[k].watch_seconds
-            and list(a.per_isp_day[k].peer_bits.items())
-            == list(b.per_isp_day[k].peer_bits.items())
-            for k in a.per_isp_day
-        )
-        and list(a.per_user.keys()) == list(b.per_user.keys())
-        and all(
-            a.per_user[k].watched_bits == b.per_user[k].watched_bits
-            and a.per_user[k].uploaded_bits == b.per_user[k].uploaded_bits
-            for k in a.per_user
-        )
-    )
+    """Bit-for-bit equality of two swarm outputs, dict orders included.
+
+    Both kernels write the same packed block (docs/BLOCK_FORMAT.md), so
+    the key and the block bytes say it all.
+    """
+    return a.key == b.key and a.block == b.block
 
 
 def _time_pair(first, second, tasks, config, repetitions: int) -> Tuple[float, float]:

@@ -18,9 +18,12 @@ out-of-core pipeline:
 and reports the Table I numbers realised by the run (users, IPs,
 sessions, hours watched) together with the paper-policy savings, a
 bit-for-bit result digest (``repro.sim.service.result_digest``, the
-one the repository benchmark checks its passes by) and -- the point of
-the exercise -- the coordinator's peak RSS, which stays bounded by the
-sort buffer + the final result instead of the trace.
+one the repository benchmark checks its passes by) and the coordinator's
+peak RSS.  The trace itself is never resident: the sort buffer and the
+final result are.  At density 1.0 neither sets the peak, though: the
+population and its viewer tables do, before the first session is drawn
+(about 1.1 GB of 3.3M users' objects that the allocator keeps after
+they are freed).
 
 ``--density 1.0`` is the full 23.5M-session month: run it on a machine
 with several cores and a few GB of disk (the sorted shard is ~1.3 GB at

@@ -1,7 +1,7 @@
 """Experiment drivers: one module per paper table/figure, plus a runner.
 
-See DESIGN.md's per-experiment index for the mapping from paper artefact
-to driver and benchmark.
+:data:`repro.experiments.runner.EXPERIMENTS` maps each paper artefact to
+its driver, in paper order.
 """
 
 from repro.experiments.config import (

@@ -1,6 +1,6 @@
 """Shared settings and cached artefacts for the experiment drivers.
 
-Two traces drive everything (see DESIGN.md's per-experiment index):
+Two traces drive everything (``runner.EXPERIMENTS`` lists the drivers):
 
 * the **city trace** -- a month of the full synthetic catalogue over
   five ISPs; powers Table I and Figs. 3, 4, 6;

@@ -1,5 +1,6 @@
-/* Compiled columnar swarm sweep (optional fast path), plus the trace
- * generator's draw replay (replay_item, at the end of this file).
+/* Compiled columnar swarm sweep (optional fast path), the fold of its
+ * packed output blocks, plus the trace generator's draw replay
+ * (replay_item, at the end of this file).
  *
  * A transcription of the object kernel -- repro/sim/kernel.py's
  * run_swarm_object and repro/sim/matching.py's match_window -- onto
@@ -13,10 +14,14 @@
  * Inputs are the packed columns of a ColumnSchedule, which build() and
  * decode_build() below produce (f64 demand/supply, i64 user/member ids,
  * i32 user slots and dense scope codes, and one sorted i64 event column
- * packed as (window << 34) | (kind << 32) | session); the output is a
- * flat tuple the python side materializes into a SwarmOutput.  Dict
- * insertion orders are reproduced via first-touch order stamps
- * (per-layer peer bits, per-day ledgers, per-user traffic).
+ * packed as (window << 34) | (kind << 32) | session); the output is one
+ * packed, CRC-checked block (docs/BLOCK_FORMAT.md), byte for byte the
+ * block repro/sim/block.py's writer packs from the object kernel's
+ * dicts.  Dict insertion orders are part of that data and are
+ * reproduced via first-touch order stamps (per-layer peer bits,
+ * per-day ledgers, per-user traffic).  check() and fold() verify such
+ * blocks and fold them into a StreamingReducer's columns, transcribing
+ * repro/sim/reduce.py's python fold.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -173,6 +178,17 @@ static int check_len(const Py_buffer *buf, Py_ssize_t count,
     return 0;
 }
 
+static PyObject *array_type; /* array.array, imported at module init */
+
+static PyObject *new_array(const char *typecode, const void *data,
+                           Py_ssize_t nbytes) {
+    PyObject *raw = PyBytes_FromStringAndSize(data, nbytes);
+    if (!raw) return NULL;
+    PyObject *out = PyObject_CallFunction(array_type, "sO", typecode, raw);
+    Py_DECREF(raw);
+    return out;
+}
+
 /* ------------------------------------------------------------------ */
 /* Columnar schedule builder.  Two front ends -- build() over Session  */
 /* slots, decode_build() over raw 56-byte store records -- feed one    */
@@ -288,7 +304,7 @@ typedef struct {
     int32_t *slot, *exc, *popc, *ispc, *bcode;
     uint8_t *lingers; /* per user slot: participates(uid), when lingering */
     U64Map slot_map, ex_map, pop_map, isp_map, rate_map;
-    PyObject *slot_users;
+    int64_t *slot_uid; /* user id of each slot, first-encounter order */
     int32_t num_slots, num_ex, num_pop, num_isp, num_rates;
     Py_ssize_t num_ev;
     int64_t max_window;
@@ -312,7 +328,7 @@ static void sched_free(Sched *b) {
     u64map_free(&b->pop_map);
     u64map_free(&b->isp_map);
     u64map_free(&b->rate_map);
-    Py_XDECREF(b->slot_users);
+    free(b->slot_uid);
 }
 
 /* 0, or -1 with an exception set; sched_free is safe either way. */
@@ -333,16 +349,16 @@ static int sched_init(Sched *b, Py_ssize_t n, double dtau, double linger,
     b->ispc = malloc(n * sizeof(int32_t));
     b->bcode = malloc(n * sizeof(int32_t));
     b->lingers = malloc(n);
+    b->slot_uid = malloc(n * sizeof(int64_t));
     if (!b->demand || !b->distinct || !b->uid || !b->mid || !b->ev ||
         !b->slot || !b->exc || !b->popc || !b->ispc || !b->bcode ||
-        !b->lingers || u64map_init(&b->slot_map, n) < 0 ||
+        !b->lingers || !b->slot_uid || u64map_init(&b->slot_map, n) < 0 ||
         u64map_init(&b->ex_map, n) < 0 || u64map_init(&b->pop_map, n) < 0 ||
         u64map_init(&b->isp_map, n) < 0 || u64map_init(&b->rate_map, n) < 0) {
         PyErr_NoMemory();
         return -1;
     }
-    b->slot_users = PyList_New(0);
-    return b->slot_users ? 0 : -1;
+    return 0;
 }
 
 /* Add session i.  Returns 0, 1 to decline, or -1 with an exception. */
@@ -363,16 +379,15 @@ static int sched_add(Sched *b, Py_ssize_t i, double start, double duration,
     int32_t slots = b->num_slots;
     int32_t s = dense_code(&b->slot_map, (uint64_t)uval, &b->num_slots);
     if (b->num_slots != slots) {
-        PyObject *uo = PyLong_FromLongLong((long long)uval);
         int lingers = 0;
-        if (!uo || PyList_Append(b->slot_users, uo) < 0) {
-            lingers = -1;
-        } else if (b->linger > 0.0) {
-            PyObject *r = PyObject_CallOneArg(b->participates, uo);
+        b->slot_uid[s] = uval;
+        if (b->linger > 0.0) {
+            PyObject *uo = PyLong_FromLongLong((long long)uval);
+            PyObject *r = uo ? PyObject_CallOneArg(b->participates, uo) : NULL;
             lingers = r ? PyObject_IsTrue(r) : -1;
             Py_XDECREF(r);
+            Py_XDECREF(uo);
         }
-        Py_XDECREF(uo);
         if (lingers < 0) return -1;
         b->lingers[s] = (uint8_t)lingers;
     }
@@ -408,8 +423,9 @@ static int sched_add(Sched *b, Py_ssize_t i, double start, double duration,
 }
 
 /* The 16-tuple ColumnSchedule wraps: the eight sweep columns, bitrate
- * codes, distinct bitrates, slot users, scope counts, the mean duration
- * and the last event window (which sizes the sweep's day arrays). */
+ * codes, distinct bitrates, slot users (an array('q') the sweep writes
+ * user ids from), scope counts, the mean duration and the last event
+ * window (which sizes the sweep's day arrays). */
 static PyObject *sched_result(Sched *b, Py_ssize_t n) {
     qsort(b->ev, (size_t)b->num_ev, sizeof(int64_t), cmp_i64);
     PyObject *distinct = PyList_New(b->num_rates);
@@ -422,6 +438,12 @@ static PyObject *sched_result(Sched *b, Py_ssize_t n) {
         }
         PyList_SET_ITEM(distinct, k, f);
     }
+    PyObject *slot_users =
+        new_array("q", b->slot_uid, b->num_slots * (Py_ssize_t)sizeof(int64_t));
+    if (!slot_users) {
+        Py_DECREF(distinct);
+        return NULL;
+    }
     Py_ssize_t f64 = n * sizeof(double), i64 = n * sizeof(int64_t),
                i32 = n * sizeof(int32_t);
     PyObject *result = Py_BuildValue(
@@ -429,10 +451,11 @@ static PyObject *sched_result(Sched *b, Py_ssize_t n) {
         (char *)b->uid, i64, (char *)b->mid, i64, (char *)b->slot, i32,
         (char *)b->exc, i32, (char *)b->popc, i32, (char *)b->ispc, i32,
         (char *)b->ev, b->num_ev * (Py_ssize_t)sizeof(int64_t),
-        (char *)b->bcode, i32, distinct, b->slot_users,
+        (char *)b->bcode, i32, distinct, slot_users,
         (Py_ssize_t)b->num_ex, (Py_ssize_t)b->num_pop, (Py_ssize_t)b->num_isp,
         b->dur_total / (double)n, (long long)b->max_window);
     Py_DECREF(distinct);
+    Py_DECREF(slot_users);
     return result;
 }
 
@@ -631,25 +654,140 @@ done:
     return result;
 }
 
+/* ------------------------------------------------------------------ */
+/* Packed swarm-output blocks (docs/BLOCK_FORMAT.md).  Little-endian    */
+/* whatever the host: integers and doubles are written byte by byte.   */
+/* The CRC-32 is zlib's (reflected polynomial 0xEDB88320, so python's  */
+/* zlib.crc32 verifies it), computed slicing-by-8 from a table built   */
+/* at module init.                                                     */
+
+#define BLK_HEADER 112
+#define BLK_DAY 64
+#define BLK_USER 24
+#define BLK_TRAILER 4
+#define BLK_VERSION 1
+
+static uint32_t crc_table[8][256];
+
+static void crc_init(void) {
+    for (uint32_t i = 0; i < 256; i++) {
+        uint32_t c = i;
+        for (int k = 0; k < 8; k++) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+        crc_table[0][i] = c;
+    }
+    for (uint32_t i = 0; i < 256; i++)
+        for (int t = 1; t < 8; t++)
+            crc_table[t][i] = (crc_table[t - 1][i] >> 8) ^
+                              crc_table[0][crc_table[t - 1][i] & 0xFF];
+}
+
+static uint32_t get_u32(const uint8_t *p) {
+    return (uint32_t)p[0] | (uint32_t)p[1] << 8 | (uint32_t)p[2] << 16 |
+           (uint32_t)p[3] << 24;
+}
+
+static uint32_t crc32_of(const uint8_t *p, size_t n) {
+    uint32_t c = 0xFFFFFFFFu;
+    for (; n >= 8; p += 8, n -= 8) {
+        uint32_t lo = c ^ get_u32(p), hi = get_u32(p + 4);
+        c = crc_table[7][lo & 0xFF] ^ crc_table[6][(lo >> 8) & 0xFF] ^
+            crc_table[5][(lo >> 16) & 0xFF] ^ crc_table[4][lo >> 24] ^
+            crc_table[3][hi & 0xFF] ^ crc_table[2][(hi >> 8) & 0xFF] ^
+            crc_table[1][(hi >> 16) & 0xFF] ^ crc_table[0][hi >> 24];
+    }
+    while (n--) c = crc_table[0][(c ^ *p++) & 0xFF] ^ (c >> 8);
+    return c ^ 0xFFFFFFFFu;
+}
+
+static void put_u64(uint8_t *p, uint64_t v) {
+    for (int k = 0; k < 8; k++) p[k] = (uint8_t)(v >> (8 * k));
+}
+
+static void put_u32(uint8_t *p, uint32_t v) {
+    for (int k = 0; k < 4; k++) p[k] = (uint8_t)(v >> (8 * k));
+}
+
+static void put_f64(uint8_t *p, double v) {
+    uint64_t bits;
+    memcpy(&bits, &v, 8);
+    put_u64(p, bits);
+}
+
+/* One ledger as a block writes it: 4 layer-order bytes (layer value =
+ * phase index + 1, first touch first, zero padded), then server,
+ * demanded, watch and the four peer slots.  `p` points at the order
+ * bytes; the doubles start 4 + gap bytes later (header 8, day row 4). */
+static void put_ledger(uint8_t *p, int gap, const uint8_t *order, int count,
+                       double server, double demanded, double watch,
+                       const double *peer) {
+    for (int k = 0; k < N_LAYERS; k++)
+        p[k] = k < count ? (uint8_t)(order[k] + 1) : 0;
+    uint8_t *f = p + N_LAYERS + gap;
+    put_f64(f, server);
+    put_f64(f + 8, demanded);
+    put_f64(f + 16, watch);
+    for (int k = 0; k < N_LAYERS; k++) put_f64(f + 24 + 8 * k, peer[k]);
+}
+
+/* A ColumnSchedule's scalar attribute, as a Py_ssize_t or a double. */
+static int sched_n(PyObject *sched, const char *name, Py_ssize_t *out) {
+    PyObject *v = PyObject_GetAttrString(sched, name);
+    *out = v ? PyLong_AsSsize_t(v) : -1;
+    Py_XDECREF(v);
+    return PyErr_Occurred() ? -1 : 0;
+}
+
+static int sched_d(PyObject *sched, const char *name, double *out) {
+    PyObject *v = PyObject_GetAttrString(sched, name);
+    *out = v ? PyFloat_AsDouble(v) : -1.0;
+    Py_XDECREF(v);
+    return PyErr_Occurred() ? -1 : 0;
+}
+
+/* sweep(schedule, supply, horizon, allow_cross, profile)
+ *     -> (block, match_s, account_s)
+ * over a ColumnSchedule's `packed` columns, `slot_users`, scope counts,
+ * day geometry, dtau and mean duration, and one config's supply
+ * column. */
 static PyObject *sweep(PyObject *self, PyObject *args) {
     Py_ssize_t n, num_users, num_ex, num_pop, num_isp;
     Py_ssize_t windows_per_day, num_days;
-    double dtau;
+    double dtau, horizon, mean_duration;
     int allow_cross, profile;
+    PyObject *sched, *packed = NULL, *users_o = NULL;
     Py_buffer dem_b, sup_b, uid_b, mid_b, slot_b, ex_b, pop_b, isp_b;
-    Py_buffer ev_b;
+    Py_buffer ev_b, users_b;
 
-    if (!PyArg_ParseTuple(
-            args, "ny*y*y*y*y*y*y*y*nnnny*nndii", &n, &dem_b, &sup_b, &uid_b,
-            &mid_b, &slot_b, &ex_b, &pop_b, &isp_b, &num_users, &num_ex,
-            &num_pop, &num_isp, &ev_b, &windows_per_day, &num_days, &dtau,
-            &allow_cross, &profile))
+    if (!PyArg_ParseTuple(args, "Oy*dpp", &sched, &sup_b, &horizon,
+                          &allow_cross, &profile))
         return NULL;
+    if (sched_n(sched, "n", &n) || sched_n(sched, "num_ex", &num_ex) ||
+        sched_n(sched, "num_pop", &num_pop) ||
+        sched_n(sched, "num_isp", &num_isp) ||
+        sched_n(sched, "windows_per_day", &windows_per_day) ||
+        sched_n(sched, "num_days", &num_days) ||
+        sched_d(sched, "dtau", &dtau) ||
+        sched_d(sched, "mean_duration", &mean_duration) ||
+        !(packed = PyObject_GetAttrString(sched, "packed")) ||
+        !(users_o = PyObject_GetAttrString(sched, "slot_users")) ||
+        !PyArg_ParseTuple(packed, "y*y*y*y*y*y*y*y*", &dem_b, &uid_b, &mid_b,
+                          &slot_b, &ex_b, &pop_b, &isp_b, &ev_b)) {
+        Py_XDECREF(packed);
+        Py_XDECREF(users_o);
+        PyBuffer_Release(&sup_b);
+        return NULL;
+    }
+    Py_DECREF(packed);
+    int have_users = PyObject_GetBuffer(users_o, &users_b, PyBUF_SIMPLE) == 0;
+    Py_DECREF(users_o);
 
     PyObject *result = NULL;
     Scratch scr;
     int have_scratch = 0;
     Py_ssize_t m = ev_b.len / (Py_ssize_t)sizeof(int64_t);
+    if (!have_users) goto done;
+    num_users = users_b.len / (Py_ssize_t)sizeof(int64_t);
+    const int64_t *slot_uid = users_b.buf;
 
     if (n <= 0 || n > INT32_MAX || windows_per_day <= 0) {
         PyErr_SetString(PyExc_ValueError,
@@ -1027,75 +1165,41 @@ static PyObject *sweep(PyObject *self, PyObject *args) {
     Py_END_ALLOW_THREADS;
     (void)oom;
 
-    /* Build the flat result tuple. */
-    PyObject *peer_list = PyList_New(tot_peer_cnt);
-    if (!peer_list) goto done;
-    for (int k = 0; k < tot_peer_cnt; k++) {
-        int layer = tot_peer_order[k];
-        PyObject *item = Py_BuildValue("(id)", layer, tot_peer[layer]);
-        if (!item) {
-            Py_DECREF(peer_list);
-            goto done;
-        }
-        PyList_SET_ITEM(peer_list, k, item);
-    }
-    PyObject *day_list = PyList_New(day_cnt);
-    if (!day_list) {
-        Py_DECREF(peer_list);
-        goto done;
-    }
-    for (Py_ssize_t k = 0; k < day_cnt; k++) {
+    /* Write the block: header, day rows in first-touch order, user rows
+     * in first-touch order, CRC trailer. */
+    Py_ssize_t size =
+        BLK_HEADER + day_cnt * BLK_DAY + user_cnt * BLK_USER + BLK_TRAILER;
+    PyObject *block = PyBytes_FromStringAndSize(NULL, size);
+    if (!block) goto done;
+    uint8_t *out = (uint8_t *)PyBytes_AS_STRING(block);
+    memset(out, 0, BLK_HEADER);
+    memcpy(out, "SWOB", 4);
+    out[4] = BLK_VERSION;
+    put_u32(out + 8, (uint32_t)day_cnt);
+    put_u32(out + 12, (uint32_t)user_cnt);
+    put_u64(out + 16, (uint64_t)n);
+    put_ledger(out + 24, 4, tot_peer_order, tot_peer_cnt, server_total,
+               demanded_total, watch_total, tot_peer);
+    put_f64(out + 88, horizon > 0 ? watch_total / horizon : 0.0);
+    put_f64(out + 96, horizon > 0 ? (double)n / horizon : 0.0);
+    put_f64(out + 104, mean_duration);
+    uint8_t *row = out + BLK_HEADER;
+    for (Py_ssize_t k = 0; k < day_cnt; k++, row += BLK_DAY) {
         int64_t day = scr.day_order[k];
-        int cnt = scr.day_peer_cnt[day];
-        PyObject *inner = PyList_New(cnt);
-        if (!inner) {
-            Py_DECREF(peer_list);
-            Py_DECREF(day_list);
-            goto done;
-        }
-        for (int t = 0; t < cnt; t++) {
-            int layer = scr.day_peer_seq[day * N_LAYERS + t];
-            PyObject *item = Py_BuildValue(
-                "(id)", layer, scr.day_peer[day * N_LAYERS + layer]);
-            if (!item) {
-                Py_DECREF(inner);
-                Py_DECREF(peer_list);
-                Py_DECREF(day_list);
-                goto done;
-            }
-            PyList_SET_ITEM(inner, t, item);
-        }
-        PyObject *entry = Py_BuildValue(
-            "(LdddN)", (long long)day, scr.day_watch[day],
-            scr.day_server[day], scr.day_demanded[day], inner);
-        if (!entry) {
-            Py_DECREF(peer_list);
-            Py_DECREF(day_list);
-            goto done;
-        }
-        PyList_SET_ITEM(day_list, k, entry);
+        put_u32(row, (uint32_t)day);
+        put_ledger(row + 4, 0, &scr.day_peer_seq[day * N_LAYERS],
+                   scr.day_peer_cnt[day], scr.day_server[day],
+                   scr.day_demanded[day], scr.day_watch[day],
+                   &scr.day_peer[day * N_LAYERS]);
     }
-    PyObject *user_list = PyList_New(user_cnt);
-    if (!user_list) {
-        Py_DECREF(peer_list);
-        Py_DECREF(day_list);
-        goto done;
-    }
-    for (Py_ssize_t k = 0; k < user_cnt; k++) {
+    for (Py_ssize_t k = 0; k < user_cnt; k++, row += BLK_USER) {
         int32_t us = scr.user_order[k];
-        PyObject *item = Py_BuildValue("(idd)", (int)us, scr.user_watched[us],
-                                       scr.user_uploaded[us]);
-        if (!item) {
-            Py_DECREF(peer_list);
-            Py_DECREF(day_list);
-            Py_DECREF(user_list);
-            goto done;
-        }
-        PyList_SET_ITEM(user_list, k, item);
+        put_u64(row, (uint64_t)slot_uid[us]);
+        put_f64(row + 8, scr.user_watched[us]);
+        put_f64(row + 16, scr.user_uploaded[us]);
     }
-    result = Py_BuildValue("(dddNNNdd)", watch_total, server_total,
-                           demanded_total, peer_list, day_list, user_list,
-                           match_s, account_s);
+    put_u32(row, crc32_of(out, (size_t)(size - BLK_TRAILER)));
+    result = Py_BuildValue("(Ndd)", block, match_s, account_s);
 
 done:
     if (have_scratch) scratch_free(&scr);
@@ -1108,7 +1212,390 @@ done:
     PyBuffer_Release(&pop_b);
     PyBuffer_Release(&isp_b);
     PyBuffer_Release(&ev_b);
+    if (have_users) PyBuffer_Release(&users_b);
     return result;
+}
+
+/* ------------------------------------------------------------------ */
+/* check() and fold(): the compiled half of StreamingReducer's fold    */
+/* (repro/sim/reduce.py holds the python half, the semantics           */
+/* reference).  The reducer's state is python-owned: array('d') rows   */
+/* plus array('B') layer orders, keyed by dicts of first-seen rows.  A */
+/* ledger row holds server, demanded, watch, sessions and the four     */
+/* peer slots (LEDGER_W doubles); a swarm row adds capacity, arrival   */
+/* rate and mean duration.  Both decline (return None) on a big-endian */
+/* host, where the python fold runs.                                   */
+
+#define LEDGER_W 8
+#define SWARM_W 11
+
+static int little_endian(void) {
+    const uint16_t probe = 1;
+    return *(const uint8_t *)&probe == 1;
+}
+
+static double get_f64(const uint8_t *p) {
+    double v;
+    memcpy(&v, p, 8); /* little-endian host only */
+    return v;
+}
+
+/* Layer order bytes: distinct values 1..4 first, zero padding after. */
+static int valid_order(const uint8_t *order) {
+    int seen = 0, ended = 0;
+    for (int k = 0; k < N_LAYERS; k++) {
+        int v = order[k];
+        if (v == 0) {
+            ended = 1;
+        } else if (ended || v > N_LAYERS || (seen & (1 << v))) {
+            return 0;
+        } else {
+            seen |= 1 << v;
+        }
+    }
+    return 1;
+}
+
+/* Why `block` is refused, or NULL when its framing, CRC and layer
+ * orders hold. */
+static const char *block_problem(PyObject *block, int verify_crc) {
+    if (!PyBytes_Check(block)) return "not bytes";
+    const uint8_t *p = (const uint8_t *)PyBytes_AS_STRING(block);
+    Py_ssize_t size = PyBytes_GET_SIZE(block);
+    if (size < BLK_HEADER + BLK_TRAILER) return "shorter than a header";
+    if (memcmp(p, "SWOB", 4) != 0 || p[4] != BLK_VERSION || p[5] || p[6] ||
+        p[7])
+        return "bad magic, version or flags";
+    uint32_t days = get_u32(p + 8), users = get_u32(p + 12);
+    if (size != BLK_HEADER + (Py_ssize_t)days * BLK_DAY +
+                    (Py_ssize_t)users * BLK_USER + BLK_TRAILER)
+        return "length disagrees with its rows";
+    if (verify_crc &&
+        crc32_of(p, (size_t)(size - BLK_TRAILER)) != get_u32(p + size - 4))
+        return "CRC-32 mismatch";
+    if (!valid_order(p + 24)) return "invalid layer order";
+    for (uint32_t k = 0; k < days; k++)
+        if (!valid_order(p + BLK_HEADER + (Py_ssize_t)k * BLK_DAY + 4))
+            return "invalid layer order";
+    return NULL;
+}
+
+/* check(outputs, first_index): verify every (key, block) output before
+ * the reducer accepts it; ValueError names the refused task. */
+static PyObject *check(PyObject *self, PyObject *args) {
+    PyObject *outputs;
+    Py_ssize_t first;
+    if (!PyArg_ParseTuple(args, "On", &outputs, &first)) return NULL;
+    if (!little_endian()) Py_RETURN_NONE;
+    PyObject *seq = PySequence_Fast(outputs, "outputs must be a sequence");
+    if (!seq) return NULL;
+    for (Py_ssize_t k = 0; k < PySequence_Fast_GET_SIZE(seq); k++) {
+        PyObject *out = PySequence_Fast_GET_ITEM(seq, k);
+        const char *problem =
+            PyTuple_Check(out) && PyTuple_GET_SIZE(out) == 2
+                ? block_problem(PyTuple_GET_ITEM(out, 1), 1)
+                : "not a (key, block) output";
+        if (problem) {
+            PyErr_Format(PyExc_ValueError,
+                         "swarm output block of task %zd refused: %s",
+                         first + k, problem);
+            Py_DECREF(seq);
+            return NULL;
+        }
+    }
+    Py_DECREF(seq);
+    Py_RETURN_TRUE;
+}
+
+/* One keyed table of the reducer's state.  Rows that exist when the
+ * fold starts are updated in place through buffer views; rows the fold
+ * creates are staged and appended with array.frombytes at the end (an
+ * array cannot grow while its buffer is exported). */
+typedef struct {
+    PyObject *rows;    /* dict key -> row index; NULL for the total's one row */
+    PyObject *arr[2];  /* array('d') values, array('B') orders (or NULL) */
+    Py_buffer view[2];
+    int held[2];
+    Py_ssize_t width[2]; /* items per row */
+    Py_ssize_t base;     /* rows when the fold began */
+    Py_ssize_t added, cap;
+    char *stage[2];
+} Table;
+
+/* Open a (rows, values, orders) state table; rows or orders may be
+ * None (the total has one fixed row, users have no layer order). */
+static int table_open(Table *t, PyObject *table, Py_ssize_t vw) {
+    PyObject *rows, *values, *order;
+    memset(t, 0, sizeof(*t));
+    if (!PyArg_ParseTuple(table, "OOO", &rows, &values, &order)) return -1;
+    t->rows = rows == Py_None ? NULL : rows;
+    t->arr[0] = values;
+    t->arr[1] = order == Py_None ? NULL : order;
+    t->width[0] = vw * (Py_ssize_t)sizeof(double);
+    t->width[1] = N_LAYERS;
+    for (int c = 0; c < 2; c++) {
+        if (!t->arr[c]) continue;
+        if (PyObject_GetBuffer(t->arr[c], &t->view[c], PyBUF_WRITABLE) < 0)
+            return -1;
+        t->held[c] = 1;
+    }
+    t->base = t->view[0].len / t->width[0];
+    if ((t->rows && !PyDict_CheckExact(t->rows)) ||
+        t->view[0].len != t->base * t->width[0] ||
+        (t->rows ? PyDict_GET_SIZE(t->rows) : 1) != t->base ||
+        (t->arr[1] && t->view[1].len != t->base * N_LAYERS)) {
+        PyErr_SetString(PyExc_ValueError, "fold: inconsistent reducer state");
+        return -1;
+    }
+    return 0;
+}
+
+static char *table_cell(Table *t, int c, Py_ssize_t row) {
+    if (row < t->base) return (char *)t->view[c].buf + row * t->width[c];
+    return t->stage[c] + (row - t->base) * t->width[c];
+}
+
+/* The row of `key` (a new reference is stolen); *created says whether
+ * this call made it.  -1 with an exception on failure. */
+static Py_ssize_t table_row(Table *t, PyObject *key, int *created) {
+    if (!key) return -1;
+    PyObject *found = PyDict_GetItemWithError(t->rows, key);
+    if (found) {
+        Py_DECREF(key);
+        *created = 0;
+        Py_ssize_t row = PyLong_AsSsize_t(found);
+        if (row < 0 || row >= t->base + t->added) {
+            if (!PyErr_Occurred())
+                PyErr_SetString(PyExc_ValueError, "fold: row index out of range");
+            return -1;
+        }
+        return row;
+    }
+    if (PyErr_Occurred()) {
+        Py_DECREF(key);
+        return -1;
+    }
+    if (t->added == t->cap) {
+        Py_ssize_t cap = t->cap ? 2 * t->cap : 64;
+        for (int c = 0; c < 2; c++) {
+            if (!t->arr[c]) continue;
+            char *grown = realloc(t->stage[c], cap * t->width[c]);
+            if (!grown) {
+                Py_DECREF(key);
+                PyErr_NoMemory();
+                return -1;
+            }
+            t->stage[c] = grown;
+        }
+        t->cap = cap;
+    }
+    Py_ssize_t row = t->base + t->added;
+    PyObject *index = PyLong_FromSsize_t(row);
+    int rc = index ? PyDict_SetItem(t->rows, key, index) : -1;
+    Py_XDECREF(index);
+    Py_DECREF(key);
+    if (rc < 0) return -1;
+    t->added++;
+    *created = 1;
+    return row;
+}
+
+/* Release the views, then append the staged rows. */
+static int table_close(Table *t) {
+    int rc = 0;
+    for (int c = 0; c < 2; c++) {
+        if (t->held[c]) PyBuffer_Release(&t->view[c]);
+        t->held[c] = 0;
+    }
+    for (int c = 0; c < 2; c++) {
+        if (t->arr[c] && t->added && rc == 0) {
+            PyObject *r = PyObject_CallMethod(t->arr[c], "frombytes", "y#",
+                                              t->stage[c],
+                                              t->added * t->width[c]);
+            if (!r) rc = -1;
+            Py_XDECREF(r);
+        }
+        free(t->stage[c]);
+        t->stage[c] = NULL;
+    }
+    return rc;
+}
+
+/* ByteLedger.merge of one block ledger (`lo`: its order bytes, `lv`: its
+ * server, demanded, watch and peer doubles) into a state row: fields
+ * add, and a layer new to the row is appended at 0.0 + bits. */
+static void ledger_add(double *v, uint8_t *order, const uint8_t *lo,
+                       const uint8_t *lv, double sessions) {
+    v[0] += get_f64(lv);
+    for (int k = 0; k < N_LAYERS && lo[k]; k++) {
+        int layer = lo[k], t = 0;
+        double bits = get_f64(lv + 8 * (2 + layer));
+        while (t < N_LAYERS - 1 && order[t] && order[t] != layer) t++;
+        if (order[t] == layer) {
+            v[3 + layer] += bits;
+        } else {
+            order[t] = (uint8_t)layer;
+            v[3 + layer] = 0.0 + bits;
+        }
+    }
+    v[1] += get_f64(lv + 8);
+    v[2] += get_f64(lv + 16);
+    v[3] += sessions;
+}
+
+/* A new state row copies the block's ledger exactly; the slots of
+ * absent layers hold 0.0. */
+static void ledger_copy(double *v, uint8_t *order, const uint8_t *lo,
+                        const uint8_t *lv, double sessions) {
+    memcpy(order, lo, N_LAYERS);
+    v[0] = get_f64(lv);
+    v[1] = get_f64(lv + 8);
+    v[2] = get_f64(lv + 16);
+    v[3] = sessions;
+    for (int k = 0; k < N_LAYERS; k++) v[4 + k] = 0.0;
+    for (int k = 0; k < N_LAYERS && lo[k]; k++)
+        v[3 + lo[k]] = get_f64(lv + 8 * (2 + lo[k]));
+}
+
+/* fold(outputs, total, swarms, days, users) -> user rows seen.
+ * Folds checked (key, block) outputs in order into the reducer's
+ * (rows, values, orders) tables; users is None when per-user rows go
+ * elsewhere (the spill log). */
+static PyObject *fold(PyObject *self, PyObject *args) {
+    PyObject *outputs, *st[4];
+    if (!PyArg_ParseTuple(args, "O!O!O!O!O", &PyList_Type, &outputs,
+                          &PyTuple_Type, &st[0], &PyTuple_Type, &st[1],
+                          &PyTuple_Type, &st[2], &st[3]))
+        return NULL;
+    if (!little_endian()) Py_RETURN_NONE;
+    PyObject *seq = PySequence_Fast(outputs, "outputs must be a sequence");
+    if (!seq) return NULL;
+    Table tables[4], *total = &tables[0], *swarms = &tables[1],
+                     *days = &tables[2], *users = &tables[3];
+    memset(tables, 0, sizeof(tables));
+    Py_ssize_t user_rows = 0;
+    int with_users = st[3] != Py_None;
+    PyObject *all = PyUnicode_InternFromString("all");
+    int rc = all ? 0 : -1;
+    if (rc == 0) rc = table_open(total, st[0], LEDGER_W);
+    if (rc == 0) rc = table_open(swarms, st[1], SWARM_W);
+    if (rc == 0) rc = table_open(days, st[2], LEDGER_W);
+    if (rc == 0 && with_users) rc = table_open(users, st[3], 2);
+    if (rc == 0 && (total->base != 1 || !swarms->rows || !days->rows ||
+                    !swarms->arr[1] || !days->arr[1] ||
+                    (with_users && !users->rows))) {
+        PyErr_SetString(PyExc_ValueError, "fold: malformed reducer state");
+        rc = -1;
+    }
+    double *tv = rc == 0 ? (double *)table_cell(total, 0, 0) : NULL;
+    uint8_t *to = rc == 0 ? (uint8_t *)table_cell(total, 1, 0) : NULL;
+
+    for (Py_ssize_t k = 0; rc == 0 && k < PySequence_Fast_GET_SIZE(seq); k++) {
+        PyObject *out = PySequence_Fast_GET_ITEM(seq, k);
+        const char *problem =
+            PyTuple_Check(out) && PyTuple_GET_SIZE(out) == 2
+                ? block_problem(PyTuple_GET_ITEM(out, 1), 0)
+                : "not a (key, block) output";
+        if (problem) {
+            PyErr_Format(PyExc_ValueError, "fold: swarm output block refused: %s",
+                         problem);
+            rc = -1;
+            break;
+        }
+        PyObject *key = PyTuple_GET_ITEM(out, 0);
+        const uint8_t *p = (const uint8_t *)PyBytes_AS_STRING(PyTuple_GET_ITEM(out, 1));
+        uint32_t nd = get_u32(p + 8), nu = get_u32(p + 12);
+        int64_t sessions_i;
+        memcpy(&sessions_i, p + 16, 8);
+        double sessions = (double)sessions_i;
+        const uint8_t *lo = p + 24, *lv = p + 32;
+
+        /* Per swarm: a new key copies the result; a duplicate key is
+         * SwarmResult.combine(key, [existing, result]). */
+        int created;
+        Py_INCREF(key);
+        Py_ssize_t row = table_row(swarms, key, &created);
+        if (row < 0) {
+            rc = -1;
+            break;
+        }
+        double *sv = (double *)table_cell(swarms, 0, row);
+        uint8_t *so = (uint8_t *)table_cell(swarms, 1, row);
+        double cap = get_f64(p + 88), arr = get_f64(p + 96), mean = get_f64(p + 104);
+        if (created) {
+            ledger_copy(sv, so, lo, lv, sessions);
+            sv[8] = cap;
+            sv[9] = arr;
+            sv[10] = mean;
+        } else {
+            double es = sv[3], total_s = es + sessions;
+            sv[10] = total_s != 0.0
+                         ? ((0.0 + sv[10] * es) + mean * sessions) / total_s
+                         : 0.0;
+            sv[8] = (0.0 + sv[8]) + cap;
+            sv[9] = (0.0 + sv[9]) + arr;
+            for (int f = 0; f < LEDGER_W; f++) sv[f] = 0.0 + sv[f];
+            ledger_add(sv, so, lo, lv, sessions);
+        }
+        ledger_add(tv, to, lo, lv, sessions);
+
+        /* Per (ISP, day): a new key copies the row, an existing one adds. */
+        PyObject *isp = PyObject_GetAttrString(key, "isp");
+        if (!isp) {
+            rc = -1;
+            break;
+        }
+        if (isp == Py_None) {
+            Py_DECREF(isp);
+            Py_INCREF(all);
+            isp = all;
+        }
+        const uint8_t *drow = p + BLK_HEADER;
+        for (uint32_t d = 0; d < nd && rc == 0; d++, drow += BLK_DAY) {
+            int32_t day;
+            memcpy(&day, drow, 4);
+            PyObject *dk = Py_BuildValue("(Oi)", isp, (int)day);
+            row = table_row(days, dk, &created);
+            if (row < 0) {
+                rc = -1;
+                break;
+            }
+            double *dv = (double *)table_cell(days, 0, row);
+            uint8_t *dord = (uint8_t *)table_cell(days, 1, row);
+            if (created)
+                ledger_copy(dv, dord, drow + 4, drow + 8, 0.0);
+            else
+                ledger_add(dv, dord, drow + 4, drow + 8, 0.0);
+        }
+        Py_DECREF(isp);
+
+        /* Per user: a new user copies the row, an existing one adds. */
+        user_rows += nu;
+        const uint8_t *urow = drow;
+        for (uint32_t u = 0; with_users && u < nu && rc == 0; u++, urow += BLK_USER) {
+            int64_t uid;
+            memcpy(&uid, urow, 8);
+            row = table_row(users, PyLong_FromLongLong((long long)uid), &created);
+            if (row < 0) {
+                rc = -1;
+                break;
+            }
+            double *uv = (double *)table_cell(users, 0, row);
+            if (created) {
+                uv[0] = get_f64(urow + 8);
+                uv[1] = get_f64(urow + 16);
+            } else {
+                uv[0] += get_f64(urow + 8);
+                uv[1] += get_f64(urow + 16);
+            }
+        }
+    }
+    for (int t = 0; t < 4; t++)
+        if (table_close(&tables[t]) < 0) rc = -1;
+    Py_XDECREF(all);
+    Py_DECREF(seq);
+    if (rc < 0) return NULL;
+    return PyLong_FromSsize_t(user_rows);
 }
 
 /* ------------------------------------------------------------------ */
@@ -1131,7 +1618,6 @@ done:
 #define RANDOM_E 2.718281828459045
 #define SECONDS_PER_HOUR 3600.0
 
-static PyObject *array_type; /* array.array, imported at module init */
 
 static int uniform(PyObject *random, double *out) {
     PyObject *value = PyObject_CallNoArgs(random);
@@ -1222,15 +1708,6 @@ static int beta_draw(PyObject *random, double alpha, double beta,
     if (gamma_draw(random, beta, &z) < 0) return -1;
     *out = y / (y + z);
     return 0;
-}
-
-static PyObject *new_array(const char *typecode, const void *data,
-                           Py_ssize_t nbytes) {
-    PyObject *raw = PyBytes_FromStringAndSize(data, nbytes);
-    if (!raw) return NULL;
-    PyObject *out = PyObject_CallFunction(array_type, "sO", typecode, raw);
-    Py_DECREF(raw);
-    return out;
 }
 
 static PyObject *replay_item(PyObject *self, PyObject *args) {
@@ -1353,7 +1830,14 @@ done:
 static PyMethodDef ckernel_methods[] = {
     {"sweep", sweep, METH_VARARGS,
      "Columnar swarm sweep over packed schedule columns; returns the "
-     "flat accumulator tuple kernel_columns materializes."},
+     "swarm's packed output block (docs/BLOCK_FORMAT.md) and its "
+     "matching/accounting seconds."},
+    {"check", check, METH_VARARGS,
+     "check(outputs, first_index): verify each (key, block) output's "
+     "framing and CRC-32; ValueError names the refused task."},
+    {"fold", fold, METH_VARARGS,
+     "Fold checked (key, block) outputs into a StreamingReducer's "
+     "columns; returns the user rows seen, or None to decline."},
     {"build", build, METH_VARARGS,
      "build(sessions, dtau, linger, participates): packed schedule "
      "columns straight from Session slots, lingering seeds included "
@@ -1390,5 +1874,6 @@ PyMODINIT_FUNC PyInit__ckernel(void) {
     array_type = PyObject_GetAttrString(array_module, "array");
     Py_DECREF(array_module);
     if (!array_type) return NULL;
+    crc_init();
     return PyModule_Create(&ckernel_module);
 }

@@ -489,47 +489,7 @@ class Simulator:
 
     def _run_streaming(self, tasks: TaskPlan, horizon: float) -> SimulationResult:
         """Fold shard blocks into one result as they complete."""
-        config = self.config
-        temp_spill_dir: Optional[str] = None
-        spill_path: Optional[Path] = None
-        if config.reduction == "spill":
-            if config.spill_dir is not None:
-                spill_root = Path(config.spill_dir)
-                spill_root.mkdir(parents=True, exist_ok=True)
-            else:
-                temp_spill_dir = tempfile.mkdtemp(prefix="repro-spill-")
-                spill_root = Path(temp_spill_dir)
-            handle, raw_path = tempfile.mkstemp(
-                prefix="user-deltas-", suffix=".log", dir=spill_root
-            )
-            os.close(handle)
-            spill_path = Path(raw_path)
-        users = FootprintAccumulator(spill_path=spill_path)
-        reducer = StreamingReducer(
-            delta_tau=config.delta_tau,
-            horizon=horizon,
-            upload_ratio=config.upload_ratio,
-            users=users,
-        )
-        try:
-            for start_index, block in self.backend.iter_outputs(tasks, config):
-                reducer.add(start_index, block)
-            result = reducer.result()
-        finally:
-            users.close()
-            if temp_spill_dir is not None:
-                shutil.rmtree(temp_spill_dir, ignore_errors=True)
-        if reducer.outputs_folded != len(tasks):
-            raise RuntimeError(
-                f"backend {self.backend.name!r} delivered "
-                f"{reducer.outputs_folded} outputs for {len(tasks)} tasks"
-            )
-        stats = reducer.stats(config.reduction)
-        if temp_spill_dir is not None:
-            # The run-scoped temp log is gone; don't advertise its path.
-            stats = replace(stats, spill_path=None)
-        self.last_reduction = stats
-        return result
+        return self._fold_blocks(tasks, horizon, [self.config], sweep=False)[0][0]
 
     # ------------------------------------------------------------------
     # Multi-config sweeps
@@ -591,8 +551,8 @@ class Simulator:
         self.last_sweep = None
         plan = self.grouping.plan(sessions, horizon, policy, cache_token=cache_token)
         try:
-            results, schedule_builds = self._run_streaming_sweep(
-                plan, horizon, configs
+            results, schedule_builds = self._fold_blocks(
+                plan, horizon, configs, sweep=True
             )
         finally:
             # Cleanup before stats: a temporary shard is deleted here,
@@ -607,13 +567,19 @@ class Simulator:
         )
         return results
 
-    def _run_streaming_sweep(
+    def _fold_blocks(
         self,
         tasks: TaskPlan,
         horizon: float,
         configs: List[SimulationConfig],
+        sweep: bool,
     ):
-        """K reducers fed from one block stream, folding as blocks complete."""
+        """One reducer per config, fed from one block stream as it completes.
+
+        A sweep demultiplexes ``iter_outputs_multi`` blocks; in spill mode
+        every reducer spills to its own log under ``spill_dir`` or a
+        temporary root.  Returns the results and the schedules built.
+        """
         config = self.config
         temp_spill_dir: Optional[str] = None
         spill_root: Optional[Path] = None
@@ -626,7 +592,7 @@ class Simulator:
                 spill_root = Path(temp_spill_dir)
         accumulators: List[FootprintAccumulator] = []
         reducers: List[StreamingReducer] = []
-        for position, sweep_config in enumerate(configs):
+        for position, run_config in enumerate(configs):
             spill_path: Optional[Path] = None
             if spill_root is not None:
                 handle, raw_path = tempfile.mkstemp(
@@ -638,31 +604,38 @@ class Simulator:
             accumulators.append(users)
             reducers.append(
                 StreamingReducer(
-                    delta_tau=sweep_config.delta_tau,
+                    delta_tau=run_config.delta_tau,
                     horizon=horizon,
-                    upload_ratio=sweep_config.upload_ratio,
+                    upload_ratio=run_config.upload_ratio,
                     users=users,
                 )
             )
-        sweep_reducer = SweepReducer(reducers)
+        reducer = SweepReducer(reducers) if sweep else reducers[0]
         schedule_builds = 0
         try:
-            for start_index, block in self.backend.iter_outputs_multi(tasks, configs):
-                schedule_builds += sum(multi.schedule_builds for multi in block)
-                sweep_reducer.add(start_index, block)
-            results = sweep_reducer.results()
+            if sweep:
+                for start_index, block in self.backend.iter_outputs_multi(
+                    tasks, configs
+                ):
+                    schedule_builds += sum(multi.schedule_builds for multi in block)
+                    reducer.add(start_index, block)
+                results = reducer.results()
+            else:
+                for start_index, block in self.backend.iter_outputs(tasks, config):
+                    reducer.add(start_index, block)
+                results = [reducer.result()]
         finally:
             for users in accumulators:
                 users.close()
             if temp_spill_dir is not None:
                 shutil.rmtree(temp_spill_dir, ignore_errors=True)
-        if sweep_reducer.outputs_folded != len(tasks):
+        if reducer.outputs_folded != len(tasks):
             raise RuntimeError(
                 f"backend {self.backend.name!r} delivered "
-                f"{sweep_reducer.outputs_folded} sweep outputs for "
-                f"{len(tasks)} tasks"
+                f"{reducer.outputs_folded} {'sweep ' if sweep else ''}outputs "
+                f"for {len(tasks)} tasks"
             )
-        stats = sweep_reducer.stats(config.reduction)
+        stats = reducer.stats(config.reduction)
         if temp_spill_dir is not None:
             # The run-scoped temp log is gone; don't advertise its path.
             stats = replace(stats, spill_path=None)

@@ -6,11 +6,10 @@ grouping pass, any execution backend (including ``distributed`` over
 per-region queue dirs) -- and reconciles them into one global result
 *at the reducer*, not by merging finished results.
 
-Why reducer-level: ``SimulationResult.merge`` adds already-folded
-totals, so ``merge(region_A, region_B)`` performs the float additions
-in a different association than a single run over the union trace would
--- close, but not bit-for-bit (the same reason the always-on service
-folds epochs through one long-lived reducer).  ``run_federation``
+Why reducer-level: adding already-folded regional totals performs the
+float additions in a different association than a single run over the
+union trace would -- close, but not bit-for-bit (the same reason the
+always-on service folds epochs through one long-lived reducer).  ``run_federation``
 instead replays every region's :class:`~repro.sim.kernel.SwarmOutput`
 blocks into one global :class:`~repro.sim.reduce.StreamingReducer` at
 the task indices the swarms would occupy in the union run's canonical

@@ -6,9 +6,10 @@ made the run order load-bearing and the work impossible to distribute.
 This module is the refactored core: a swarm is described by an immutable
 :class:`SwarmTask`, simulated by the pure function :func:`run_swarm`,
 and its *entire* effect on the world is returned as a self-contained
-:class:`SwarmOutput` -- the swarm's ledger plus its own per-(ISP, day)
-and per-user deltas.  Nothing is shared, nothing is mutated, and a task
-round-trips through ``pickle`` unchanged, so the same kernel runs
+:class:`SwarmOutput` -- the swarm's key plus one packed, checksummed
+block (docs/BLOCK_FORMAT.md) holding its ledger and its own per-(ISP,
+day) and per-user deltas.  Nothing is shared, nothing is mutated, and a
+task round-trips through ``pickle`` unchanged, so the same kernel runs
 unmodified under the serial, process and distributed backends
 (:mod:`repro.sim.backends`).
 
@@ -19,7 +20,8 @@ Determinism contract:
   list is a pure function of the session *multiset* -- independent of
   trace ordering, iterator chunking or backend.
 * :func:`run_swarm` consumes only its task and the config; two calls
-  with equal arguments produce bit-for-bit equal outputs in any process.
+  with equal arguments produce byte-for-byte equal blocks in any
+  process, on either kernel.
 * Outputs fold in task order (:func:`merge_outputs`, or the
   :class:`~repro.sim.reduce.StreamingReducer` it wraps), so every
   backend reduces to the identical float-addition sequence: parallel
@@ -29,11 +31,13 @@ Determinism contract:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional
+from typing import Sequence, Tuple
 
 from repro.sim.accounting import ByteLedger
+from repro.sim.block import read_block, write_block
 from repro.sim.matching import PeerState, WindowAllocation, match_window
 from repro.sim.policies import SwarmKey, SwarmPolicy
 from repro.sim.profiling import PROFILE
@@ -107,23 +111,42 @@ def resolve_task(ref: object) -> SwarmTask:
     return ref.materialize()  # type: ignore[attr-defined]
 
 
-@dataclass
-class SwarmOutput:
-    """Everything one swarm contributed to the run.
+class SwarmOutput(NamedTuple):
+    """Everything one swarm contributed to the run, self-contained.
 
-    Self-contained: holds the swarm's own per-(ISP, day) and per-user
-    deltas instead of mutating shared accounting structures, so outputs
-    can be produced on any worker and reduced in any process.
-
-    Attributes:
-        result: the swarm's ledger and measured dynamics.
-        per_isp_day: this swarm's ledger deltas keyed by (ISP, day).
-        per_user: this swarm's byte deltas keyed by user id.
+    The swarm's key plus one packed block (:mod:`repro.sim.block`)
+    holding its ledger, its own per-(ISP, day) ledgers and its per-user
+    traffic; both kernels write the same bytes.  The reducer folds the
+    block as it is; the properties decode fresh objects on every read.
     """
 
-    result: SwarmResult
-    per_isp_day: Dict[Tuple[str, int], ByteLedger] = field(default_factory=dict)
-    per_user: Dict[int, UserTraffic] = field(default_factory=dict)
+    key: SwarmKey
+    block: bytes
+
+    @classmethod
+    def pack(
+        cls,
+        result: SwarmResult,
+        per_day: Dict[int, ByteLedger],
+        per_user: Dict[int, UserTraffic],
+    ) -> "SwarmOutput":
+        """An output from dicts: day ledgers keyed by day, users by id."""
+        return cls(result.key, write_block(result, per_day, per_user))
+
+    @property
+    def result(self) -> SwarmResult:
+        """The swarm's ledger and measured dynamics."""
+        return read_block(self.key, self.block)[0]
+
+    @property
+    def per_isp_day(self) -> Dict[Tuple[str, int], ByteLedger]:
+        """This swarm's ledger deltas keyed by (ISP, day)."""
+        return read_block(self.key, self.block)[1]
+
+    @property
+    def per_user(self) -> Dict[int, UserTraffic]:
+        """This swarm's byte deltas keyed by user id."""
+        return read_block(self.key, self.block)[2]
 
 
 def build_tasks(
@@ -264,17 +287,8 @@ def run_swarm_object(task: SwarmTask, config: "SimulationConfig") -> SwarmOutput
     sessions = task.sessions
     events = _build_events(sessions, config)
 
-    output = SwarmOutput(
-        result=SwarmResult(
-            key=task.key,
-            ledger=ByteLedger(sessions=len(sessions)),
-            capacity=0.0,
-            arrival_rate=len(sessions) / task.horizon if task.horizon > 0 else 0.0,
-            mean_duration=(
-                sum(s.duration for s in sessions) / len(sessions) if sessions else 0.0
-            ),
-        )
-    )
+    # The swarm ledger, its day ledgers keyed by day, per-user traffic.
+    accounts = (ByteLedger(sessions=len(sessions)), {}, {})
     watch_seconds = 0.0
 
     members: Dict[int, PeerState] = {}
@@ -284,7 +298,7 @@ def run_swarm_object(task: SwarmTask, config: "SimulationConfig") -> SwarmOutput
         window = events[index][0]
         if window > previous_window and members:
             watch_seconds += _account_stretch(
-                output, members, previous_window, window, windows_per_day, config
+                accounts, members, previous_window, window, windows_per_day, config
             )
         previous_window = max(previous_window, window)
         # Apply every event at this window (removals first by sort).
@@ -323,10 +337,19 @@ def run_swarm_object(task: SwarmTask, config: "SimulationConfig") -> SwarmOutput
                 )
             index += 1
 
-    output.result.ledger.watch_seconds = watch_seconds
-    output.result.capacity = (
-        watch_seconds / task.horizon if task.horizon > 0 else 0.0
+    ledger, per_day, per_user = accounts
+    ledger.watch_seconds = watch_seconds
+    horizon = task.horizon
+    result = SwarmResult(
+        key=task.key,
+        ledger=ledger,
+        capacity=watch_seconds / horizon if horizon > 0 else 0.0,
+        arrival_rate=len(sessions) / horizon if horizon > 0 else 0.0,
+        mean_duration=(
+            sum(s.duration for s in sessions) / len(sessions) if sessions else 0.0
+        ),
     )
+    output = SwarmOutput.pack(result, per_day, per_user)
     if profile:
         PROFILE.sweep_seconds += perf_counter() - t0
         PROFILE.tasks += 1
@@ -334,7 +357,7 @@ def run_swarm_object(task: SwarmTask, config: "SimulationConfig") -> SwarmOutput
 
 
 def _account_stretch(
-    output: SwarmOutput,
+    accounts: Tuple,
     members: Dict[int, PeerState],
     w_from: int,
     w_to: int,
@@ -363,7 +386,7 @@ def _account_stretch(
         day_end = (day + 1) * windows_per_day
         chunk = min(w_to, day_end) - window
         _apply_allocation(
-            output, allocation, member_list, chunk, day, watch_per_window * chunk
+            accounts, allocation, member_list, chunk, day, watch_per_window * chunk
         )
         watch_seconds += watch_per_window * chunk
         window += chunk
@@ -371,31 +394,29 @@ def _account_stretch(
 
 
 def _apply_allocation(
-    output: SwarmOutput,
+    accounts: Tuple,
     allocation: WindowAllocation,
     member_list: List[PeerState],
     num_windows: int,
     day: int,
     watch_seconds: float,
 ) -> None:
-    key = output.result.key
-    isp = key.isp if key.isp is not None else "all"
-    day_ledger = output.per_isp_day.get((isp, day))
+    ledger, per_day, per_user = accounts
+    day_ledger = per_day.get(day)
     if day_ledger is None:
-        day_ledger = output.per_isp_day[(isp, day)] = ByteLedger()
+        day_ledger = per_day[day] = ByteLedger()
     day_ledger.watch_seconds += watch_seconds
 
     server = allocation.server_bits * num_windows
     demanded = allocation.demanded_bits * num_windows
-    for ledger in (output.result.ledger, day_ledger):
-        ledger.server_bits += server
-        ledger.demanded_bits += demanded
+    for target in (ledger, day_ledger):
+        target.server_bits += server
+        target.demanded_bits += demanded
         for layer, bits in allocation.peer_bits.items():
-            ledger.peer_bits[layer] = (
-                ledger.peer_bits.get(layer, 0.0) + bits * num_windows
+            target.peer_bits[layer] = (
+                target.peer_bits.get(layer, 0.0) + bits * num_windows
             )
 
-    per_user = output.per_user
     for member in member_list:
         traffic = per_user.get(member.user_id)
         if traffic is None:

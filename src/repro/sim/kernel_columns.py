@@ -1,40 +1,38 @@
 """Columnar swarm kernel: packed session columns swept in C.
 
 The object kernel (:func:`repro.sim.kernel.run_swarm_object`) walks
-per-session python objects -- ``PeerState`` dataclasses, tuple events
-carrying ``Session`` references, dict-of-object ledgers -- and its
-attribute traffic dominates the profile.  This module is the fast
-path: a :class:`ColumnSchedule` packs one swarm's sessions into
-parallel scalar columns (demand, identity, dense geometry codes, sorted
-window events), and the compiled ``repro.sim._ckernel`` extension
-sweeps them over integer indices with a linked-list membership
-timeline.
+per-session python objects, and its attribute traffic dominates the
+profile.  This module is the fast path: a :class:`ColumnSchedule` packs
+one swarm's sessions into parallel scalar columns (demand, identity,
+dense geometry codes, sorted window events), and the compiled
+``repro.sim._ckernel`` extension sweeps them over integer indices with
+a linked-list membership timeline.
 
-The contract is the one that makes the dispatch safe to default on:
+The contract that makes the dispatch safe to default on is
 **bit-for-bit identity with the object kernel.**  The C sweep replays
 every float operation of :func:`~repro.sim.kernel.run_swarm_object` and
 :func:`~repro.sim.matching.match_window` in the same order with the
 same association -- window indices use the object kernel's exact
 expressions (``int(start // dtau)``, ``int(math.ceil(end / dtau))``),
-day chunks split identically, and even dict *insertion orders*
-(per-layer peer bits, per-(ISP, day) ledgers, per-user traffic) are
-reproduced, so reducers and serializers see indistinguishable outputs.
+day chunks split identically, and dict *insertion orders* (per-layer
+peer bits, per-(ISP, day) ledgers, per-user traffic) are reproduced.
+The sweep writes the output's packed block (docs/BLOCK_FORMAT.md)
+itself, so both kernels' outputs are equal byte for byte and no
+per-day or per-user python object exists between the C sweep and the
+reducer's fold.
 
 The extension is optional and looked up once, at import time: when
-``repro.sim._ckernel`` imports (built via ``python setup.py build_ext
---inplace`` or the ``compiled`` extra), :data:`HAVE_COMPILED` is true
-and :func:`repro.sim.kernel._compiled_path` routes ``kernel="auto"``
+``repro.sim._ckernel`` imports (``python setup.py build_ext
+--inplace``), :data:`HAVE_COMPILED` is true and
+:func:`repro.sim.kernel._compiled_path` routes ``kernel="auto"``
 configs here; otherwise every config runs the object kernel, with
-identical results.  ``REPRO_NO_CKERNEL=1`` hides a built extension (the
-equivalence tests use it to exercise both installs).  This is the one
-place that decides whether the extension is loaded: the trace
-generator reads :data:`_ckernel` from here for its draw replay too.
-Schedules are built only in C, lingering seeds included; a task the C
-builders decline runs on the object kernel.
-
-Random (non-locality-aware) matching has no columnar form, so those
-configs stay on the object kernel -- the dispatch rule routes them
-there.
+identical results.  ``REPRO_NO_CKERNEL=1`` hides a built extension.
+This is the one place that decides whether the extension is loaded:
+the trace generator reads :data:`_ckernel` from here for its draw
+replay, and the reducer for its compiled fold.  Schedules are built
+only in C, lingering seeds included; a task the C builders decline,
+and every config with random (non-locality-aware) matching, runs on
+the object kernel.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ from array import array
 from time import perf_counter
 from typing import TYPE_CHECKING, Optional, Tuple
 
-from repro.sim.accounting import ByteLedger
 from repro.sim.kernel import (
     SwarmOutput,
     SwarmTask,
@@ -52,8 +49,6 @@ from repro.sim.kernel import (
     run_swarm_object,
 )
 from repro.sim.profiling import PROFILE
-from repro.sim.results import SwarmResult, UserTraffic
-from repro.topology.layers import NetworkLayer
 from repro.trace.events import SECONDS_PER_DAY
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -78,15 +73,6 @@ if not os.environ.get("REPRO_NO_CKERNEL"):
 #: Whether the compiled sweep is active in this process.
 HAVE_COMPILED = _ckernel is not None
 
-#: Matching-phase layers by compiled-kernel index (the C sweep reports
-#: peer bits against these positions).
-_LAYERS = (
-    NetworkLayer.EXCHANGE,
-    NetworkLayer.POP,
-    NetworkLayer.CORE,
-    NetworkLayer.SERVER,
-)
-
 
 class ColumnSchedule:
     """One swarm's sessions packed into parallel typed columns.
@@ -94,26 +80,21 @@ class ColumnSchedule:
     Built once per ``(task, schedule signature)`` in C (see
     :func:`schedule_from_ref`) -- the schedule the object kernel's
     ``_build_events`` would build -- and reused across every sweep
-    config with that signature: the event timeline and the
-    demand/identity/geometry columns depend only on ``(delta_tau,
-    seed_linger_seconds, participation)``, while per-config supplies
-    are derived on demand via :meth:`supplies_for`.
+    config with that signature; per-config supplies come from
+    :meth:`supplies_for`.
 
     ``packed`` holds the sweep's eight buffers: f64 demand, i64 user
     and member ids, i32 user slots, i32 ex/pop/isp codes and the i64
     events.  Geometry is stored as dense per-swarm codes with the same
-    equality structure as the object matcher's scope keys: ``ex_code``
-    equal iff ``(isp, exchange)`` equal, ``pop_code`` iff ``(isp,
-    pop)``, ``isp_code`` iff ``isp`` -- which is all the C matcher needs
-    to form :func:`~repro.sim.matching.match_window`'s scopes.  Events
-    are packed into single sorted integers ``(window << 34) | (kind <<
-    32) | session_index``: the bit layout makes integer order equal
-    ``(window, kind, session_index)`` lexicographic order, and within a
-    ``(window, kind)`` tie the session index reproduces the object
-    kernel's creation-order tie-break, because each session contributes
-    at most one event per kind and creation order is session order.
-    The builders decline a window at or past ``2**29``, which would not
-    fit int64.
+    equality structure as the object matcher's scope keys (``ex_code``
+    equal iff ``(isp, exchange)`` equal, and so on), which is all the C
+    matcher needs to form :func:`~repro.sim.matching.match_window`'s
+    scopes.  Events are single sorted integers ``(window << 34) | (kind
+    << 32) | session_index``, so integer order is the object kernel's
+    ``(window, kind, creation)`` order; the builders decline a window at
+    or past ``2**29``.  ``slot_users`` is an ``array('q')`` of each user
+    slot's id, in first-encounter order: the sweep writes the block's
+    user ids from it.
     """
 
     __slots__ = (
@@ -239,144 +220,24 @@ def run_from_schedule(
     config: "SimulationConfig",
     schedule: ColumnSchedule,
 ) -> SwarmOutput:
-    """Sweep a prebuilt schedule under one config in C and materialize.
+    """Sweep a prebuilt schedule under one config in C.
 
-    ``task`` may be a :class:`SwarmTask` or an extent ref -- only its
-    ``key`` and ``horizon`` are read (see :func:`_materialize`).
+    The sweep writes the output's packed block itself (user ids from
+    the schedule's ``slot_users``), so only ``task.key`` and
+    ``task.horizon`` are read: an extent ref works as well as a
+    materialized task.
     """
     profile = PROFILE.enabled
     supplies = schedule.supplies_for(config)
     if profile:
         t0 = perf_counter()
-    flat = _sweep_compiled(schedule, supplies, config.allow_cross_isp_matching, profile)
+    block, match_s, account_s = _ckernel.sweep(
+        schedule, supplies, task.horizon, config.allow_cross_isp_matching, profile
+    )
     if profile:
         PROFILE.sweep_seconds += perf_counter() - t0
-        PROFILE.match_seconds += flat[6]
-        PROFILE.account_seconds += flat[7]
+        PROFILE.match_seconds += match_s
+        PROFILE.account_seconds += account_s
         PROFILE.tasks += 1
         PROFILE.compiled_tasks += 1
-    return _materialize(task, schedule, flat)
-
-
-def _sweep_compiled(
-    schedule: ColumnSchedule,
-    supplies: bytes,
-    allow_cross: bool,
-    profile: bool,
-) -> Tuple:
-    """Run the C sweep and lift its layer indices back to enums."""
-    (
-        demand_buf,
-        uid_buf,
-        mid_buf,
-        slot_buf,
-        ex_buf,
-        pop_buf,
-        isp_buf,
-        ev_buf,
-    ) = schedule.packed
-    (
-        watch_total,
-        server_total,
-        demanded_total,
-        peer_items,
-        day_items,
-        user_items,
-        match_s,
-        account_s,
-    ) = _ckernel.sweep(
-        schedule.n,
-        demand_buf,
-        supplies,
-        uid_buf,
-        mid_buf,
-        slot_buf,
-        ex_buf,
-        pop_buf,
-        isp_buf,
-        schedule.num_users,
-        schedule.num_ex,
-        schedule.num_pop,
-        schedule.num_isp,
-        ev_buf,
-        schedule.windows_per_day,
-        schedule.num_days,
-        schedule.dtau,
-        1 if allow_cross else 0,
-        1 if profile else 0,
-    )
-    layers = _LAYERS
-    return (
-        watch_total,
-        server_total,
-        demanded_total,
-        [(layers[layer], bits) for layer, bits in peer_items],
-        [
-            (
-                day,
-                watch,
-                server,
-                demanded,
-                [(layers[layer], bits) for layer, bits in day_peer],
-            )
-            for day, watch, server, demanded, day_peer in day_items
-        ],
-        user_items,
-        match_s,
-        account_s,
-    )
-
-
-def _materialize(
-    task: "SwarmTask | ExtentTaskRef", schedule: ColumnSchedule, flat: Tuple
-) -> SwarmOutput:
-    """Build the :class:`SwarmOutput` from a sweep's flat accumulators.
-
-    Only ``task.key`` and ``task.horizon`` are read, so an extent ref
-    works as well as a materialized task -- the accounting boundary
-    interns nothing per session (the ledger's ISP comes from the key).
-    """
-    (
-        watch_seconds,
-        server_total,
-        demanded_total,
-        peer_items,
-        day_items,
-        user_items,
-        _match_s,
-        _account_s,
-    ) = flat
-    n = schedule.n
-    horizon = task.horizon
-    isp = task.key.isp if task.key.isp is not None else "all"
-    per_isp_day = {
-        (isp, day): ByteLedger(
-            server_bits=server,
-            peer_bits=dict(day_peer),
-            demanded_bits=demanded,
-            watch_seconds=watch,
-        )
-        for day, watch, server, demanded, day_peer in day_items
-    }
-    slot_users = schedule.slot_users
-    per_user = {
-        slot_users[slot]: UserTraffic(watched_bits=watched, uploaded_bits=uploaded)
-        for slot, watched, uploaded in user_items
-    }
-    return SwarmOutput(
-        result=SwarmResult(
-            key=task.key,
-            ledger=ByteLedger(
-                server_bits=server_total,
-                peer_bits=dict(peer_items),
-                demanded_bits=demanded_total,
-                watch_seconds=watch_seconds,
-                sessions=n,
-            ),
-            capacity=watch_seconds / horizon if horizon > 0 else 0.0,
-            arrival_rate=n / horizon if horizon > 0 else 0.0,
-            mean_duration=schedule.mean_duration,
-        ),
-        per_isp_day=per_isp_day,
-        per_user=per_user,
-    )
+    return SwarmOutput(task.key, block)

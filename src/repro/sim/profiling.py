@@ -31,7 +31,9 @@ meaningful on the fast path.  Swarms on the object kernel --
 extension, or a task the C builders decline -- are counted once each and
 their whole sweep is charged to ``sweep`` (it has no matching /
 accounting split).  ``tasks`` counts every swarm swept, on either
-kernel; ``compiled_tasks`` those swept in C.
+kernel; ``compiled_tasks`` those swept in C.  ``compiled_folds``
+counts the outputs the reducer folded in C (``_ckernel.fold``) rather
+than in its python fold.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ class KernelProfile:
         "tasks",
         "compiled_tasks",
         "fused_tasks",
+        "compiled_folds",
     )
 
     def __init__(self) -> None:
@@ -70,6 +73,7 @@ class KernelProfile:
         self.tasks = 0
         self.compiled_tasks = 0
         self.fused_tasks = 0
+        self.compiled_folds = 0
 
     def report(self) -> str:
         """A human-readable per-phase breakdown."""
@@ -84,7 +88,8 @@ class KernelProfile:
         lines = [
             "kernel profile "
             f"({self.tasks} swarms, {self.compiled_tasks} on the compiled path, "
-            f"{self.fused_tasks} fused-decoded):"
+            f"{self.fused_tasks} fused-decoded, {self.compiled_folds} "
+            "outputs folded in C):"
         ]
         for label, seconds in rows:
             lines.append(f"  {label:<20} {seconds * 1e3:10.2f} ms")

@@ -2,28 +2,23 @@
 
 Holding every :class:`~repro.sim.kernel.SwarmOutput` in the coordinator
 until one final fold would cap trace size well below the paper's
-month-of-London scale: 23.5M sessions across 3.3M users means millions
-of resident per-user and per-(ISP, day) dict entries *per buffered
-shard*.  This module folds them with bounded memory instead:
+month-of-London scale.  This module folds them with bounded memory
+instead:
 
-* :class:`StreamingReducer` folds shard outputs into a running
-  :class:`~repro.sim.results.SimulationResult` **as they complete**.
-  Outputs may arrive in any completion order; the reducer re-orders
-  them back into canonical task order (the order
-  :func:`~repro.sim.kernel.build_tasks` produced -- the same canonical
-  order that underpins ``SimulationResult.from_partials``'s
-  fingerprint sort) and folds outputs in that order, so every
-  completion order performs the identical float-addition sequence and
-  every backend's result is bit-for-bit equal.  Its reorder buffer is
-  the *only* place un-folded shards live, and with the backends'
-  bounded in-flight submission window it never holds more than
-  ``workers + 1`` blocks.
-* :class:`FootprintAccumulator` keeps per-user traffic out of the
-  dict-of-dataclasses representation while shards fold: packed
-  ``array('d')`` columns (two floats per user) in memory, or -- with a
-  ``spill_path`` -- an append-only delta log on disk so the
-  coordinator holds only fixed-size running statistics until the final
-  result is materialized.
+* :class:`StreamingReducer` folds shard outputs **as they complete**,
+  re-ordered back into canonical task order (the order
+  :func:`~repro.sim.kernel.build_tasks` produced), so every completion
+  order performs the identical float-addition sequence and every
+  backend's result is bit-for-bit equal.  Its reorder buffer is the
+  *only* place un-folded shards live; with the backends' bounded
+  in-flight window it never holds more than ``workers + 1`` blocks.
+  It folds each output's packed block (docs/BLOCK_FORMAT.md) into
+  columnar running state -- no per-day or per-user python object --
+  in C (``_ckernel.fold``) for the compiled build, or in python over
+  the same bytes, the reference.
+* :class:`FootprintAccumulator` holds the per-user traffic: two floats
+  per user in memory, or -- with a ``spill_path`` -- an append-only
+  delta log on disk, re-read only when the final result is built.
 * :class:`ReductionStats` reports what a run actually did (mode,
   blocks folded, peak resident partials, spill location) so benchmarks
   and tests can assert the memory bound instead of trusting it.
@@ -43,6 +38,7 @@ from time import perf_counter
 from typing import (
     TYPE_CHECKING,
     Dict,
+    Iterable,
     Iterator,
     List,
     Mapping,
@@ -53,15 +49,10 @@ from typing import (
 )
 
 from repro.sim.accounting import ByteLedger
+from repro.sim.block import LAYERS, check_block, ledger_fields, read_block, user_rows
 from repro.sim.policies import SwarmKey
 from repro.sim.profiling import PROFILE
-from repro.sim.results import (
-    SimulationResult,
-    SwarmResult,
-    UserTraffic,
-    merge_ledger_map,
-    merge_traffic_map,
-)
+from repro.sim.results import SimulationResult, SwarmResult, UserTraffic
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (kernel imports us)
     from repro.sim.kernel import SwarmOutput
@@ -91,6 +82,25 @@ __all__ = [
 #:   ``spill_dir`` is set explicitly).
 REDUCTION_MODES: Tuple[str, ...] = ("streaming", "spill")
 
+#: A ledger table of the reducer's state: a dict of first-seen rows, the
+#: rows' doubles -- server, demanded, watch, sessions, one slot per peer
+#: layer (``LAYERS`` order, 0.0 when absent), then capacity, arrival rate
+#: and mean duration for a swarm -- and their layer orders (4 bytes each).
+_Table = Tuple[Dict, array, array]
+_LEDGER, _SWARM = 8, 11
+
+_CKERNEL: object = False
+
+
+def _compiled_fold():
+    """The compiled extension or None, looked up lazily (import stays light)."""
+    global _CKERNEL
+    if _CKERNEL is False:
+        from repro.sim import kernel_columns
+
+        _CKERNEL = kernel_columns._ckernel
+    return _CKERNEL
+
 
 # ----------------------------------------------------------------------
 # Per-user footprint accumulation
@@ -118,15 +128,14 @@ class FootprintStats:
 class FootprintAccumulator:
     """Collapses per-user traffic deltas into compact running state.
 
-    In-memory mode packs each user's (watched, uploaded) totals into two
-    ``array('d')`` columns plus an id->slot index -- O(users) floats
-    instead of O(users) :class:`~repro.sim.results.UserTraffic`
-    dataclass instances.  With ``spill_path`` set, deltas are instead
-    appended to a text log (one ``"uid watched uploaded"`` line per
-    user per shard, floats serialized with ``repr`` so they round-trip
-    exactly) and only fixed-size running totals stay resident.
+    In-memory mode packs each user's (watched, uploaded) totals into one
+    ``array('d')`` plus an id->row index: a first delta is copied, later
+    ones add.  With ``spill_path`` set, deltas are instead appended to a
+    text log (one ``"uid watched uploaded"`` line per user per shard,
+    floats serialized with ``repr`` so they round-trip exactly) and only
+    fixed-size running totals stay resident.
 
-    Either way, :meth:`materialize` rebuilds the exact per-user dict the
+    Either way, :meth:`materialize` rebuilds the exact per-user dict a
     plain dict fold would have produced: additions happen in the same
     (fold) order, so the result is bit-for-bit identical.
     """
@@ -137,9 +146,8 @@ class FootprintAccumulator:
         )
         self._spill_file = None
         self._spill_closed = False
-        self._slots: Dict[int, int] = {}
-        self._watched = array("d")
-        self._uploaded = array("d")
+        self._rows: Dict[int, int] = {}
+        self._traffic = array("d")
         self._records = 0
         self._watched_total = 0.0
         self._uploaded_total = 0.0
@@ -148,30 +156,33 @@ class FootprintAccumulator:
 
     def add(self, per_user: Mapping[int, UserTraffic]) -> None:
         """Fold one shard's per-user deltas (in their iteration order)."""
+        self._add_rows(
+            (user_id, traffic.watched_bits, traffic.uploaded_bits)
+            for user_id, traffic in per_user.items()
+        )
+
+    def _add_rows(self, rows: Iterable[Tuple[int, float, float]]) -> None:
+        """Fold ``(user_id, watched, uploaded)`` delta rows in order."""
         if self.spill_path is not None:
             spill = self._spill()
-            for user_id, traffic in per_user.items():
-                spill.write(
-                    f"{user_id} {traffic.watched_bits!r} {traffic.uploaded_bits!r}\n"
-                )
+            for user_id, watched, uploaded in rows:
+                spill.write(f"{user_id} {watched!r} {uploaded!r}\n")
                 self._records += 1
-                self._watched_total += traffic.watched_bits
-                self._uploaded_total += traffic.uploaded_bits
+                self._watched_total += watched
+                self._uploaded_total += uploaded
             return
-        slots = self._slots
-        watched = self._watched
-        uploaded = self._uploaded
-        for user_id, traffic in per_user.items():
-            slot = slots.get(user_id)
-            if slot is None:
-                slot = slots[user_id] = len(watched)
-                watched.append(0.0)
-                uploaded.append(0.0)
-            watched[slot] += traffic.watched_bits
-            uploaded[slot] += traffic.uploaded_bits
+        index = self._rows
+        traffic = self._traffic
+        for user_id, watched, uploaded in rows:
+            row = index.get(user_id)
+            if row is None:
+                index[user_id] = len(index)
+                traffic.append(watched)
+                traffic.append(uploaded)
+            else:
+                traffic[2 * row] += watched
+                traffic[2 * row + 1] += uploaded
             self._records += 1
-            self._watched_total += traffic.watched_bits
-            self._uploaded_total += traffic.uploaded_bits
 
     def _spill(self):
         if self._spill_closed:
@@ -193,34 +204,37 @@ class FootprintAccumulator:
         """Distinct users folded so far (``None`` in spill mode)."""
         if self.spill_path is not None:
             return None
-        return len(self._slots)
+        return len(self._rows)
 
     def stats(self) -> FootprintStats:
-        """The fixed-size running summary."""
+        """The fixed-size summary (in memory, totals sum the columns)."""
+        watched, uploaded = self._watched_total, self._uploaded_total
+        if self.spill_path is None:
+            watched, uploaded = sum(self._traffic[0::2]), sum(self._traffic[1::2])
         return FootprintStats(
             users=self.num_users,
             records=self._records,
-            watched_bits=self._watched_total,
-            uploaded_bits=self._uploaded_total,
+            watched_bits=watched,
+            uploaded_bits=uploaded,
         )
 
     def materialize(self) -> Dict[int, UserTraffic]:
         """The exact per-user traffic map, as the plain dict fold builds it.
 
-        In-memory mode unpacks the float columns; spill mode closes and
-        re-reads the delta log, aggregating records in file (= fold)
-        order.  Both reproduce the plain dict bit for bit.
+        In-memory mode unpacks the float columns in first-seen order;
+        spill mode closes and re-reads the delta log, aggregating
+        records in file (= fold) order.  Both reproduce the plain dict
+        bit for bit.
         """
         if self.spill_path is not None:
             self.close()
             if not self.spill_path.exists():
                 return {}
             return load_user_deltas(self.spill_path)
+        values = iter(self._traffic)
         return {
-            user_id: UserTraffic(
-                watched_bits=self._watched[slot], uploaded_bits=self._uploaded[slot]
-            )
-            for user_id, slot in self._slots.items()
+            user_id: UserTraffic(watched, uploaded)
+            for user_id, watched, uploaded in zip(self._rows, values, values)
         }
 
     def close(self) -> None:
@@ -297,24 +311,33 @@ class ReductionStats:
 
 
 class StreamingReducer:
-    """Folds swarm outputs into a running result, in canonical order.
+    """Folds swarm outputs into running columns, in canonical order.
 
     Blocks of outputs are keyed by the task index of their first output
-    (tasks as ordered by :func:`~repro.sim.kernel.build_tasks`).  A
-    block arriving out of order is buffered; as soon as the next-in-line
-    block is present the fold advances through every contiguous buffered
-    block.  The fold itself is *the* reduction --
-    :func:`~repro.sim.kernel.merge_outputs` wraps this class -- so any
-    completion order produces the in-order result bit for bit.  With
+    (tasks as ordered by :func:`~repro.sim.kernel.build_tasks`).  Each
+    output's packed block is verified (framing, CRC-32) on arrival; a
+    refused block raises ``ValueError`` naming its task and is neither
+    buffered nor folded.  A block arriving out of order is buffered; as
+    soon as the next-in-line block is present the fold advances through
+    every contiguous buffered block, so any completion order produces
+    the in-order result bit for bit.  Per output it replays: per swarm,
+    copy the first key's result and :meth:`SwarmResult.combine` a
+    duplicate; :meth:`ByteLedger.merge` into the total; per (ISP, day),
+    copy a new key's row with its layer order, or merge (new layers
+    append); per user, copy a new user's row, or add.
+
+    The state is python-owned (``array`` columns and dicts), so a
+    reducer pickles -- which :meth:`snapshot_result` and
+    :class:`~repro.sim.service.ServiceCheckpoint` rely on.  With
     :data:`~repro.sim.profiling.PROFILE` enabled, the fold and the final
-    result build are charged to its ``reduce`` phase.
+    result build are charged to its ``reduce`` phase, and outputs folded
+    in C are counted in ``compiled_folds``.
 
     Args:
         delta_tau / horizon / upload_ratio: run parameters stamped on
             the final :class:`~repro.sim.results.SimulationResult`.
-        users: optional :class:`FootprintAccumulator` receiving per-user
-            deltas; ``None`` keeps the plain dict fold (the service,
-            federation and :func:`~repro.sim.kernel.merge_outputs`).
+        users: the :class:`FootprintAccumulator` receiving per-user
+            deltas; ``None`` folds them into a fresh in-memory one.
     """
 
     def __init__(
@@ -328,11 +351,10 @@ class StreamingReducer:
         self._delta_tau = delta_tau
         self._horizon = horizon
         self._upload_ratio = upload_ratio
-        self._users = users
-        self._total = ByteLedger()
-        self._per_swarm: Dict[SwarmKey, SwarmResult] = {}
-        self._per_isp_day: Dict[Tuple[str, int], ByteLedger] = {}
-        self._per_user: Dict[int, UserTraffic] = {}
+        self._users = users if users is not None else FootprintAccumulator()
+        self._total = (None, array("d", bytes(8 * _LEDGER)), array("B", bytes(4)))
+        self._swarms: _Table = ({}, array("d"), array("B"))
+        self._days: _Table = ({}, array("d"), array("B"))
         self._pending: Dict[int, List["SwarmOutput"]] = {}
         self._next_index = 0
         self._finalized = False
@@ -349,8 +371,9 @@ class StreamingReducer:
         earlier task has been folded, then folded in task order.
 
         Raises:
-            ValueError: on an empty block, a block already folded, or a
-                duplicate index.
+            ValueError: on an empty block, a block already folded, a
+                duplicate index, or an output whose packed block fails
+                its check (the message names the task).
             RuntimeError: after :meth:`result` has been called.
         """
         if self._finalized:
@@ -360,52 +383,78 @@ class StreamingReducer:
             raise ValueError("blocks must contain at least one output")
         if index < self._next_index or index in self._pending:
             raise ValueError(f"block at task index {index} was already delivered")
+        profile = PROFILE.enabled
+        if profile:
+            t0 = perf_counter()
+        compiled = _compiled_fold()
+        if compiled is None or compiled.check(block, index) is None:
+            for offset, output in enumerate(block):
+                check_block(output.block, index + offset)
         self._pending[index] = block
         self._resident_outputs += len(block)
         if len(self._pending) > self.peak_resident:
             self.peak_resident = len(self._pending)
         if self._resident_outputs > self.peak_resident_outputs:
             self.peak_resident_outputs = self._resident_outputs
-        profile = PROFILE.enabled
-        if profile:
-            t0 = perf_counter()
         while self._next_index in self._pending:
             ready = self._pending.pop(self._next_index)
-            for output in ready:
-                self._fold(output)
+            self._fold(ready, compiled)
             self._next_index += len(ready)
             self._resident_outputs -= len(ready)
             self.blocks_folded += 1
         if profile:
             PROFILE.reduce_seconds += perf_counter() - t0
 
-    def _fold(self, output: "SwarmOutput") -> None:
-        """One output's worth of the canonical reduction.
-
-        Never mutates or aliases the output, so re-reducing the same
-        outputs stays idempotent.
-        """
-        result = output.result
-        existing = self._per_swarm.get(result.key)
-        if existing is None:
-            self._per_swarm[result.key] = SwarmResult(
-                key=result.key,
-                ledger=result.ledger.copy(),
-                capacity=result.capacity,
-                arrival_rate=result.arrival_rate,
-                mean_duration=result.mean_duration,
-            )
-        else:  # duplicate key (never from build_tasks, but stay correct)
-            self._per_swarm[result.key] = SwarmResult.combine(
-                result.key, [existing, result]
-            )
-        self._total.merge(result.ledger)
-        merge_ledger_map(self._per_isp_day, output.per_isp_day)
-        if self._users is not None:
-            self._users.add(output.per_user)
+    def _fold(self, outputs: List["SwarmOutput"], compiled) -> None:
+        """Fold checked outputs in order: in C when built, else python."""
+        users = self._users
+        spill = users.spill_path is not None
+        table = None if spill else (users._rows, users._traffic, None)
+        seen = compiled and compiled.fold(
+            outputs, self._total, self._swarms, self._days, table
+        )
+        if seen is None:
+            for output in outputs:
+                self._fold_python(output)
+        elif spill:  # the C fold skipped the user rows: spill them here
+            for output in outputs:
+                users._add_rows(user_rows(output.block))
         else:
-            merge_traffic_map(self._per_user, output.per_user)
-        self.outputs_folded += 1
+            users._records += seen
+        if seen is not None and PROFILE.enabled:
+            PROFILE.compiled_folds += len(outputs)
+        self.outputs_folded += len(outputs)
+
+    def _fold_python(self, output: "SwarmOutput") -> None:
+        """One output's worth of the canonical reduction, in python.
+
+        The semantics reference of ``_ckernel.fold``: decodes the block
+        and folds with the ledger and result merges.  Never mutates or
+        aliases the output, so re-reducing the same outputs stays
+        idempotent.
+        """
+        result, per_isp_day, per_user = read_block(*output)
+        key, swarm = result.key, result
+        row = self._swarms[0].get(key)
+        if row is not None:  # duplicate key (never from build_tasks)
+            swarm = SwarmResult.combine(key, [self._swarm_result(key, row), result])
+        dynamics = (swarm.capacity, swarm.arrival_rate, swarm.mean_duration)
+        _put(self._swarms, key, row, swarm.ledger, dynamics)
+        total = _ledger_at(self._total, 0)
+        total.merge(result.ledger)
+        _put(self._total, None, 0, total)
+        for day_key, ledger in per_isp_day.items():
+            row = self._days[0].get(day_key)
+            if row is not None:
+                day = _ledger_at(self._days, row)
+                day.merge(ledger)
+                ledger = day
+            _put(self._days, day_key, row, ledger)
+        self._users.add(per_user)
+
+    def _swarm_result(self, key: SwarmKey, row: int) -> SwarmResult:
+        dynamics = self._swarms[1][row * _SWARM + _LEDGER : (row + 1) * _SWARM]
+        return SwarmResult(key, _ledger_at(self._swarms, row, _SWARM), *dynamics)
 
     def advance_horizon(self, horizon: float) -> None:
         """Extend the horizon stamped on the final result (never shrink).
@@ -432,18 +481,17 @@ class StreamingReducer:
 
         Raises:
             ValueError: if out-of-order blocks are still buffered.
-            RuntimeError: with a :class:`FootprintAccumulator` attached
-                (its spill handle cannot be copied; snapshotting is a
-                plain-dict-fold feature).
+            RuntimeError: when per-user deltas spill to a log (its
+                handle cannot be copied).
         """
-        if self._users is not None:
-            raise RuntimeError(
-                "snapshot_result() requires the plain dict fold (users=None)"
-            )
+        if self._users.spill_path is not None:
+            raise RuntimeError("snapshot_result() cannot copy a spill log")
         return pickle.loads(pickle.dumps(self)).result()
 
     def result(self) -> SimulationResult:
         """Finish the reduction and build the final result.
+
+        The result's dicts are built here, once, in first-seen order.
 
         Raises:
             ValueError: if out-of-order blocks are still buffered (the
@@ -458,15 +506,16 @@ class StreamingReducer:
         profile = PROFILE.enabled
         if profile:
             t0 = perf_counter()
-        if self._users is not None:
-            per_user = self._users.materialize()
-        else:
-            per_user = self._per_user
         result = SimulationResult(
-            total=self._total,
-            per_swarm=self._per_swarm,
-            per_isp_day=self._per_isp_day,
-            per_user=per_user,
+            total=_ledger_at(self._total, 0),
+            per_swarm={
+                key: self._swarm_result(key, row)
+                for key, row in self._swarms[0].items()
+            },
+            per_isp_day={
+                key: _ledger_at(self._days, row) for key, row in self._days[0].items()
+            },
+            per_user=self._users.materialize(),
             delta_tau=self._delta_tau,
             horizon=self._horizon,
             upload_ratio=self._upload_ratio,
@@ -477,7 +526,7 @@ class StreamingReducer:
 
     def stats(self, mode: str) -> ReductionStats:
         """This reduction's :class:`ReductionStats` under ``mode``."""
-        spill = self._users.spill_path if self._users is not None else None
+        spill = self._users.spill_path
         return ReductionStats(
             mode=mode,
             outputs=self.outputs_folded,
@@ -486,6 +535,38 @@ class StreamingReducer:
             peak_resident_outputs=self.peak_resident_outputs,
             spill_path=str(spill) if spill is not None else None,
         )
+
+
+def _ledger_at(table: "_Table", row: int, width: int = _LEDGER) -> ByteLedger:
+    """The ledger a state row holds."""
+    _, values, orders = table
+    base = row * width
+    return ByteLedger(
+        server_bits=values[base],
+        peer_bits={
+            LAYERS[slot - 1]: values[base + 3 + slot]
+            for slot in orders[row * 4 : row * 4 + 4]
+            if slot
+        },
+        demanded_bits=values[base + 1],
+        watch_seconds=values[base + 2],
+        sessions=int(values[base + 3]),
+    )
+
+
+def _put(table: "_Table", key, row: Optional[int], ledger, extra=()) -> None:
+    """Write a ledger's state row, then ``extra`` doubles; a ``None`` row
+    appends one under ``key``."""
+    rows, column, orders = table
+    fields = ledger_fields(ledger)
+    values = array("d", [*fields[4:7], ledger.sessions, *fields[7:], *extra])
+    if row is None:
+        rows[key] = len(rows)
+        column.extend(values)
+        orders.extend(fields[:4])
+    else:
+        column[row * len(values) : (row + 1) * len(values)] = values
+        orders[row * 4 : row * 4 + 4] = array("B", fields[:4])
 
 
 class SweepReducer:

@@ -10,66 +10,26 @@ the paper reports on:
 
 Energy models are applied lazily so one run serves both parameter sets.
 
-Every level is **associatively mergeable**: :class:`ByteLedger`,
-:class:`UserTraffic` and :class:`SwarmResult` fold pairwise, and
-:meth:`SimulationResult.merge` / :meth:`SimulationResult.from_partials`
-reduce partial results from swarm-disjoint shards into one result --
-deterministically, regardless of the order partials complete in (see
-``from_partials``).  This is what lets the parallel backends compute
-shards anywhere and reduce them afterwards.
+:class:`ByteLedger`, :class:`UserTraffic` and :class:`SwarmResult`
+fold pairwise.  Runs do not merge finished results: every backend
+folds packed swarm outputs into one
+:class:`~repro.sim.reduce.StreamingReducer` in canonical task order,
+which builds the result's dicts once, at the end.
+:meth:`SimulationResult.identical_to` is the bit-for-bit equality
+behind the runtime's determinism guarantee.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.core.carbon import UserFootprint
 from repro.core.energy import EnergyModel
 from repro.sim.accounting import ByteLedger, savings
 from repro.sim.policies import SwarmKey
 
-__all__ = [
-    "SwarmResult",
-    "UserTraffic",
-    "SimulationResult",
-    "merge_ledger_map",
-    "merge_traffic_map",
-]
-
-
-def merge_ledger_map(
-    target: Dict, source: Mapping[object, ByteLedger]
-) -> None:
-    """Copy-or-merge fold of keyed ledgers into ``target`` in place.
-
-    The one shared reduction used by both the kernel's output fold and
-    :meth:`SimulationResult.merge`, so the two paths cannot drift.
-    ``source`` is never mutated or aliased.
-    """
-    for key, ledger in source.items():
-        existing = target.get(key)
-        if existing is None:
-            target[key] = ledger.copy()
-        else:
-            existing.merge(ledger)
-
-
-def merge_traffic_map(
-    target: Dict, source: Mapping[int, "UserTraffic"]
-) -> None:
-    """Copy-or-merge fold of per-user traffic into ``target`` in place.
-
-    Shared by the kernel's output fold and
-    :meth:`SimulationResult.merge`; ``source`` is never mutated or
-    aliased.
-    """
-    for user_id, traffic in source.items():
-        existing = target.get(user_id)
-        if existing is None:
-            target[user_id] = traffic.copy()
-        else:
-            existing.merge(traffic)
+__all__ = ["SwarmResult", "UserTraffic", "SimulationResult"]
 
 
 @dataclass
@@ -102,8 +62,8 @@ class SwarmResult:
         Ledgers and capacities add (concurrent viewers across the
         sub-swarms), arrival rates add, mean duration is
         session-weighted.  Associative up to float rounding -- the merge
-        primitive behind both content-level roll-ups and partial-result
-        reduction.
+        primitive behind both content-level roll-ups and the reducer's
+        fold of a duplicate swarm key.
         """
         results = list(results)
         ledger = ByteLedger.merged(r.ledger for r in results)
@@ -176,102 +136,19 @@ class SimulationResult:
     horizon: float
     upload_ratio: float
 
-    # ------------------------------------------------------------------
-    # Partial-result reduction
-    # ------------------------------------------------------------------
-
-    def merge(self, other: "SimulationResult") -> "SimulationResult":
-        """Fold another (swarm-disjoint) partial result into this one.
-
-        All levels merge associatively: totals and (ISP, day) / user
-        ledgers add, colliding swarm keys combine via
-        :meth:`SwarmResult.combine`.  ``other`` is never mutated or
-        aliased, so partials stay valid after merging.  Returns ``self``
-        for chaining.
-
-        Raises:
-            ValueError: if the runs used different ``delta_tau``,
-                ``upload_ratio`` or ``horizon`` (ledgers priced on
-                different windows, or capacities/arrival rates
-                normalized by different denominators, are not
-                comparable).  A zero ``self.horizon`` (the empty
-                accumulator ``from_partials`` starts from) accepts any
-                horizon.
-        """
-        if other.delta_tau != self.delta_tau:
-            raise ValueError(
-                "cannot merge results with different delta_tau: "
-                f"{self.delta_tau!r} vs {other.delta_tau!r}"
-            )
-        if other.upload_ratio != self.upload_ratio:
-            raise ValueError(
-                "cannot merge results with different upload_ratio: "
-                f"{self.upload_ratio!r} vs {other.upload_ratio!r}"
-            )
-        if self.horizon > 0.0 and other.horizon > 0.0 and self.horizon != other.horizon:
-            raise ValueError(
-                "cannot merge results with different horizons: "
-                f"{self.horizon!r} vs {other.horizon!r} (capacities and "
-                "arrival rates are normalized by the horizon)"
-            )
-        self.total.merge(other.total)
-        for key, result in other.per_swarm.items():
-            mine = self.per_swarm.get(key)
-            parts = [mine, result] if mine is not None else [result]
-            self.per_swarm[key] = SwarmResult.combine(key, parts)
-        merge_ledger_map(self.per_isp_day, other.per_isp_day)
-        merge_traffic_map(self.per_user, other.per_user)
-        self.horizon = max(self.horizon, other.horizon)
-        return self
-
     def identical_to(self, other: "SimulationResult") -> bool:
         """Exact (bit-for-bit, not approximate) equality at every level.
 
         The canonical check behind the runtime's determinism guarantee
         -- backends, worker counts and session orderings must all
-        satisfy it.  Compares every accounting field (via the same
-        fingerprints :meth:`from_partials` orders by), so new ledger
-        fields are automatically covered.
+        satisfy it.  Compares every accounting field (via
+        ``_ledger_fingerprint``), so new ledger fields are automatically
+        covered.
         """
-        return _partial_order_key(self) == _partial_order_key(other) and (
+        return _fingerprint(self) == _fingerprint(other) and (
             self.delta_tau,
             self.upload_ratio,
         ) == (other.delta_tau, other.upload_ratio)
-
-    @classmethod
-    def from_partials(
-        cls, partials: Iterable["SimulationResult"]
-    ) -> "SimulationResult":
-        """Reduce partial results from swarm-disjoint shards into one.
-
-        Partials are first ordered canonically by a fingerprint of their
-        *entire* content, then folded left-to-right -- so the reduction
-        performs the same float-addition sequence **regardless of the
-        order the partials arrived in** (i.e. regardless of shard
-        completion order).  Two partials can only tie if they are
-        bitwise identical at every level, in which case swapping them
-        cannot change the fold.  Inputs are not mutated.
-
-        Raises:
-            ValueError: if ``partials`` is empty, or the runs disagree
-                on ``delta_tau`` / ``upload_ratio``.
-        """
-        ordered = sorted(partials, key=_partial_order_key)
-        if not ordered:
-            raise ValueError("from_partials needs at least one partial result")
-        first = ordered[0]
-        merged = cls(
-            total=ByteLedger(),
-            per_swarm={},
-            per_isp_day={},
-            per_user={},
-            delta_tau=first.delta_tau,
-            horizon=0.0,
-            upload_ratio=first.upload_ratio,
-        )
-        for partial in ordered:
-            merged.merge(partial)
-        return merged
 
     # ------------------------------------------------------------------
     # Headline numbers
@@ -344,8 +221,8 @@ def _ledger_fingerprint(ledger: ByteLedger) -> Tuple:
 
     Derived from ``dataclasses.fields`` so fields added to
     :class:`ByteLedger` later are covered automatically -- this feeds
-    both :meth:`SimulationResult.identical_to` and the canonical
-    partial ordering, which must never silently skip a field.
+    :meth:`SimulationResult.identical_to`, which must never silently
+    skip a field.
     """
     values = []
     for spec in fields(ByteLedger):
@@ -356,33 +233,28 @@ def _ledger_fingerprint(ledger: ByteLedger) -> Tuple:
     return tuple(values)
 
 
-def _partial_order_key(partial: SimulationResult) -> Tuple:
-    """Canonical order for :meth:`SimulationResult.from_partials`.
-
-    Covers every value the fold touches, so partials that compare equal
-    are bitwise-interchangeable and the reduction is provably
-    independent of arrival order.
-    """
+def _fingerprint(result: SimulationResult) -> Tuple:
+    """Every value of a result but its run parameters, as a tuple."""
     return (
         tuple(
             sorted(
                 (key.sort_key(), _ledger_fingerprint(r.ledger), r.capacity,
                  r.arrival_rate, r.mean_duration)
-                for key, r in partial.per_swarm.items()
+                for key, r in result.per_swarm.items()
             )
         ),
-        _ledger_fingerprint(partial.total),
+        _ledger_fingerprint(result.total),
         tuple(
             sorted(
                 (isp_day, _ledger_fingerprint(ledger))
-                for isp_day, ledger in partial.per_isp_day.items()
+                for isp_day, ledger in result.per_isp_day.items()
             )
         ),
         tuple(
             sorted(
                 (uid, t.watched_bits, t.uploaded_bits)
-                for uid, t in partial.per_user.items()
+                for uid, t in result.per_user.items()
             )
         ),
-        partial.horizon,
+        result.horizon,
     )

@@ -482,7 +482,7 @@ class ServiceCheckpoint:
     late_sessions: int
     reducer: StreamingReducer
     buffers: Dict[int, List[Session]]
-    version: int = 1
+    version: int = 2
 
     def save(self, state_dir: Union[str, Path]) -> Path:
         """Atomically publish this checkpoint to ``path`` (temp + rename)."""
@@ -498,7 +498,9 @@ class ServiceCheckpoint:
             RuntimeError: if the file exists but cannot be decoded --
                 rename-published checkpoints are never torn, so a
                 corrupt one means real damage the operator should see,
-                not silently restart from scratch.
+                not silently restart from scratch -- or if its
+                ``version`` is not this class's (a reducer pickled in
+                another layout must not be resumed and folded into).
         """
         path = Path(state_dir) / cls.FILENAME
         if not path.exists():
@@ -512,6 +514,11 @@ class ServiceCheckpoint:
         if not isinstance(payload, cls):
             raise RuntimeError(
                 f"service checkpoint {path} holds {type(payload).__name__}"
+            )
+        if payload.version != cls.version:
+            raise RuntimeError(
+                f"service checkpoint {path} is version {payload.version}, "
+                f"not {cls.version}: its reducer state has another layout"
             )
         return payload
 

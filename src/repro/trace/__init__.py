@@ -1,8 +1,8 @@
 """Workload substrate: sessions, catalogue, population, synthetic traces.
 
 Substitutes the paper's proprietary BBC iPlayer trace with a fully
-parameterised synthetic generator (see DESIGN.md for the substitution
-rationale).  The simulator consumes a :class:`Trace` regardless of where
+parameterised synthetic generator (docs/ARCHITECTURE.md, "Trace
+synthesis").  The simulator consumes a :class:`Trace` regardless of where
 it came from.
 """
 

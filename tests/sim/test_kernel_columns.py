@@ -65,12 +65,35 @@ _starts = st.one_of(
     st.builds(lambda k: k * 60, st.integers(min_value=0, max_value=2000)),
 )
 
-_session_bodies = st.tuples(
-    st.integers(min_value=0, max_value=6),  # user_id (duplicates likely)
-    _starts,
-    st.sampled_from([1, 7, 60, 120, 601]),  # duration: sub-window to multi
-    st.sampled_from([800_000.0, 1_500_000.0]),  # bitrate
-    _attachments,
+_durations = st.sampled_from([1, 7, 60, 120, 601])  # sub-window to multi
+
+#: About half the bodies end within 10 s -- under one ``delta_tau`` --
+#: before a midnight, so a lingering seed's remove lands on the next day
+#: after every session has ended: the schedule's day count must come from
+#: the removes, not from the session ends.
+_session_bodies = st.one_of(
+    st.tuples(
+        st.integers(min_value=0, max_value=6),  # user_id (duplicates likely)
+        _starts,
+        _durations,
+        st.sampled_from([800_000.0, 1_500_000.0]),  # bitrate
+        _attachments,
+    ),
+    st.builds(
+        lambda user_id, day, before, duration, bitrate, attachment: (
+            user_id,
+            day * SECONDS_PER_DAY - before - duration,
+            duration,
+            bitrate,
+            attachment,
+        ),
+        st.integers(min_value=0, max_value=6),
+        st.sampled_from([1, 2]),
+        st.sampled_from([0.5, 1.0, 9.0]),
+        _durations,
+        st.sampled_from([800_000.0, 1_500_000.0]),
+        _attachments,
+    ),
 )
 
 _configs = st.builds(

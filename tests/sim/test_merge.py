@@ -1,21 +1,16 @@
-"""Mergeable results: associativity and order-independent reduction.
+"""Mergeable results: the pairwise folds behind the reducer.
 
-The parallel runtime rests on partial results reducing deterministically:
-ByteLedger / UserTraffic / SwarmResult fold pairwise, and
-SimulationResult.from_partials gives the same answer no matter what
-order swarm-disjoint partials arrive in.
+ByteLedger / UserTraffic / SwarmResult fold pairwise, and the
+streaming reduction over them must never mutate its inputs.
 """
-
-import random
 
 import pytest
 
-from repro.sim import SimulationConfig, simulate
+from repro.sim import SimulationConfig
 from repro.sim.accounting import ByteLedger
 from repro.sim.policies import SwarmKey
-from repro.sim.results import SimulationResult, SwarmResult, UserTraffic
+from repro.sim.results import SwarmResult, UserTraffic
 from repro.topology.layers import NetworkLayer
-from repro.trace.events import Trace
 from repro.trace.generator import GeneratorConfig, TraceGenerator
 
 
@@ -102,107 +97,9 @@ class TestSwarmResultCombine:
         assert a.ledger.server_bits == 8.0
 
 
-@pytest.fixture(scope="module")
-def partials_and_full():
-    """Swarm-disjoint partials (split by content) plus the full run."""
-    config = GeneratorConfig(
-        num_users=250, num_items=18, days=2, expected_sessions=2_000, seed=11
-    )
-    trace = TraceGenerator(config=config).generate()
-    sim_config = SimulationConfig()
-    full = simulate(trace, sim_config)
-
-    content_ids = trace.content_ids
-    shards = [content_ids[i::3] for i in range(3)]
-    partials = []
-    for shard in shards:
-        wanted = set(shard)
-        sessions = [s for s in trace.sessions if s.content_id in wanted]
-        sub = Trace.from_sessions(sessions, horizon=trace.horizon)
-        partials.append(simulate(sub, sim_config))
-    return partials, full
-
-
-class TestSimulationResultMerge:
-    def test_from_partials_order_independent(self, partials_and_full):
-        """Any arrival order reduces to the identical result."""
-        partials, _ = partials_and_full
-        reference = SimulationResult.from_partials(partials)
-        rng = random.Random(4)
-        for _ in range(4):
-            shuffled = list(partials)
-            rng.shuffle(shuffled)
-            other = SimulationResult.from_partials(shuffled)
-            assert other.total.server_bits == reference.total.server_bits
-            assert other.total.peer_bits == reference.total.peer_bits
-            assert other.per_isp_day.keys() == reference.per_isp_day.keys()
-            for key, ledger in reference.per_isp_day.items():
-                assert other.per_isp_day[key].server_bits == ledger.server_bits
-            assert other.per_user.keys() == reference.per_user.keys()
-            for uid, traffic in reference.per_user.items():
-                assert other.per_user[uid].uploaded_bits == traffic.uploaded_bits
-            assert list(other.per_swarm.keys()) == list(reference.per_swarm.keys())
-
-    def test_from_partials_matches_monolithic_run(self, partials_and_full):
-        """Swarm-disjoint shards carry identical physics, so the merged
-        totals agree with the single-run totals (up to fold rounding)."""
-        partials, full = partials_and_full
-        merged = SimulationResult.from_partials(partials)
-        assert merged.total.server_bits == pytest.approx(full.total.server_bits)
-        assert merged.total.demanded_bits == pytest.approx(full.total.demanded_bits)
-        assert merged.total.total_peer_bits == pytest.approx(
-            full.total.total_peer_bits
-        )
-        assert merged.per_swarm.keys() == full.per_swarm.keys()
-        assert merged.per_user.keys() == full.per_user.keys()
-        assert merged.horizon == full.horizon
-        watched = sum(t.watched_bits for t in merged.per_user.values())
-        assert watched == pytest.approx(full.total.demanded_bits)
-
-    def test_merge_does_not_mutate_other(self, partials_and_full):
-        partials, _ = partials_and_full
-        target = SimulationResult.from_partials(partials[:1])
-        before = partials[1].total.server_bits
-        isp_day_before = {
-            k: v.server_bits for k, v in partials[1].per_isp_day.items()
-        }
-        target.merge(partials[1])
-        assert partials[1].total.server_bits == before
-        assert {
-            k: v.server_bits for k, v in partials[1].per_isp_day.items()
-        } == isp_day_before
-
-    def test_merge_rejects_mismatched_parameters(self, partials_and_full):
-        partials, _ = partials_and_full
-        first = partials[0]
-        other = SimulationResult(
-            total=ByteLedger(), per_swarm={}, per_isp_day={}, per_user={},
-            delta_tau=30.0, horizon=first.horizon, upload_ratio=first.upload_ratio,
-        )
-        with pytest.raises(ValueError):
-            SimulationResult.from_partials([first, other])
-        ratio_clash = SimulationResult(
-            total=ByteLedger(), per_swarm={}, per_isp_day={}, per_user={},
-            delta_tau=first.delta_tau, horizon=first.horizon, upload_ratio=0.5,
-        )
-        with pytest.raises(ValueError):
-            first.merge(ratio_clash)
-
-    def test_from_partials_requires_input(self):
-        with pytest.raises(ValueError):
-            SimulationResult.from_partials([])
-
-    def test_from_partials_agrees_with_parallel_backend(self, partials_and_full):
-        """Both reduction paths (partial results merged after the fact,
-        and the backend's per-swarm fold) land on the same physics."""
-        partials, full = partials_and_full
-        merged = SimulationResult.from_partials(partials)
-        assert merged.offload_fraction() == pytest.approx(full.offload_fraction())
-
-
 class TestReductionRegressions:
     """Regressions caught in review: reductions must not mutate their
-    inputs, and partial ordering must not fall back to arrival order."""
+    inputs."""
 
     def test_merge_outputs_is_idempotent(self):
         from repro.sim.kernel import build_tasks, merge_outputs, run_shard
@@ -229,57 +126,3 @@ class TestReductionRegressions:
             assert second.per_isp_day[key].server_bits == ledger.server_bits
         for uid, traffic in first.per_user.items():
             assert second.per_user[uid].uploaded_bits == traffic.uploaded_bits
-
-    def test_from_partials_deterministic_with_tying_min_keys(self):
-        """Time-chunked partials share their most popular swarms, so the
-        old min-key ordering tied; the content fingerprint must not."""
-        import itertools
-
-        config = GeneratorConfig(
-            num_users=120, num_items=6, days=2, expected_sessions=900, seed=29
-        )
-        trace = TraceGenerator(config=config).generate()
-        bounds = [0.0, trace.horizon / 3, 2 * trace.horizon / 3, trace.horizon]
-        partials = []
-        for lo, hi in zip(bounds, bounds[1:]):
-            sessions = [s for s in trace.sessions if lo <= s.start < hi]
-            sub = Trace.from_sessions(sessions, horizon=trace.horizon)
-            partials.append(simulate(sub))
-        # Every chunk contains the popular items -> min swarm keys tie.
-        assert len({min(k.sort_key() for k in p.per_swarm) for p in partials}) == 1
-
-        fingerprints = set()
-        for permutation in itertools.permutations(partials):
-            merged = SimulationResult.from_partials(list(permutation))
-            fingerprints.add(
-                (
-                    merged.total.server_bits,
-                    tuple(sorted(
-                        (k.sort_key(), r.ledger.server_bits, r.capacity)
-                        for k, r in merged.per_swarm.items()
-                    )),
-                    tuple(sorted(
-                        (uid, t.watched_bits, t.uploaded_bits)
-                        for uid, t in merged.per_user.items()
-                    )),
-                )
-            )
-        assert len(fingerprints) == 1
-
-
-class TestHorizonValidation:
-    def test_merge_rejects_mismatched_horizon(self, partials_and_full):
-        partials, _ = partials_and_full
-        first = partials[0]
-        clash = SimulationResult(
-            total=ByteLedger(), per_swarm={}, per_isp_day={}, per_user={},
-            delta_tau=first.delta_tau, horizon=first.horizon * 2,
-            upload_ratio=first.upload_ratio,
-        )
-        with pytest.raises(ValueError, match="horizon"):
-            SimulationResult.from_partials([first, clash])
-
-    def test_zero_horizon_accumulator_accepts_any(self, partials_and_full):
-        partials, _ = partials_and_full
-        merged = SimulationResult.from_partials(partials[:1])
-        assert merged.horizon == partials[0].horizon

@@ -1,17 +1,15 @@
 """Property-based tests of the merge algebra behind the parallel runtime.
 
-Every reduction path in the runtime (batched fold, streaming fold,
-``from_partials``) rests on a small algebra: ByteLedger / UserTraffic /
-SwarmResult merge pairwise, SimulationResult partials reduce in a
-canonical order.  These tests state the laws directly and let
-`hypothesis` hunt for counterexamples:
+The runtime's reduction (the streaming fold of packed swarm outputs)
+rests on a small algebra: ByteLedger / UserTraffic / SwarmResult merge
+pairwise.  These tests state the laws directly and let `hypothesis`
+hunt for counterexamples:
 
 * merge associativity and commutativity (ByteLedger, UserTraffic),
 * SwarmResult.combine associativity,
-* ``from_partials`` invariance under permutation of arrival order,
-* empty partials are an identity of the reduction,
 * ``StreamingReducer`` equals the batched ``merge_outputs`` for every
-  completion order.
+  completion order,
+* the compiled fold equals the python fold, result and pickled state.
 
 Byte quantities are drawn as integer-valued floats (exact in binary
 floating point, and closed under the sums these laws take), so the
@@ -22,6 +20,8 @@ dependency: the whole module skips when it is missing.
 """
 
 import math
+import pickle
+from unittest import mock
 
 import pytest
 
@@ -29,11 +29,13 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.sim import kernel_columns, reduce
 from repro.sim.accounting import ByteLedger
 from repro.sim.kernel import SwarmOutput, merge_outputs
 from repro.sim.policies import SwarmKey
+from repro.sim.profiling import PROFILE
 from repro.sim.reduce import FootprintAccumulator, StreamingReducer
-from repro.sim.results import SimulationResult, SwarmResult, UserTraffic
+from repro.sim.results import SwarmResult, UserTraffic
 from repro.topology.layers import NetworkLayer
 
 #: Acceptance criterion: >= 200 examples per law.
@@ -52,18 +54,28 @@ UPLOAD_RATIO = 1.0
 #: commutative *exactly* -- the laws below assert bitwise equality.
 exact_bits = st.integers(min_value=0, max_value=2**40).map(float)
 
-ledgers = st.builds(
-    ByteLedger,
-    server_bits=exact_bits,
-    peer_bits=st.dictionaries(
-        st.sampled_from(sorted(NetworkLayer, key=lambda l: l.value)),
-        exact_bits,
-        max_size=3,
-    ),
-    demanded_bits=exact_bits,
-    watch_seconds=exact_bits,
-    sessions=st.integers(min_value=0, max_value=10_000),
-)
+#: Any finite float of moderate size, signed zeros and subnormals
+#: included: the two folds must agree on every rounding, not only on
+#: exact sums.
+any_bits = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False)
+
+
+def ledgers_over(bits, sessions=st.integers(min_value=0, max_value=10_000)):
+    return st.builds(
+        ByteLedger,
+        server_bits=bits,
+        peer_bits=st.dictionaries(
+            st.sampled_from(sorted(NetworkLayer, key=lambda l: l.value)),
+            bits,
+            max_size=3,
+        ),
+        demanded_bits=bits,
+        watch_seconds=bits,
+        sessions=sessions,
+    )
+
+
+ledgers = ledgers_over(exact_bits)
 
 user_traffic = st.builds(
     UserTraffic, watched_bits=exact_bits, uploaded_bits=exact_bits
@@ -85,20 +97,43 @@ swarm_results = st.builds(
     mean_duration=st.integers(min_value=0, max_value=10_000).map(float),
 )
 
-swarm_outputs = st.builds(
-    SwarmOutput,
-    result=swarm_results,
-    per_isp_day=st.dictionaries(
-        st.tuples(st.sampled_from(["ISP-1", "ISP-2", "all"]), st.integers(0, 3)),
-        ledgers,
-        max_size=3,
-    ),
-    per_user=st.dictionaries(
-        st.integers(min_value=0, max_value=40), user_traffic, max_size=4
-    ),
-)
+
+def outputs_over(results, bits):
+    """Outputs packed by the block writer.  Day ledgers carry no session
+    count, and their rows take the ISP of the swarm key."""
+    return st.builds(
+        SwarmOutput.pack,
+        results,
+        st.dictionaries(
+            st.integers(0, 3), ledgers_over(bits, st.just(0)), max_size=3
+        ),
+        st.dictionaries(
+            st.integers(min_value=0, max_value=40),
+            st.builds(UserTraffic, watched_bits=bits, uploaded_bits=bits),
+            max_size=4,
+        ),
+    )
+
+
+swarm_outputs = outputs_over(swarm_results, exact_bits)
 
 output_lists = st.lists(swarm_outputs, min_size=1, max_size=6)
+
+any_output_lists = st.lists(
+    outputs_over(
+        st.builds(
+            SwarmResult,
+            key=swarm_keys,
+            ledger=ledgers_over(any_bits),
+            capacity=any_bits,
+            arrival_rate=any_bits,
+            mean_duration=any_bits,
+        ),
+        any_bits,
+    ),
+    min_size=1,
+    max_size=6,
+)
 
 
 def make_partial(outputs):
@@ -106,21 +141,6 @@ def make_partial(outputs):
     return merge_outputs(
         outputs, delta_tau=DELTA_TAU, horizon=HORIZON, upload_ratio=UPLOAD_RATIO
     )
-
-
-partials = output_lists.map(make_partial)
-
-empty_partial = st.just(None).map(
-    lambda _: SimulationResult(
-        total=ByteLedger(),
-        per_swarm={},
-        per_isp_day={},
-        per_user={},
-        delta_tau=DELTA_TAU,
-        horizon=HORIZON,
-        upload_ratio=UPLOAD_RATIO,
-    )
-)
 
 
 def assert_ledgers_equal(a: ByteLedger, b: ByteLedger):
@@ -201,35 +221,6 @@ class TestSwarmResultLaws:
         )
 
 
-class TestFromPartialsLaws:
-    @LAW
-    @given(parts=st.lists(partials, min_size=1, max_size=5), rng=st.randoms())
-    def test_invariant_under_permutation(self, parts, rng):
-        reference = SimulationResult.from_partials(parts)
-        shuffled = list(parts)
-        rng.shuffle(shuffled)
-        assert SimulationResult.from_partials(shuffled).identical_to(reference)
-
-    @LAW
-    @given(parts=st.lists(partials, min_size=1, max_size=4), empty=empty_partial)
-    def test_empty_partial_is_identity(self, parts, empty):
-        reference = SimulationResult.from_partials(parts)
-        padded = SimulationResult.from_partials(parts + [empty])
-        assert padded.identical_to(reference)
-
-    @LAW
-    @given(parts=st.lists(partials, min_size=2, max_size=4))
-    def test_reduction_does_not_mutate_partials(self, parts):
-        snapshots = [
-            (p.total.server_bits, dict(p.per_user), dict(p.per_swarm)) for p in parts
-        ]
-        SimulationResult.from_partials(parts)
-        for partial, (server_bits, per_user, per_swarm) in zip(parts, snapshots):
-            assert partial.total.server_bits == server_bits
-            assert partial.per_user.keys() == per_user.keys()
-            assert partial.per_swarm.keys() == per_swarm.keys()
-
-
 class TestStreamingReducerLaws:
     @LAW
     @given(outputs=output_lists, rng=st.randoms())
@@ -266,3 +257,39 @@ class TestStreamingReducerLaws:
         for uid, traffic in reference.per_user.items():
             assert result.per_user[uid].watched_bits == traffic.watched_bits
             assert result.per_user[uid].uploaded_bits == traffic.uploaded_bits
+
+    @pytest.mark.skipif(
+        not kernel_columns.HAVE_COMPILED, reason="compiled kernel not built"
+    )
+    @LAW
+    @given(outputs=any_output_lists, rng=st.randoms())
+    def test_compiled_fold_equals_python_fold(self, outputs, rng):
+        """``_ckernel.fold`` replays the python fold: the same result and
+        the same pickled reducer state, for any split into contiguous
+        blocks and any completion order."""
+        size = len(outputs)
+        cuts = sorted(rng.sample(range(1, size), rng.randint(0, size - 1)))
+        bounds = [0, *cuts, size]
+        blocks = [(lo, outputs[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        rng.shuffle(blocks)
+
+        def fold():
+            reducer = StreamingReducer(
+                delta_tau=DELTA_TAU, horizon=HORIZON, upload_ratio=UPLOAD_RATIO
+            )
+            for index, block in blocks:
+                reducer.add(index, block)
+            return reducer
+
+        PROFILE.reset()
+        PROFILE.enabled = True
+        try:
+            compiled = fold()
+        finally:
+            PROFILE.enabled = False
+        assert PROFILE.compiled_folds == len(outputs)
+        PROFILE.reset()
+        with mock.patch.object(reduce, "_CKERNEL", None):
+            python = fold()
+        assert pickle.dumps(compiled) == pickle.dumps(python)
+        assert compiled.result().identical_to(python.result())

@@ -22,7 +22,7 @@ from repro.sim.reduce import (
     iter_user_deltas,
     load_user_deltas,
 )
-from repro.sim.results import UserTraffic, merge_traffic_map
+from repro.sim.results import UserTraffic
 from repro.trace.generator import GeneratorConfig, TraceGenerator
 
 
@@ -146,9 +146,15 @@ class TestStreamingReducer:
 
 class TestFootprintAccumulator:
     def fold_dict(self, outs):
+        """The plain dict fold: copy a user's first delta, add later ones."""
         per_user = {}
         for output in outs:
-            merge_traffic_map(per_user, output.per_user)
+            for user_id, traffic in output.per_user.items():
+                existing = per_user.get(user_id)
+                if existing is None:
+                    per_user[user_id] = traffic.copy()
+                else:
+                    existing.merge(traffic)
         return per_user
 
     def test_packed_arrays_match_dict_fold_exactly(self, outputs):

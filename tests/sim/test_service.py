@@ -467,6 +467,17 @@ class TestCrashResume:
         with pytest.raises(RuntimeError, match="corrupt service checkpoint"):
             ServiceCheckpoint.load(tmp_path)
 
+    def test_checkpoint_of_another_version_is_refused(
+        self, trace, service_config, tmp_path
+    ):
+        """A reducer pickled in another layout is refused, not resumed."""
+        self._crash_at(service_config, tmp_path, trace.sessions, "before_sink")
+        checkpoint = ServiceCheckpoint.load(tmp_path)
+        assert checkpoint.version == ServiceCheckpoint.version == 2
+        replace(checkpoint, version=1).save(tmp_path)
+        with pytest.raises(RuntimeError, match="is version 1, not 2"):
+            SimulationService(service_config, tmp_path)
+
 
 def _spawn_serve(feed, state, src_root, horizon, extra=""):
     """A real coordinator process tailing the feed (for SIGKILL tests)."""
