@@ -1,6 +1,7 @@
 /* Compiled columnar swarm sweep (optional fast path), the fold of its
  * packed output blocks, plus the trace generator's draw replay
- * (replay_item, at the end of this file).
+ * (replay_item) and external grouping's packed sort buffer
+ * (SortBuffer), both near the end of this file.
  *
  * A transcription of the object kernel -- repro/sim/kernel.py's
  * run_swarm_object and repro/sim/matching.py's match_window -- onto
@@ -1827,6 +1828,792 @@ done:
     return result;
 }
 
+/* ------------------------------------------------------------------ */
+/* External group sort: the compiled path of trace/store.py's         */
+/* ExternalGroupSorter, whose tuple sort is the semantics reference.  */
+/* A SortBuffer packs each added session into one 48-byte run record, */
+/* store.py's _RUN_RECORD ("<dqIIqdII"): start@0 (f64), session_id@8  */
+/* (i64), group@16 (u32), slot@20 (u32), user_id@24 (i64),            */
+/* duration@32 (f64), pop@40 (u32), exchange@44 (u32), where slot     */
+/* interns (content_id, isp, bitrate, device) in the sorter's dict.   */
+/* sort() orders the buffer in place by (rank of group, start,        */
+/* session_id, slot, user_id, duration, pop, exchange) with ties in   */
+/* add order -- the tuple sort's order -- and merge() k-way merges    */
+/* the spilled runs and the buffer into 56-byte store records, ties   */
+/* going to the earlier run as in heapq.merge.  Records are native    */
+/* byte order, so store.py uses this on little-endian hosts only.     */
+
+#define RUN_SIZE 48
+#define OUT_RECORDS 4096 /* store records per emit() call */
+#define ATT_CACHE_BITS 12 /* 4096 cached attachments */
+#define ATT_CACHE (1 << ATT_CACHE_BITS)
+
+enum { F_SID, F_UID, F_CONTENT, F_START, F_DURATION, F_RATE, F_ATT,
+       F_DEVICE, N_SFIELDS };
+static const char *const session_field_names[N_SFIELDS] = {
+    "session_id", "user_id", "content_id", "start",
+    "duration",   "bitrate", "attachment", "device"};
+static PyObject *session_names[N_SFIELDS], *att_names[3]; /* interned */
+
+typedef struct {
+    PyObject *att, *isp; /* strong references; att is the cache key */
+    uint32_t pop, exchange;
+} AttEntry;
+
+#define SLOT_CACHE_BITS 10 /* 1024 cached slot keys */
+
+typedef struct {
+    PyObject *obj[4]; /* strong references: content_id, isp, bitrate, device */
+    uint32_t slot;
+} SlotEntry;
+
+typedef struct {
+    PyObject_HEAD
+    uint8_t *rec; /* n run records, room for cap */
+    Py_ssize_t n, cap, capacity;
+    Py_ssize_t exports; /* live buffer views: no realloc meanwhile */
+    int finished, fast;
+    PyObject *orders; /* the sorter's group orders: ids are below len */
+    PyObject *slots;  /* (content_id, isp, bitrate, device) -> slot */
+    PyObject *spill;  /* called with no arguments when the buffer fills */
+    PyObject *session_type, *attachment_type;
+    Py_ssize_t off[N_SFIELDS]; /* session_type's slot offsets */
+    AttEntry att[ATT_CACHE];   /* attachment reads, keyed by identity */
+    SlotEntry slot_cache[1 << SLOT_CACHE_BITS]; /* slots, by identity */
+} SortBuffer;
+
+static int sortbuf_traverse(SortBuffer *self, visitproc visit, void *arg) {
+    Py_VISIT(self->orders);
+    Py_VISIT(self->slots);
+    Py_VISIT(self->spill);
+    Py_VISIT(self->session_type);
+    Py_VISIT(self->attachment_type);
+    for (int k = 0; k < ATT_CACHE; k++) {
+        Py_VISIT(self->att[k].att);
+        Py_VISIT(self->att[k].isp);
+    }
+    for (int k = 0; k < (1 << SLOT_CACHE_BITS); k++)
+        for (int f = 0; f < 4; f++) Py_VISIT(self->slot_cache[k].obj[f]);
+    return 0;
+}
+
+static int sortbuf_clear(SortBuffer *self) {
+    Py_CLEAR(self->orders);
+    Py_CLEAR(self->slots);
+    Py_CLEAR(self->spill);
+    Py_CLEAR(self->session_type);
+    Py_CLEAR(self->attachment_type);
+    for (int k = 0; k < ATT_CACHE; k++) {
+        Py_CLEAR(self->att[k].att);
+        Py_CLEAR(self->att[k].isp);
+    }
+    for (int k = 0; k < (1 << SLOT_CACHE_BITS); k++)
+        for (int f = 0; f < 4; f++) Py_CLEAR(self->slot_cache[k].obj[f]);
+    return 0;
+}
+
+static void sortbuf_dealloc(SortBuffer *self) {
+    PyObject_GC_UnTrack(self);
+    sortbuf_clear(self);
+    PyMem_Free(self->rec);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static PyObject *sortbuf_new(PyTypeObject *type, PyObject *args,
+                             PyObject *kwds) {
+    Py_ssize_t capacity;
+    PyObject *orders, *slots, *spill, *stype, *atype;
+    if (!PyArg_ParseTuple(args, "nO!O!OO!O!:SortBuffer", &capacity,
+                          &PyList_Type, &orders, &PyDict_Type, &slots,
+                          &spill, &PyType_Type, &stype, &PyType_Type, &atype))
+        return NULL;
+    if (capacity < 1 || capacity > (Py_ssize_t)UINT32_MAX) {
+        PyErr_Format(PyExc_ValueError,
+                     "capacity must be in [1, 2**32), got %zd", capacity);
+        return NULL;
+    }
+    SortBuffer *self = (SortBuffer *)type->tp_alloc(type, 0);
+    if (!self) return NULL;
+    self->capacity = capacity;
+    self->fast = 1;
+    for (int k = 0; k < N_SFIELDS; k++)
+        self->fast &= (self->off[k] = member_offset(
+                           (PyTypeObject *)stype, session_field_names[k])) >= 0;
+    Py_INCREF(orders);
+    self->orders = orders;
+    Py_INCREF(slots);
+    self->slots = slots;
+    Py_INCREF(spill);
+    self->spill = spill;
+    Py_INCREF(stype);
+    self->session_type = stype;
+    Py_INCREF(atype);
+    self->attachment_type = atype;
+    return (PyObject *)self;
+}
+
+/* A float field's value (ints convert, as struct's 'd' converts them). */
+static int field_double(PyObject *o, double *out) {
+    if (PyFloat_CheckExact(o)) {
+        *out = PyFloat_AS_DOUBLE(o);
+        return 0;
+    }
+    *out = PyFloat_AsDouble(o);
+    return *out == -1.0 && PyErr_Occurred() ? -1 : 0;
+}
+
+/* An integer field that must fit int64 (or u32); otherwise ValueError
+ * naming the session and the field, as store.py's _field_error does. */
+static int field_int(PyObject *o, PyObject *sid, const char *field, int u32,
+                     int64_t *out) {
+    int overflow = 0;
+    long long v = PyLong_AsLongLongAndOverflow(o, &overflow);
+    if (v == -1 && PyErr_Occurred()) return -1;
+    if (overflow || (u32 && (v < 0 || v > (long long)UINT32_MAX))) {
+        PyErr_Format(PyExc_ValueError, "session %R: %s %R is outside %s", sid,
+                     field, o, u32 ? "u32" : "int64");
+        return -1;
+    }
+    *out = v;
+    return 0;
+}
+
+/* The attachment's isp (new reference), pop and exchange.  Exact
+ * AttachmentPoints (frozen) of exact Sessions are read once per
+ * object and cached by identity; anything else is read every time. */
+static PyObject *attachment_fields(SortBuffer *self, PyObject *att,
+                                   PyObject *sid, int fast, uint32_t *pop,
+                                   uint32_t *exchange) {
+    fast = fast && Py_TYPE(att) == (PyTypeObject *)self->attachment_type;
+    AttEntry *e = &self->att[(uint64_t)(uintptr_t)att *
+                                 UINT64_C(0x9E3779B97F4A7C15) >>
+                             (64 - ATT_CACHE_BITS)];
+    if (fast && e->att == att) {
+        *pop = e->pop;
+        *exchange = e->exchange;
+        Py_INCREF(e->isp);
+        return e->isp;
+    }
+    PyObject *isp = PyObject_GetAttr(att, att_names[0]);
+    if (!isp) return NULL;
+    int64_t v[2];
+    for (int k = 0; k < 2; k++) {
+        PyObject *o = PyObject_GetAttr(att, att_names[k + 1]);
+        int rc = o ? field_int(o, sid, k ? "exchange" : "pop", 1, &v[k]) : -1;
+        Py_XDECREF(o);
+        if (rc < 0) {
+            Py_DECREF(isp);
+            return NULL;
+        }
+    }
+    *pop = (uint32_t)v[0];
+    *exchange = (uint32_t)v[1];
+    if (fast) {
+        Py_XDECREF(e->att);
+        Py_XDECREF(e->isp);
+        Py_INCREF(att);
+        Py_INCREF(isp);
+        e->att = att;
+        e->isp = isp;
+        e->pop = *pop;
+        e->exchange = *exchange;
+    }
+    return isp;
+}
+
+/* The slot of (content_id, isp, bitrate, device), or -1 with an
+ * exception.  The sorter's dict decides by equality; in front of it, a
+ * cache keyed by the four objects' identities, which it holds, so that
+ * no cached address is reused by another object. */
+static Py_ssize_t slot_of(SortBuffer *self, PyObject *const obj[4]) {
+    uint64_t h = 0;
+    for (int f = 0; f < 4; f++)
+        h = (h ^ (uint64_t)(uintptr_t)obj[f]) * UINT64_C(0x9E3779B97F4A7C15);
+    SlotEntry *e = &self->slot_cache[h >> (64 - SLOT_CACHE_BITS)];
+    if (e->obj[0] == obj[0] && e->obj[1] == obj[1] && e->obj[2] == obj[2] &&
+        e->obj[3] == obj[3])
+        return e->slot;
+    PyObject *key = PyTuple_Pack(4, obj[0], obj[1], obj[2], obj[3]);
+    if (!key) return -1;
+    PyObject *known = PyDict_GetItemWithError(self->slots, key); /* borrowed */
+    Py_ssize_t slot = -1;
+    if (known) {
+        slot = PyLong_AsSsize_t(known);
+    } else if (!PyErr_Occurred()) {
+        slot = PyDict_GET_SIZE(self->slots);
+        PyObject *fresh = PyLong_FromSsize_t(slot);
+        if (!fresh || PyDict_SetItem(self->slots, key, fresh) < 0) slot = -1;
+        Py_XDECREF(fresh);
+    }
+    Py_DECREF(key);
+    if (slot < 0 || slot > (Py_ssize_t)UINT32_MAX) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_OverflowError, "more than 2**32 sort slots");
+        return -1;
+    }
+    for (int f = 0; f < 4; f++) {
+        Py_INCREF(obj[f]);
+        Py_XSETREF(e->obj[f], obj[f]);
+    }
+    e->slot = (uint32_t)slot;
+    return slot;
+}
+
+/* add(group, session): pack one session; calls spill() once full. */
+static PyObject *sortbuf_add(SortBuffer *self, PyObject *const *args,
+                             Py_ssize_t nargs) {
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "add(group, session)");
+        return NULL;
+    }
+    if (self->finished) {
+        PyErr_SetString(PyExc_RuntimeError, "cannot add sessions after write()");
+        return NULL;
+    }
+    Py_ssize_t group = PyLong_AsSsize_t(args[0]);
+    if (group == -1 && PyErr_Occurred()) return NULL;
+    if (group < 0 || group >= PyList_GET_SIZE(self->orders)) {
+        PyErr_Format(PyExc_IndexError, "group %zd is not registered", group);
+        return NULL;
+    }
+    if (self->n == self->cap) {
+        Py_ssize_t cap = self->cap ? 2 * self->cap : 256;
+        if (cap > self->capacity) cap = self->capacity;
+        if (self->exports || cap == self->n) {
+            PyErr_SetString(PyExc_BufferError, "sort buffer cannot grow now");
+            return NULL;
+        }
+        uint8_t *rec = PyMem_Realloc(self->rec, cap * RUN_SIZE);
+        if (!rec) return PyErr_NoMemory();
+        self->rec = rec;
+        self->cap = cap;
+    }
+
+    PyObject *s = args[1], *v[N_SFIELDS] = {NULL}, *isp = NULL;
+    PyObject *result = NULL;
+    int fast = self->fast && Py_TYPE(s) == (PyTypeObject *)self->session_type;
+    for (int k = 0; k < N_SFIELDS; k++) {
+        PyObject *o = fast ? *(PyObject **)((char *)s + self->off[k]) : NULL;
+        if (o)
+            Py_INCREF(o);
+        else if (!(o = PyObject_GetAttr(s, session_names[k])))
+            goto done;
+        v[k] = o;
+    }
+    int64_t sid, uid;
+    double start, duration;
+    uint32_t pop, exchange;
+    if (field_int(v[F_SID], v[F_SID], "session_id", 0, &sid) < 0 ||
+        field_int(v[F_UID], v[F_SID], "user_id", 0, &uid) < 0 ||
+        field_double(v[F_START], &start) < 0 ||
+        field_double(v[F_DURATION], &duration) < 0)
+        goto done;
+    isp = attachment_fields(self, v[F_ATT], v[F_SID], fast, &pop, &exchange);
+    if (!isp) goto done;
+    PyObject *const key[4] = {v[F_CONTENT], isp, v[F_RATE], v[F_DEVICE]};
+    Py_ssize_t slot = slot_of(self, key);
+    if (slot < 0) goto done;
+    uint8_t *p = self->rec + self->n * RUN_SIZE;
+    uint32_t g32 = (uint32_t)group, s32 = (uint32_t)slot;
+    memcpy(p, &start, 8);
+    memcpy(p + 8, &sid, 8);
+    memcpy(p + 16, &g32, 4);
+    memcpy(p + 20, &s32, 4);
+    memcpy(p + 24, &uid, 8);
+    memcpy(p + 32, &duration, 8);
+    memcpy(p + 40, &pop, 4);
+    memcpy(p + 44, &exchange, 4);
+    if (++self->n == self->capacity) {
+        result = PyObject_CallNoArgs(self->spill);
+        if (!result) goto done;
+        Py_DECREF(result);
+    }
+    result = Py_None;
+    Py_INCREF(result);
+done:
+    for (int k = 0; k < N_SFIELDS; k++) Py_XDECREF(v[k]);
+    Py_XDECREF(isp);
+    return result;
+}
+
+/* Order of two run records of one group: start, session_id, slot,
+ * user_id, duration, pop, exchange -- the tuple key after the group's
+ * order.  Floats compare as python's do (-0.0 == 0.0). */
+static int run_fields_cmp(const uint8_t *a, const uint8_t *b) {
+    double x, y;
+    int64_t i, j;
+    uint32_t u, w;
+    memcpy(&x, a, 8);
+    memcpy(&y, b, 8);
+    if (x < y) return -1;
+    if (x > y) return 1;
+    memcpy(&i, a + 8, 8);
+    memcpy(&j, b + 8, 8);
+    if (i != j) return i < j ? -1 : 1;
+    memcpy(&u, a + 20, 4);
+    memcpy(&w, b + 20, 4);
+    if (u != w) return u < w ? -1 : 1;
+    memcpy(&i, a + 24, 8);
+    memcpy(&j, b + 24, 8);
+    if (i != j) return i < j ? -1 : 1;
+    memcpy(&x, a + 32, 8);
+    memcpy(&y, b + 32, 8);
+    if (x < y) return -1;
+    if (x > y) return 1;
+    for (int off = 40; off <= 44; off += 4) {
+        memcpy(&u, a + off, 4);
+        memcpy(&w, b + off, 4);
+        if (u != w) return u < w ? -1 : 1;
+    }
+    return 0;
+}
+
+static uint32_t run_group(const uint8_t *r) {
+    uint32_t g;
+    memcpy(&g, r + 16, 4);
+    return g;
+}
+
+static int run_cmp(const uint8_t *a, const uint8_t *b, const uint32_t *rank) {
+    uint32_t x = rank[run_group(a)], y = rank[run_group(b)];
+    if (x != y) return x < y ? -1 : 1;
+    return run_fields_cmp(a, b);
+}
+
+/* Stable merge sort of record indices a[0:n) by run_fields_cmp; tmp
+ * holds n / 2 indices. */
+static void sort_indices(uint32_t *a, uint32_t *tmp, Py_ssize_t n,
+                         const uint8_t *rec) {
+    if (n <= 12) {
+        for (Py_ssize_t i = 1; i < n; i++) {
+            uint32_t x = a[i];
+            Py_ssize_t j = i;
+            for (; j > 0 && run_fields_cmp(rec + (size_t)a[j - 1] * RUN_SIZE,
+                                           rec + (size_t)x * RUN_SIZE) > 0;
+                 j--)
+                a[j] = a[j - 1];
+            a[j] = x;
+        }
+        return;
+    }
+    Py_ssize_t h = n / 2, i = 0, j = h, k = 0;
+    sort_indices(a, tmp, h, rec);
+    sort_indices(a + h, tmp, n - h, rec);
+    if (run_fields_cmp(rec + (size_t)a[h - 1] * RUN_SIZE,
+                       rec + (size_t)a[h] * RUN_SIZE) <= 0)
+        return;
+    memcpy(tmp, a, h * sizeof(uint32_t));
+    while (i < h && j < n)
+        a[k++] = run_fields_cmp(rec + (size_t)a[j] * RUN_SIZE,
+                                rec + (size_t)tmp[i] * RUN_SIZE) < 0
+                     ? a[j++]
+                     : tmp[i++];
+    while (i < h) a[k++] = tmp[i++];
+}
+
+/* rank[group] from by_rank, the group ids in rank order; *groups gets
+ * its length.  PyMem-allocated, so tracemalloc sees it. */
+static uint32_t *rank_table(PyObject *by_rank, Py_ssize_t *groups) {
+    Py_ssize_t g = PyList_GET_SIZE(by_rank);
+    uint32_t *rank = PyMem_Malloc((g ? g : 1) * sizeof(uint32_t));
+    if (!rank) return (uint32_t *)PyErr_NoMemory();
+    memset(rank, 0xFF, (g ? g : 1) * sizeof(uint32_t));
+    for (Py_ssize_t r = 0; r < g; r++) {
+        Py_ssize_t id = PyLong_AsSsize_t(PyList_GET_ITEM(by_rank, r));
+        if (id < 0 || id >= g || rank[id] != UINT32_MAX) {
+            if (!PyErr_Occurred())
+                PyErr_SetString(PyExc_ValueError,
+                                "by_rank must order every group id once");
+            PyMem_Free(rank);
+            return NULL;
+        }
+        rank[id] = (uint32_t)r;
+    }
+    *groups = g;
+    return rank;
+}
+
+/* Sort the n buffered records in place: a stable counting sort on the
+ * group's rank, a stable merge sort within each group, then the
+ * permutation applied record by record.  Scratch: 4 bytes a record. */
+static int sort_records(uint8_t *rec, Py_ssize_t n, const uint32_t *rank,
+                        Py_ssize_t groups) {
+    if (n < 2) return 0;
+    uint32_t *end = PyMem_Calloc(groups + 1, sizeof(uint32_t));
+    uint32_t *idx = PyMem_Malloc(n * sizeof(uint32_t)), *tmp = NULL;
+    int rc = -1;
+    if (!end || !idx) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < n; i++) {
+        uint32_t g = run_group(rec + i * RUN_SIZE);
+        if (g >= groups) {
+            PyErr_Format(PyExc_ValueError, "run record of unranked group %u", g);
+            goto done;
+        }
+        end[rank[g] + 1]++;
+    }
+    Py_ssize_t longest = 0;
+    for (Py_ssize_t r = 0; r < groups; r++) {
+        if (end[r + 1] > longest) longest = end[r + 1];
+        end[r + 1] += end[r];
+    }
+    for (Py_ssize_t i = 0; i < n; i++)
+        idx[end[rank[run_group(rec + i * RUN_SIZE)]]++] = (uint32_t)i;
+    /* end[r] is now where rank r's segment ends. */
+    if (!(tmp = PyMem_Malloc((longest / 2 + 1) * sizeof(uint32_t)))) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t r = 0, lo = 0; r < groups; lo = end[r++])
+        if (end[r] - lo > 1) sort_indices(idx + lo, tmp, end[r] - lo, rec);
+    /* idx[j] is the record that belongs at j: follow each cycle. */
+    for (Py_ssize_t i = 0; i < n; i++) {
+        if (idx[i] == i) continue;
+        uint8_t held[RUN_SIZE];
+        memcpy(held, rec + i * RUN_SIZE, RUN_SIZE);
+        Py_ssize_t j = i;
+        for (;;) {
+            Py_ssize_t k = idx[j];
+            idx[j] = (uint32_t)j;
+            if (k == i) {
+                memcpy(rec + j * RUN_SIZE, held, RUN_SIZE);
+                break;
+            }
+            memcpy(rec + j * RUN_SIZE, rec + k * RUN_SIZE, RUN_SIZE);
+            j = k;
+        }
+    }
+    rc = 0;
+done:
+    PyMem_Free(end);
+    PyMem_Free(idx);
+    PyMem_Free(tmp);
+    return rc;
+}
+
+/* sort(by_rank): order the buffered records, groups ranked by by_rank. */
+static PyObject *sortbuf_sort(SortBuffer *self, PyObject *by_rank) {
+    if (!PyList_Check(by_rank)) {
+        PyErr_SetString(PyExc_TypeError, "by_rank must be a list");
+        return NULL;
+    }
+    if (self->exports) {
+        PyErr_SetString(PyExc_BufferError, "sort buffer is exported");
+        return NULL;
+    }
+    Py_ssize_t groups;
+    uint32_t *rank = rank_table(by_rank, &groups);
+    if (!rank) return NULL;
+    int rc = sort_records(self->rec, self->n, rank, groups);
+    PyMem_Free(rank);
+    if (rc < 0) return NULL;
+    Py_RETURN_NONE;
+}
+
+/* clear(): drop the buffered records (after a spill), keeping room. */
+static PyObject *sortbuf_clear_records(SortBuffer *self,
+                                       PyObject *Py_UNUSED(ignored)) {
+    if (self->exports) {
+        PyErr_SetString(PyExc_BufferError, "sort buffer is exported");
+        return NULL;
+    }
+    self->n = 0;
+    Py_RETURN_NONE;
+}
+
+/* One merge input: a spilled run read chunk by chunk, or the buffer. */
+typedef struct {
+    PyObject *data; /* the run's current chunk (bytes) */
+    const uint8_t *p, *end;
+    Py_ssize_t next, count; /* records read so far / in the run */
+} Source;
+
+/* Read a run's next chunk through read(run, first, count). */
+static int source_refill(Source *s, Py_ssize_t run, Py_ssize_t chunk,
+                         PyObject *read) {
+    Py_CLEAR(s->data);
+    s->p = s->end = NULL;
+    Py_ssize_t want = s->count - s->next;
+    if (want > chunk) want = chunk;
+    if (want <= 0) return 0;
+    PyObject *data = PyObject_CallFunction(read, "nnn", run, s->next, want);
+    if (!data) return -1;
+    if (!PyBytes_Check(data) || PyBytes_GET_SIZE(data) != want * RUN_SIZE) {
+        Py_DECREF(data);
+        PyErr_Format(PyExc_ValueError,
+                     "run %zd: read did not return %zd records", run, want);
+        return -1;
+    }
+    s->data = data;
+    s->p = (const uint8_t *)PyBytes_AS_STRING(data);
+    s->end = s->p + want * RUN_SIZE;
+    s->next += want;
+    return 0;
+}
+
+static int source_before(const Source *src, int32_t a, int32_t b,
+                         const uint32_t *rank) {
+    int c = run_cmp(src[a].p, src[b].p, rank);
+    return c < 0 || (c == 0 && a < b);
+}
+
+static void heap_down(int32_t *heap, Py_ssize_t m, Py_ssize_t i,
+                      const Source *src, const uint32_t *rank) {
+    for (;;) {
+        Py_ssize_t least = i, l = 2 * i + 1, r = l + 1;
+        if (l < m && source_before(src, heap[l], heap[least], rank)) least = l;
+        if (r < m && source_before(src, heap[r], heap[least], rank)) least = r;
+        if (least == i) return;
+        int32_t t = heap[i];
+        heap[i] = heap[least];
+        heap[least] = t;
+        i = least;
+    }
+}
+
+/* A store string-table ref that must fit its field. */
+static int table_ref(PyObject *o, uint64_t max, const char *table,
+                     uint32_t *out) {
+    Py_ssize_t v = PyLong_AsSsize_t(o);
+    if (v == -1 && PyErr_Occurred()) return -1;
+    if (v < 0 || (uint64_t)v > max) {
+        PyErr_Format(PyExc_ValueError,
+                     "a store holds at most %llu distinct %s strings",
+                     (unsigned long long)max + 1, table);
+        return -1;
+    }
+    *out = (uint32_t)v;
+    return 0;
+}
+
+/* merge(by_rank, runs, chunk, read, emit, refs, slots): sort the
+ * buffer, then merge it with the spilled runs (runs[r] records each,
+ * read chunk records at a time) into 56-byte store records, passed to
+ * emit(bytes) OUT_RECORDS at a time.  refs(slot) gives a slot's
+ * (content_ref, bitrate, isp_ref, device_ref) the first time it
+ * appears in merged order.  Returns [(group, index, count)] per group,
+ * in merged order.  The buffer is released: a sorter merges once. */
+static PyObject *sortbuf_merge(SortBuffer *self, PyObject *args) {
+    PyObject *by_rank, *runs, *read, *emit, *refs;
+    Py_ssize_t chunk, nslots;
+    if (!PyArg_ParseTuple(args, "O!O!nOOOn:merge", &PyList_Type, &by_rank,
+                          &PyList_Type, &runs, &chunk, &read, &emit, &refs,
+                          &nslots))
+        return NULL;
+    if (self->exports) {
+        PyErr_SetString(PyExc_BufferError, "sort buffer is exported");
+        return NULL;
+    }
+    self->finished = 1;
+    Py_ssize_t groups, k = PyList_GET_SIZE(runs), m = 0, written = 0,
+                       nout = 0, first = 0;
+    uint32_t *rank = rank_table(by_rank, &groups);
+    Source *src = PyMem_Calloc(k + 1, sizeof(Source));
+    int32_t *heap = PyMem_Malloc((k + 1) * sizeof(int32_t));
+    uint8_t *out = PyMem_Malloc(OUT_RECORDS * DB_RECORD_SIZE);
+    /* per slot: content ref, isp ref, device ref, bitrate, seen */
+    uint32_t *slot_refs = PyMem_Calloc(3 * (nslots ? nslots : 1), 4);
+    double *slot_rate = PyMem_Malloc((nslots ? nslots : 1) * sizeof(double));
+    uint8_t *seen = PyMem_Calloc(nslots ? nslots : 1, 1);
+    PyObject *extents = PyList_New(0), *result = NULL;
+    uint32_t cur_rank = 0, cur_group = 0;
+    if (!rank || !extents) goto done;
+    if (!src || !heap || !out || !slot_refs || !slot_rate || !seen ||
+        chunk < 1 || nslots < 0) {
+        if (!PyErr_Occurred()) {
+            if (chunk < 1 || nslots < 0)
+                PyErr_SetString(PyExc_ValueError, "bad chunk or slot count");
+            else
+                PyErr_NoMemory();
+        }
+        goto done;
+    }
+    if (sort_records(self->rec, self->n, rank, groups) < 0) goto done;
+    for (Py_ssize_t r = 0; r < k; r++) {
+        src[r].count = PyLong_AsSsize_t(PyList_GET_ITEM(runs, r));
+        if (src[r].count == -1 && PyErr_Occurred()) goto done;
+        if (source_refill(&src[r], r, chunk, read) < 0) goto done;
+    }
+    src[k].p = self->rec;
+    src[k].end = self->rec + self->n * RUN_SIZE;
+    for (Py_ssize_t r = 0; r <= k; r++) {
+        if (src[r].p == src[r].end) continue;
+        if (run_group(src[r].p) >= groups) goto corrupt;
+        heap[m++] = (int32_t)r;
+    }
+    for (Py_ssize_t i = m / 2; i-- > 0;) heap_down(heap, m, i, src, rank);
+
+    while (m > 0) {
+        int32_t top = heap[0];
+        Source *s = &src[top];
+        const uint8_t *r = s->p;
+        uint32_t g = run_group(r), slot;
+        memcpy(&slot, r + 20, 4);
+        if (slot >= nslots) goto corrupt;
+        if (!seen[slot]) {
+            PyObject *t = PyObject_CallFunction(refs, "n", (Py_ssize_t)slot);
+            if (!t) goto done;
+            int ok = PyTuple_Check(t) && PyTuple_GET_SIZE(t) == 4 &&
+                     table_ref(PyTuple_GET_ITEM(t, 0), UINT32_MAX, "content",
+                               &slot_refs[3 * slot]) == 0 &&
+                     field_double(PyTuple_GET_ITEM(t, 1), &slot_rate[slot]) == 0 &&
+                     table_ref(PyTuple_GET_ITEM(t, 2), 0xFFFF, "isp",
+                               &slot_refs[3 * slot + 1]) == 0 &&
+                     table_ref(PyTuple_GET_ITEM(t, 3), 0xFFFF, "device",
+                               &slot_refs[3 * slot + 2]) == 0;
+            Py_DECREF(t);
+            if (!ok) {
+                if (!PyErr_Occurred())
+                    PyErr_SetString(PyExc_TypeError,
+                                    "refs(slot) must return a 4-tuple");
+                goto done;
+            }
+            seen[slot] = 1;
+        }
+        uint32_t rk = rank[g];
+        if (written == 0 || rk != cur_rank) {
+            if (written > 0) {
+                PyObject *e = Py_BuildValue("(Inn)", cur_group, first,
+                                            written - first);
+                if (!e || PyList_Append(extents, e) < 0) {
+                    Py_XDECREF(e);
+                    goto done;
+                }
+                Py_DECREF(e);
+            }
+            cur_rank = rk;
+            cur_group = g;
+            first = written;
+        }
+        uint8_t *o = out + nout * DB_RECORD_SIZE;
+        uint16_t isp_ref = (uint16_t)slot_refs[3 * slot + 1],
+                 device_ref = (uint16_t)slot_refs[3 * slot + 2];
+        memcpy(o, r + 8, 8);                  /* session_id */
+        memcpy(o + 8, r + 24, 8);             /* user_id */
+        memcpy(o + 16, &slot_refs[3 * slot], 4); /* content ref */
+        memcpy(o + 20, r, 8);                 /* start */
+        memcpy(o + 28, r + 32, 8);            /* duration */
+        memcpy(o + 36, &slot_rate[slot], 8);  /* bitrate */
+        memcpy(o + 44, &isp_ref, 2);
+        memcpy(o + 46, r + 40, 8);            /* pop, exchange */
+        memcpy(o + 54, &device_ref, 2);
+        written++;
+        if (++nout == OUT_RECORDS) {
+            PyObject *b = PyBytes_FromStringAndSize((char *)out,
+                                                    nout * DB_RECORD_SIZE);
+            PyObject *rv = b ? PyObject_CallOneArg(emit, b) : NULL;
+            Py_XDECREF(b);
+            if (!rv) goto done;
+            Py_DECREF(rv);
+            nout = 0;
+        }
+        s->p += RUN_SIZE;
+        if (s->p == s->end && top < k &&
+            source_refill(s, top, chunk, read) < 0)
+            goto done;
+        if (s->p == s->end)
+            heap[0] = heap[--m];
+        else if (run_group(s->p) >= groups)
+            goto corrupt;
+        heap_down(heap, m, 0, src, rank);
+    }
+    if (nout > 0) {
+        PyObject *b = PyBytes_FromStringAndSize((char *)out, nout * DB_RECORD_SIZE);
+        PyObject *rv = b ? PyObject_CallOneArg(emit, b) : NULL;
+        Py_XDECREF(b);
+        if (!rv) goto done;
+        Py_DECREF(rv);
+    }
+    if (written > 0) {
+        PyObject *e = Py_BuildValue("(Inn)", cur_group, first, written - first);
+        if (!e || PyList_Append(extents, e) < 0) {
+            Py_XDECREF(e);
+            goto done;
+        }
+        Py_DECREF(e);
+    }
+    result = extents;
+    extents = NULL;
+    goto done;
+corrupt:
+    PyErr_SetString(PyExc_ValueError, "run record names an unknown group or slot");
+done:
+    if (src)
+        for (Py_ssize_t r = 0; r <= k; r++) Py_XDECREF(src[r].data);
+    PyMem_Free(src);
+    PyMem_Free(heap);
+    PyMem_Free(out);
+    PyMem_Free(slot_refs);
+    PyMem_Free(slot_rate);
+    PyMem_Free(seen);
+    PyMem_Free(rank);
+    Py_XDECREF(extents);
+    PyMem_Free(self->rec);
+    self->rec = NULL;
+    self->n = self->cap = 0;
+    return result;
+}
+
+static Py_ssize_t sortbuf_len(SortBuffer *self) { return self->n; }
+
+static int sortbuf_getbuffer(SortBuffer *self, Py_buffer *view, int flags) {
+    static uint8_t empty;
+    if (PyBuffer_FillInfo(view, (PyObject *)self,
+                          self->rec ? self->rec : &empty,
+                          self->n * RUN_SIZE, 1, flags) < 0)
+        return -1;
+    self->exports++;
+    return 0;
+}
+
+static void sortbuf_releasebuffer(SortBuffer *self, Py_buffer *view) {
+    self->exports--;
+}
+
+static PyMethodDef sortbuf_methods[] = {
+    {"add", (PyCFunction)(void (*)(void))sortbuf_add, METH_FASTCALL,
+     "add(group, session): pack one session as a run record; calls "
+     "spill() when the buffer holds capacity records."},
+    {"sort", (PyCFunction)sortbuf_sort, METH_O,
+     "sort(by_rank): order the buffer in place by its group's rank in "
+     "by_rank, then the tuple key."},
+    {"clear", (PyCFunction)sortbuf_clear_records, METH_NOARGS,
+     "clear(): drop the buffered records, after a spill wrote them."},
+    {"merge", (PyCFunction)sortbuf_merge, METH_VARARGS,
+     "merge(by_rank, runs, chunk, read, emit, refs, slots): merge the "
+     "spilled runs and the buffer into store records; returns the "
+     "extents."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PySequenceMethods sortbuf_as_sequence = {
+    .sq_length = (lenfunc)sortbuf_len,
+};
+
+static PyBufferProcs sortbuf_as_buffer = {
+    .bf_getbuffer = (getbufferproc)sortbuf_getbuffer,
+    .bf_releasebuffer = (releasebufferproc)sortbuf_releasebuffer,
+};
+
+static PyTypeObject SortBufferType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._ckernel.SortBuffer",
+    .tp_doc = "SortBuffer(capacity, orders, slots, spill, session_type, "
+              "attachment_type): ExternalGroupSorter's packed run buffer "
+              "(trace/store.py); the buffer protocol exposes the records.",
+    .tp_basicsize = sizeof(SortBuffer),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_new = sortbuf_new,
+    .tp_dealloc = (destructor)sortbuf_dealloc,
+    .tp_traverse = (traverseproc)sortbuf_traverse,
+    .tp_clear = (inquiry)sortbuf_clear,
+    .tp_methods = sortbuf_methods,
+    .tp_as_sequence = &sortbuf_as_sequence,
+    .tp_as_buffer = &sortbuf_as_buffer,
+};
+
 static PyMethodDef ckernel_methods[] = {
     {"sweep", sweep, METH_VARARGS,
      "Columnar swarm sweep over packed schedule columns; returns the "
@@ -1875,5 +2662,22 @@ PyMODINIT_FUNC PyInit__ckernel(void) {
     Py_DECREF(array_module);
     if (!array_type) return NULL;
     crc_init();
-    return PyModule_Create(&ckernel_module);
+    for (int k = 0; k < N_SFIELDS; k++)
+        if (!(session_names[k] =
+                  PyUnicode_InternFromString(session_field_names[k])))
+            return NULL;
+    static const char *const att_field_names[3] = {"isp", "pop", "exchange"};
+    for (int k = 0; k < 3; k++)
+        if (!(att_names[k] = PyUnicode_InternFromString(att_field_names[k])))
+            return NULL;
+    if (PyType_Ready(&SortBufferType) < 0) return NULL;
+    PyObject *module = PyModule_Create(&ckernel_module);
+    if (!module) return NULL;
+    Py_INCREF(&SortBufferType);
+    if (PyModule_AddObject(module, "SortBuffer", (PyObject *)&SortBufferType) < 0) {
+        Py_DECREF(&SortBufferType);
+        Py_DECREF(module);
+        return NULL;
+    }
+    return module;
 }

@@ -33,7 +33,9 @@ their whole sweep is charged to ``sweep`` (it has no matching /
 accounting split).  ``tasks`` counts every swarm swept, on either
 kernel; ``compiled_tasks`` those swept in C.  ``compiled_folds``
 counts the outputs the reducer folded in C (``_ckernel.fold``) rather
-than in its python fold.
+than in its python fold, and ``compiled_sorts`` the external sorts
+(:class:`repro.trace.store.ExternalGroupSorter`) merged in C
+(``_ckernel.SortBuffer``) rather than by its tuple path.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ class KernelProfile:
         "compiled_tasks",
         "fused_tasks",
         "compiled_folds",
+        "compiled_sorts",
     )
 
     def __init__(self) -> None:
@@ -74,6 +77,7 @@ class KernelProfile:
         self.compiled_tasks = 0
         self.fused_tasks = 0
         self.compiled_folds = 0
+        self.compiled_sorts = 0
 
     def report(self) -> str:
         """A human-readable per-phase breakdown."""

@@ -22,6 +22,8 @@ __all__ = ["Session", "Trace"]
 
 SECONDS_PER_DAY = 86_400.0
 
+_INF = float("inf")
+
 
 @dataclass(frozen=True, slots=True)
 class Session:
@@ -50,12 +52,13 @@ class Session:
     device: str = "unknown"
 
     def __post_init__(self) -> None:
-        if self.start < 0:
+        # Negated comparisons, so that NaN fails them too.
+        if not self.start >= 0:
             raise ValueError(f"start must be >= 0, got {self.start!r}")
-        if self.duration <= 0:
+        if not self.duration > 0:
             raise ValueError(f"duration must be > 0, got {self.duration!r}")
-        if self.bitrate <= 0:
-            raise ValueError(f"bitrate must be > 0, got {self.bitrate!r}")
+        if not 0 < self.bitrate < _INF:
+            raise ValueError(f"bitrate must be finite and > 0, got {self.bitrate!r}")
         if not self.content_id:
             raise ValueError("content_id must be non-empty")
 

@@ -17,12 +17,14 @@ on:
   worker process can decode *its own* sessions straight from the file
   instead of receiving them pickled from the coordinator.
 * :class:`ExternalGroupSorter` -- a classic external merge-sort into
-  group order: each session is packed once into a plain tuple under
-  a caller-assigned group id, bounded runs are sorted and spilled as
-  internal fixed-width run files, and a k-way merge (``heapq.merge``)
-  writes one globally sorted store.  Group orders are supplied by the
-  caller (the simulator passes ``SwarmKey.sort_key()``), so the module
-  stays independent of the simulation layer.
+  group order: each session is packed once into a 48 B run record
+  under a caller-assigned group id, bounded buffers are sorted in
+  place and spilled as internal fixed-width run files, and a k-way
+  merge writes one globally sorted store -- all in C when the compiled
+  extension is loaded, with a tuple sort and ``heapq.merge`` as the
+  pure-python reference.  Group orders are supplied by the caller (the
+  simulator passes ``SwarmKey.sort_key()``), so the module stays
+  independent of the simulation layer.
 * :class:`Extent` / :class:`ShardManifest` -- the map from each group
   (swarm) to its ``(file, offset, length)`` extent in a sorted store,
   the unit of zero-copy handoff to workers.
@@ -44,6 +46,7 @@ import heapq
 import json
 import os
 import struct
+import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -61,7 +64,8 @@ from typing import (
 )
 
 from repro.sim import faults
-from repro.topology.nodes import intern_attachment
+from repro.sim.profiling import PROFILE
+from repro.topology.nodes import AttachmentPoint, intern_attachment
 from repro.trace.events import Session
 
 __all__ = [
@@ -105,6 +109,8 @@ STORE_VERSION = _VERSION
 #: (no padding) -- 56 bytes.
 _RECORD = struct.Struct("<qqIdddHIIH")
 RECORD_SIZE = _RECORD.size
+
+_INF = float("inf")
 
 #: Sequential readers and the sorted-store writer move this many
 #: records per file read or write.
@@ -183,23 +189,19 @@ class StoreWriter:
         """Write one session; returns its record index in the file."""
         if self._closed:
             raise RuntimeError(f"store {self.path} is closed")
-        self._file.write(
-            _RECORD.pack(
-                session.session_id,
-                session.user_id,
-                self._content.ref(session.content_id),
-                session.start,
-                session.duration,
-                session.bitrate,
-                self._isp.ref(session.attachment.isp),
-                session.attachment.pop,
-                session.attachment.exchange,
-                self._device.ref(session.device),
-            )
+        attachment = session.attachment
+        return self._write_record(
+            session.session_id,
+            session.user_id,
+            session.content_id,
+            session.start,
+            session.duration,
+            session.bitrate,
+            attachment.isp,
+            attachment.pop,
+            attachment.exchange,
+            session.device,
         )
-        index = self._count
-        self._count += 1
-        return index
 
     def append_fields(
         self,
@@ -225,16 +227,48 @@ class StoreWriter:
         """
         if self._closed:
             raise RuntimeError(f"store {self.path} is closed")
-        if start < 0:
+        # Negated comparisons, so that NaN fails them too.
+        if not start >= 0:
             raise ValueError(f"start must be >= 0, got {start!r}")
-        if duration <= 0:
+        if not duration > 0:
             raise ValueError(f"duration must be > 0, got {duration!r}")
-        if bitrate <= 0:
-            raise ValueError(f"bitrate must be > 0, got {bitrate!r}")
+        if not 0 < bitrate < _INF:
+            raise ValueError(f"bitrate must be finite and > 0, got {bitrate!r}")
         if not content_id:
             raise ValueError("content_id must be non-empty")
-        self._file.write(
-            _RECORD.pack(
+        return self._write_record(
+            session_id,
+            user_id,
+            content_id,
+            start,
+            duration,
+            bitrate,
+            isp,
+            pop,
+            exchange,
+            device,
+        )
+
+    def _write_record(
+        self,
+        session_id: int,
+        user_id: int,
+        content_id: str,
+        start: float,
+        duration: float,
+        bitrate: float,
+        isp: str,
+        pop: int,
+        exchange: int,
+        device: str,
+    ) -> int:
+        """Pack and write one record; returns its index.
+
+        A field the record cannot hold raises a ``ValueError`` naming
+        the session and the field, and writes nothing.
+        """
+        try:
+            record = _RECORD.pack(
                 session_id,
                 user_id,
                 self._content.ref(content_id),
@@ -246,7 +280,12 @@ class StoreWriter:
                 exchange,
                 self._device.ref(device),
             )
-        )
+        except struct.error:
+            error = _field_error(session_id, user_id, pop, exchange)
+            if error is None:
+                raise
+            raise error from None
+        self._file.write(record)
         index = self._count
         self._count += 1
         return index
@@ -271,12 +310,12 @@ class StoreWriter:
         self._file.close()
         self._closed = True
 
-    def _append_packed(self, records: List[bytes]) -> None:
+    def _append_packed(self, records: bytes) -> None:
         """Write packed records whose string refs come from this writer."""
         if self._closed:
             raise RuntimeError(f"store {self.path} is closed")
-        self._file.write(b"".join(records))
-        self._count += len(records)
+        self._file.write(records)
+        self._count += len(records) // RECORD_SIZE
 
     def __enter__(self) -> "StoreWriter":
         return self
@@ -621,10 +660,54 @@ class SorterStats:
 
 
 #: One spilled run record: start, session_id, group id, field slot,
-#: user_id, duration, pop, exchange.  Internal to
+#: user_id, duration, pop, exchange -- 48 bytes.  Internal to
 #: :class:`ExternalGroupSorter` -- run files are not stores: they have
 #: no header, footer or string tables, and live only until the merge.
+#: The compiled sort buffer holds the same records in memory, in native
+#: byte order (little-endian hosts only).
 _RUN_RECORD = struct.Struct("<dqIIqdII")
+
+#: Integer fields a packed record holds, by kind: (low, high).
+_INT_RANGES = {"int64": (-(2**63), 2**63 - 1), "u32": (0, 2**32 - 1)}
+
+
+def _field_error(
+    session_id: object, user_id: object, pop: object, exchange: object
+) -> Optional[ValueError]:
+    """The error for the first field a packed record cannot hold, if any.
+
+    Records store ids as int64 and pop / exchange as u32; ``struct``
+    reports a value outside them without naming the session or field.
+    """
+    for field, value, kind in (
+        ("session_id", session_id, "int64"),
+        ("user_id", user_id, "int64"),
+        ("pop", pop, "u32"),
+        ("exchange", exchange, "u32"),
+    ):
+        low, high = _INT_RANGES[kind]
+        if isinstance(value, int) and not low <= value <= high:
+            return ValueError(
+                f"session {session_id!r}: {field} {value!r} is outside {kind}"
+            )
+    return None
+
+
+def _compiled_sort_buffer():
+    """``_ckernel.SortBuffer`` when the compiled extension is loaded.
+
+    Reads :mod:`repro.sim.kernel_columns`' one decision (which applies
+    ``REPRO_NO_CKERNEL``) at call time, as the trace generator reads
+    ``replay_item``: importing this module loads no simulation code,
+    and tests that mask the extension there reach the tuple path.  Its
+    records are native byte order, so other hosts keep the tuple path.
+    """
+    if sys.byteorder != "little":
+        return None
+    from repro.sim import kernel_columns
+
+    ckernel = kernel_columns._ckernel
+    return None if ckernel is None else ckernel.SortBuffer
 
 
 class ExternalGroupSorter:
@@ -637,18 +720,28 @@ class ExternalGroupSorter:
     group id.  :meth:`write` emits a store file sorted by ``(group
     order, start, session_id)`` and returns each group's extent in it.
 
-    Each session is packed once into a plain tuple: its string and
-    bitrate fields collapse to one integer *slot* (an interned
-    ``(content_id, isp, bitrate, device)`` combination) and its group
-    order leads, so the sort needs no key callback.  Full buffers of
-    ``run_sessions`` tuples are sorted and spilled as fixed-width run
-    records carrying the group id.  At :meth:`write`, groups get integer
-    ranks from their orders (once per group, not per session), the runs
-    k-way merge on ``(rank, start, session_id)`` -- reading about
-    ``run_sessions`` records at a time across all runs -- and the shard
-    is packed straight from the merged fields, its string tables
-    interned in first-encounter order exactly as :class:`StoreWriter`
-    would.  No :class:`~repro.trace.events.Session` is ever decoded.
+    A session's string and bitrate fields collapse to one integer
+    *slot* (an interned ``(content_id, isp, bitrate, device)``
+    combination).  With the compiled extension, :meth:`add` is
+    ``_ckernel.SortBuffer.add``: it packs the session's fields into a
+    48 B run record in one contiguous buffer, and a full buffer of
+    ``run_sessions`` records is sorted in place in C and written as a
+    run.  A run needs a group order before every group is known, so
+    each spill ranks the groups seen so far; that order only ever grows
+    (a later group slots in between earlier ones), so every run agrees
+    with the final ranking.  :meth:`write` k-way merges the runs and
+    the buffer in C on the final ranks, reading each run about
+    ``run_sessions // (runs + 1)`` records at a time, and emits the
+    shard's 56 B records, its string tables interned in first-encounter
+    order of the merged stream exactly as :class:`StoreWriter` would.
+    No :class:`~repro.trace.events.Session` is ever decoded.
+
+    Without the extension (``REPRO_NO_CKERNEL=1``) each session is
+    packed into a plain tuple led by its group order, spilled runs are
+    tuple-sorted and merged with ``heapq.merge``: the semantics
+    reference, whose shard and extents the compiled path reproduces
+    byte for byte.  Both order ties beyond the key in add order, and
+    between runs in spill order.
 
     Session ids must be unique (the simulator's traces are), which makes
     the order total, so the output is a pure function of the session
@@ -663,17 +756,30 @@ class ExternalGroupSorter:
         self.directory = Path(directory)
         self.run_sessions = run_sessions
         self._orders: List[object] = []
+        self._by_rank: List[int] = []  # group ids, ranked as of the last spill
         self._slots: Dict[Tuple[str, str, float, str], int] = {}
         self._buffer: List[tuple] = []
         self._runs: List[Tuple[Path, int]] = []
         self._sorted = 0  # sessions no longer in the buffer
         self._peak_buffered = 0
         self._finished = False
+        buffer_type = _compiled_sort_buffer() if run_sessions < 2**32 else None
+        self._packed = None
+        if buffer_type is not None:
+            self._packed = buffer_type(
+                run_sessions,
+                self._orders,
+                self._slots,
+                self._spill,
+                Session,
+                AttachmentPoint,
+            )
+            self.add = self._packed.add  # type: ignore[method-assign]
 
     @property
     def stats(self) -> SorterStats:
         """What the sort has done so far (see :class:`SorterStats`)."""
-        buffered = len(self._buffer)
+        buffered = len(self._buffer if self._packed is None else self._packed)
         return SorterStats(
             sessions=self._sorted + buffered,
             runs_spilled=len(self._runs),
@@ -715,25 +821,41 @@ class ExternalGroupSorter:
         if len(buffer) >= self.run_sessions:
             self._spill()
 
-    def _release(self) -> List[tuple]:
-        """Take the buffer out, counting it as sorted."""
-        buffer, self._buffer = self._buffer, []
-        self._sorted += len(buffer)
-        self._peak_buffered = max(self._peak_buffered, len(buffer))
-        return buffer
+    def _rank(self) -> List[int]:
+        """Every group registered so far, as group ids in order.
+
+        Groups registered since the last call join the ranking.  The
+        ranked prefix is one run to timsort, so re-ranking costs one
+        pass over the groups plus a sort of the new ones.
+        """
+        by_rank = self._by_rank
+        if len(by_rank) < len(self._orders):
+            by_rank.extend(range(len(by_rank), len(self._orders)))
+            by_rank.sort(key=self._orders.__getitem__)
+        return by_rank
+
+    def _released(self, count: int) -> None:
+        """Count ``count`` buffered sessions as sorted."""
+        self._sorted += count
+        self._peak_buffered = max(self._peak_buffered, count)
 
     def _spill(self) -> None:
-        buffer = self._release()
-        buffer.sort()
-        pack = _RUN_RECORD.pack
         path = self.directory / f"run-{len(self._runs):06d}.bin"
-        records = [
-            pack(start, sid, group, slot, user, duration, pop, exchange)
-            for _, start, sid, group, slot, user, duration, pop, exchange in buffer
-        ]
+        packed = self._packed
+        if packed is None:
+            buffer, self._buffer = self._buffer, []
+            buffer.sort()
+            count = len(buffer)
+            data = _pack_runs(buffer)
+        else:
+            packed.sort(self._rank())
+            count, data = len(packed), packed
         with open(path, "wb") as handle:
-            handle.write(b"".join(records))
-        self._runs.append((path, len(records)))
+            handle.write(data)
+        if packed is not None:
+            packed.clear()
+        self._released(count)
+        self._runs.append((path, count))
 
     def write(
         self, path: Union[str, Path], horizon: float
@@ -748,28 +870,47 @@ class ExternalGroupSorter:
         if self._finished:
             raise RuntimeError("write() may only be called once")
         self._finished = True
-        by_rank = sorted(range(len(self._orders)), key=self._orders.__getitem__)
-        rank_of = [0] * len(by_rank)
-        for rank, group in enumerate(by_rank):
-            rank_of[group] = rank
-        buffered = self._release()
-        final = [
-            (rank_of[group], start, sid, slot, user, duration, pop, exchange)
-            for _, start, sid, group, slot, user, duration, pop, exchange in buffered
-        ]
-        final.sort()
+        by_rank = self._rank()
+        fields = list(self._slots)
         # Runs are read this many records at a time, so together they
         # hold about run_sessions records however many were spilled.
         chunk = max(1, self.run_sessions // (len(self._runs) + 1))
         descriptors: List[int] = []
+
+        def read(run: int, first: int, count: int) -> bytes:
+            """``count`` records of one run from record ``first`` on."""
+            return _pread_exact(
+                self._runs[run][0],
+                descriptors[run],
+                count * _RUN_RECORD.size,
+                first * _RUN_RECORD.size,
+            )
+
         try:
-            streams: List[Iterable[tuple]] = []
-            for run_path, count in self._runs:
-                descriptor = os.open(run_path, os.O_RDONLY)
-                descriptors.append(descriptor)
-                streams.append(_read_run(run_path, descriptor, count, chunk, rank_of))
-            streams.append(final)
-            return self._write_merged(heapq.merge(*streams), path, horizon, by_rank)
+            for run_path, _ in self._runs:
+                descriptors.append(os.open(run_path, os.O_RDONLY))
+            with StoreWriter(path, horizon=horizon) as writer:
+
+                def refs(slot: int) -> Tuple[int, float, int, int]:
+                    """A slot's shard string refs and bitrate, interned now."""
+                    content, isp, bitrate, device = fields[slot]
+                    return (
+                        writer._content.ref(content),
+                        bitrate,
+                        writer._isp.ref(isp),
+                        writer._device.ref(device),
+                    )
+
+                if self._packed is None:
+                    return self._merge_tuples(by_rank, chunk, read, refs, writer)
+                self._released(len(self._packed))
+                runs = [count for _, count in self._runs]
+                extents = self._packed.merge(
+                    by_rank, runs, chunk, read, writer._append_packed, refs, len(fields)
+                )
+                if PROFILE.enabled:
+                    PROFILE.compiled_sorts += 1
+                return extents
         finally:
             for descriptor in descriptors:
                 os.close(descriptor)
@@ -779,73 +920,106 @@ class ExternalGroupSorter:
                 except OSError:  # pragma: no cover - best-effort cleanup
                     pass
 
-    def _write_merged(
+    def _merge_tuples(
         self,
-        merged: Iterable[tuple],
-        path: Union[str, Path],
-        horizon: float,
         by_rank: Sequence[int],
+        chunk: int,
+        read: Callable[[int, int, int], bytes],
+        refs: Callable[[int], Tuple[int, float, int, int]],
+        writer: StoreWriter,
     ) -> List[Tuple[int, int, int]]:
-        """Pack merged ``(rank, ...)`` tuples into a store; return extents."""
-        fields = list(self._slots)
-        # Per slot: its shard string refs and bitrate, interned the first
-        # time the slot appears in merged order -- which interns every
-        # string at its own first encounter, as StoreWriter.append would.
-        refs: List[Optional[Tuple[int, float, int, int]]] = [None] * len(fields)
+        """The tuple path's merge: ``heapq.merge`` of rank-led tuples."""
+        rank_of = [0] * len(by_rank)
+        for rank, group in enumerate(by_rank):
+            rank_of[group] = rank
+        buffered, self._buffer = self._buffer, []
+        self._released(len(buffered))
+        final = [
+            (rank_of[group], start, sid, slot, user, duration, pop, exchange)
+            for _, start, sid, group, slot, user, duration, pop, exchange in buffered
+        ]
+        final.sort()
+        streams: List[Iterable[tuple]] = [
+            _read_run(read, run, count, chunk, rank_of)
+            for run, (_, count) in enumerate(self._runs)
+        ]
+        streams.append(final)
+        refs_of: List[Optional[tuple]] = [None] * len(self._slots)
         pack = _RECORD.pack
         extents: List[Tuple[int, int, int]] = []
         records: List[bytes] = []
         current = first = -1
-        with StoreWriter(path, horizon=horizon) as writer:
-            for rank, start, sid, slot, user, duration, pop, exchange in merged:
-                if rank != current:
-                    index = writer.records_written + len(records)
-                    if current >= 0:
-                        extents.append((by_rank[current], first, index - first))
-                    current, first = rank, index
-                ref = refs[slot]
-                if ref is None:
-                    content, isp, bitrate, device = fields[slot]
-                    ref = refs[slot] = (
-                        writer._content.ref(content),
-                        bitrate,
-                        writer._isp.ref(isp),
-                        writer._device.ref(device),
-                    )
-                content_ref, bitrate, isp_ref, device_ref = ref
-                records.append(
-                    pack(
-                        sid,
-                        user,
-                        content_ref,
-                        start,
-                        duration,
-                        bitrate,
-                        isp_ref,
-                        pop,
-                        exchange,
-                        device_ref,
-                    )
+        merged = heapq.merge(*streams)
+        for rank, start, sid, slot, user, duration, pop, exchange in merged:
+            if rank != current:
+                index = writer.records_written + len(records)
+                if current >= 0:
+                    extents.append((by_rank[current], first, index - first))
+                current, first = rank, index
+            ref = refs_of[slot]
+            if ref is None:
+                ref = refs_of[slot] = refs(slot)
+            content_ref, bitrate, isp_ref, device_ref = ref
+            try:
+                record = pack(
+                    sid,
+                    user,
+                    content_ref,
+                    start,
+                    duration,
+                    bitrate,
+                    isp_ref,
+                    pop,
+                    exchange,
+                    device_ref,
                 )
-                if len(records) == _CHUNK_RECORDS:
-                    writer._append_packed(records)
-                    records = []
-            writer._append_packed(records)
+            except struct.error:
+                error = _field_error(sid, user, pop, exchange)
+                if error is None:
+                    raise
+                raise error from None
+            records.append(record)
+            if len(records) == _CHUNK_RECORDS:
+                writer._append_packed(b"".join(records))
+                records = []
+        writer._append_packed(b"".join(records))
         if current >= 0:
             extents.append((by_rank[current], first, writer.records_written - first))
         return extents
 
 
+def _pack_runs(buffer: List[tuple]) -> bytes:
+    """The tuple path's sorted buffer as run records.
+
+    A field a record cannot hold raises the error naming its session.
+    """
+    pack = _RUN_RECORD.pack
+    try:
+        return b"".join(
+            [
+                pack(start, sid, group, slot, user, duration, pop, exchange)
+                for _, start, sid, group, slot, user, duration, pop, exchange in buffer
+            ]
+        )
+    except struct.error:
+        for _, _, sid, _, _, user, _, pop, exchange in buffer:
+            error = _field_error(sid, user, pop, exchange)
+            if error is not None:
+                raise error from None
+        raise
+
+
 def _read_run(
-    path: Path, descriptor: int, count: int, chunk: int, rank_of: Sequence[int]
+    read: Callable[[int, int, int], bytes],
+    run: int,
+    count: int,
+    chunk: int,
+    rank_of: Sequence[int],
 ) -> Iterator[tuple]:
     """Stream one spilled run as merge tuples, ``chunk`` records per read."""
     unpack = _RUN_RECORD.iter_unpack
     for index in range(0, count, chunk):
-        records = min(chunk, count - index)
-        data = _pread_exact(
-            path, descriptor, records * _RUN_RECORD.size, index * _RUN_RECORD.size
-        )
+        data = read(run, index, min(chunk, count - index))
         yield from [
             (rank_of[group], start, sid, slot, user, duration, pop, exchange)
             for start, sid, group, slot, user, duration, pop, exchange in unpack(data)

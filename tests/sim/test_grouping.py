@@ -8,12 +8,13 @@ equal; its coordinator residency must be bounded by the sort buffer;
 and its plan must hand workers extent refs, not pickled sessions.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.sim import SimulationConfig, Simulator, faults, simulate
+from repro.sim import SimulationConfig, Simulator, faults, kernel_columns, simulate
 from repro.sim.backends import SerialBackend
 from repro.sim.grouping import (
     GROUPING_MODES,
@@ -26,6 +27,7 @@ from repro.sim.grouping import (
 )
 from repro.sim.kernel import SwarmTask, build_tasks, resolve_task
 from repro.sim.policies import PAPER_POLICY, EpochPolicy, SwarmPolicy
+from repro.topology.nodes import AttachmentPoint
 from repro.trace.generator import GeneratorConfig, TraceGenerator
 
 
@@ -190,6 +192,31 @@ class TestErrorContract:
     def test_rejects_bad_run_sessions(self):
         with pytest.raises(ValueError):
             ExternalGrouping(run_sessions=0)
+
+    @pytest.mark.parametrize("sorter", ["compiled", "tuple"])
+    @pytest.mark.parametrize("run_sessions", [64, 10**6])
+    def test_field_a_record_cannot_hold_names_the_session(
+        self, trace, tmp_path, monkeypatch, sorter, run_sessions
+    ):
+        # Memory grouping simulates a pop of 2**32; a store record holds
+        # u32.  Both sorter paths, spilled or not, name the session and
+        # field instead of failing inside struct, and leave nothing behind.
+        if sorter == "compiled" and not kernel_columns.HAVE_COMPILED:
+            pytest.skip("needs the compiled extension")
+        if sorter == "tuple":
+            monkeypatch.setattr(kernel_columns, "_ckernel", None)
+        bad = dataclasses.replace(
+            trace.sessions[7], attachment=AttachmentPoint("ISP-1", 2**32, 0)
+        )
+        sessions = list(trace.sessions)
+        sessions[7] = bad
+        build_tasks(sessions, trace.horizon, PAPER_POLICY)
+        message = f"^session {bad.session_id}: pop {2**32} is outside u32$"
+        with pytest.raises(ValueError, match=message):
+            ExternalGrouping(shard_dir=tmp_path, run_sessions=run_sessions).plan(
+                iter(sessions), trace.horizon, PAPER_POLICY
+            )
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCleanup:

@@ -65,6 +65,24 @@ class TestSession:
         with pytest.raises(ValueError):
             make_session(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("start", float("nan")),
+            ("start", float("-inf")),
+            ("duration", float("nan")),
+            ("duration", float("-inf")),
+            ("bitrate", float("nan")),
+            ("bitrate", float("inf")),
+            ("bitrate", float("-inf")),
+        ],
+    )
+    def test_non_finite_fields_rejected_by_name(self, field, value):
+        # A NaN would fail only deep in the kernel, after the whole sort,
+        # and an infinite bitrate would run to inf totals.
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            make_session(**{field: value})
+
     def test_immutable(self):
         s = make_session()
         with pytest.raises(AttributeError):

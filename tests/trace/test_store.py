@@ -5,6 +5,7 @@ import os
 import pytest
 
 from repro.sim.policies import PAPER_POLICY
+from repro.topology.nodes import AttachmentPoint
 from repro.trace.events import Session
 from repro.trace.generator import GeneratorConfig, TraceGenerator
 from repro.trace.store import (
@@ -92,6 +93,68 @@ class TestRoundTrip:
     def test_writer_rejects_negative_horizon(self, tmp_path):
         with pytest.raises(ValueError):
             StoreWriter(tmp_path / "t.store", horizon=-1.0)
+
+
+class TestFieldValidation:
+    """Values a 56 B record cannot hold fail by name, before any write."""
+
+    FIELDS = dict(
+        session_id=1,
+        user_id=2,
+        content_id="item",
+        start=10.0,
+        duration=60.0,
+        bitrate=1_500_000.0,
+        isp="ISP-1",
+        pop=0,
+        exchange=0,
+        device="tv",
+    )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("start", float("nan")),
+            ("duration", float("nan")),
+            ("bitrate", float("nan")),
+            ("bitrate", float("inf")),
+        ],
+    )
+    def test_append_fields_rejects_non_finite_values(self, field, value, tmp_path):
+        with StoreWriter(tmp_path / "s.store") as writer:
+            with pytest.raises(ValueError, match=f"^{field} must be"):
+                writer.append_fields(**{**self.FIELDS, field: value})
+            assert writer.records_written == 0
+
+    @pytest.mark.parametrize(
+        "field, value, kind",
+        [
+            ("session_id", 2**63, "int64"),
+            ("user_id", -(2**63) - 1, "int64"),
+            ("pop", 2**32, "u32"),
+            ("exchange", 2**32, "u32"),
+        ],
+    )
+    def test_out_of_range_fields_name_the_session(self, field, value, kind, tmp_path):
+        fields = {**self.FIELDS, field: value}
+        message = f"session {fields['session_id']}: {field} {value} is outside {kind}"
+        with StoreWriter(tmp_path / "s.store") as writer:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                writer.append_fields(**fields)
+            if field in ("pop", "exchange"):
+                # AttachmentPoint accepts any pop >= 0; the record does not.
+                session = Session(
+                    session_id=fields["session_id"],
+                    user_id=fields["user_id"],
+                    content_id="item",
+                    start=10.0,
+                    duration=60.0,
+                    bitrate=1_500_000.0,
+                    attachment=AttachmentPoint("ISP-1", fields["pop"], fields["exchange"]),
+                )
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    writer.append(session)
+            assert writer.records_written == 0
 
 
 class TestReadRange:
