@@ -20,10 +20,11 @@ sessions, hours watched) together with the paper-policy savings, a
 bit-for-bit result digest (``repro.sim.service.result_digest``, the
 one the repository benchmark checks its passes by) and the coordinator's
 peak RSS.  The trace itself is never resident: the sort buffer and the
-final result are.  At density 1.0 neither sets the peak, though: the
-population and its viewer tables do, before the first session is drawn
-(about 1.1 GB of 3.3M users' objects that the allocator keeps after
-they are freed).
+final result are, and the population is held as columns (user id =
+position).  ``rss_at_first_session_mb`` records the peak RSS when the
+first session is drawn -- population and the largest item's draws
+included -- apart from the run's peak, which the final result build
+sets.
 
 ``--density 1.0`` is the full 23.5M-session month: run it on a machine
 with several cores and a few GB of disk (the sorted shard is ~1.3 GB at
@@ -52,6 +53,7 @@ import resource
 import subprocess
 import sys
 import time
+from itertools import chain, islice
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -218,7 +220,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     PROFILE.enabled = True
     PROFILE.reset()
     try:
-        result = simulator.run_stream(generator.iter_sessions(), config.horizon)
+        sessions = generator.iter_sessions()
+        head = list(islice(sessions, 1))  # the population is drawn here
+        rss_at_first_session = peak_rss_mb()
+        result = simulator.run_stream(chain(head, sessions), config.horizon)
     finally:
         PROFILE.enabled = False
         # The distributed backend owns spawned workers + maybe a temp queue.
@@ -281,7 +286,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     print(
         f"   coordinator peak RSS: {peak_rss_mb():,.1f} MB "
-        f"(was {rss_before:,.1f} MB before the run)"
+        f"(was {rss_before:,.1f} MB before the run, "
+        f"{rss_at_first_session:,.1f} MB at the first session)"
     )
 
     record = {
@@ -306,6 +312,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "fused_tasks": fused_tasks,
         "offload_fraction": result.offload_fraction(),
         "peak_rss_mb": peak_rss_mb(),
+        "rss_at_first_session_mb": rss_at_first_session,
         "runs_spilled": grouping.runs_spilled,
     }
     # After the RSS reading: the digest streams the result's rows.

@@ -4,12 +4,14 @@ All metadata lives in pyproject.toml (PEP 621).  This file exists so
 that ``pip install -e .`` works in offline environments without the
 ``wheel`` package (setuptools' legacy develop-mode code path), and to
 declare the optional ``repro.sim._ckernel`` extension -- the compiled
-columnar sweep, which also replays the trace generator's random draws
-and sorts external grouping's packed run records.  The extension is
-marked ``optional``: a missing or failing compiler produces a
-pure-python install that loses nothing but speed (every config then
-runs the object kernel, the generator its python loop, and the
-external sort its tuple path).
+columnar sweep, which also runs the trace generator's front end
+(replaying its population and per-item random draws and building its
+sessions from the population's columns) and sorts external grouping's
+packed run records.  The extension is marked ``optional``: a missing
+or failing compiler produces a pure-python install that loses nothing
+but speed (every config then runs the object kernel, the generator its
+python draws and ``Session(...)`` loop, and the external sort its
+tuple path).
 
 Build in place with::
 

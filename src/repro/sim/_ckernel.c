@@ -1,7 +1,9 @@
 /* Compiled columnar swarm sweep (optional fast path), the fold of its
- * packed output blocks, plus the trace generator's draw replay
- * (replay_item) and external grouping's packed sort buffer
- * (SortBuffer), both near the end of this file.
+ * packed output blocks, plus, near the end of this file, the trace
+ * generator's front end -- its per-item draw replay (replay_item), its
+ * population replay (replay_population) and a lazy Session builder
+ * over the population's columns (session_maker) -- and external
+ * grouping's packed sort buffer (SortBuffer).
  *
  * A transcription of the object kernel -- repro/sim/kernel.py's
  * run_swarm_object and repro/sim/matching.py's match_window -- onto
@@ -1711,6 +1713,20 @@ static int beta_draw(PyObject *random, double alpha, double beta,
     return 0;
 }
 
+/* A zero-filled array.array of n `typecode` items, and a writable view
+ * of them in *view: the columns are written in place, never copied.
+ * Release the view before resizing the array. */
+static PyObject *zeroed_array(const char *typecode, Py_ssize_t n,
+                              Py_buffer *view) {
+    PyObject *one = PyObject_CallFunction(array_type, "s(i)", typecode, 0);
+    if (!one) return NULL;
+    PyObject *out = PySequence_Repeat(one, n);
+    Py_DECREF(one);
+    if (out && PyObject_GetBuffer(out, view, PyBUF_WRITABLE) < 0)
+        Py_CLEAR(out);
+    return out;
+}
+
 static PyObject *replay_item(PyObject *self, PyObject *args) {
     PyObject *random;
     Py_buffer hourly_b, weights_b;
@@ -1721,8 +1737,8 @@ static PyObject *replay_item(PyObject *self, PyObject *args) {
                           &item_duration))
         return NULL;
 
-    PyObject *result = NULL, *starts_a = NULL, *durations_a = NULL,
-             *viewers_a = NULL;
+    PyObject *result = NULL, *columns[3] = {NULL, NULL, NULL};
+    Py_buffer views[3] = {{0}};
     double *starts = NULL, *durations = NULL;
     int64_t *viewers = NULL;
     Py_ssize_t hours = hourly_b.len / (Py_ssize_t)sizeof(double);
@@ -1756,14 +1772,13 @@ static PyObject *replay_item(PyObject *self, PyObject *args) {
         PyErr_SetString(PyExc_ValueError, "Total of weights must be finite");
         goto done;
     }
-    Py_ssize_t cap = count > 0 ? count : 1;
-    starts = malloc(cap * sizeof(double));
-    durations = malloc(cap * sizeof(double));
-    viewers = malloc(cap * sizeof(int64_t));
-    if (!starts || !durations || !viewers) {
-        PyErr_NoMemory();
-        goto done;
-    }
+    static const char *const typecodes[3] = {"d", "d", "q"};
+    for (int c = 0; c < 3; c++)
+        if (!(columns[c] = zeroed_array(typecodes[c], count, &views[c])))
+            goto done;
+    starts = views[0].buf;
+    durations = views[1].buf;
+    viewers = views[2].buf;
 
     /* DiurnalProfile sample_times: inverse CDF over the hourly table. */
     double total = cum[hours - 1];
@@ -1806,23 +1821,18 @@ static PyObject *replay_item(PyObject *self, PyObject *args) {
         viewers[kept] = viewers[i];
         kept++;
     }
-
-    starts_a = new_array("d", starts, kept * (Py_ssize_t)sizeof(double));
-    durations_a =
-        starts_a ? new_array("d", durations, kept * (Py_ssize_t)sizeof(double))
-                 : NULL;
-    viewers_a = durations_a ? new_array("q", viewers,
-                                        kept * (Py_ssize_t)sizeof(int64_t))
-                            : NULL;
-    if (viewers_a) result = PyTuple_Pack(3, starts_a, durations_a, viewers_a);
+    for (int c = 0; c < 3; c++) {
+        PyBuffer_Release(&views[c]);
+        if (kept < count && PySequence_DelSlice(columns[c], kept, count) < 0)
+            goto done;
+    }
+    result = PyTuple_Pack(3, columns[0], columns[1], columns[2]);
 
 done:
-    Py_XDECREF(starts_a);
-    Py_XDECREF(durations_a);
-    Py_XDECREF(viewers_a);
-    free(starts);
-    free(durations);
-    free(viewers);
+    for (int c = 0; c < 3; c++) {
+        PyBuffer_Release(&views[c]);
+        Py_XDECREF(columns[c]);
+    }
     PyBuffer_Release(&hourly_b);
     PyBuffer_Release(&weights_b);
     return result;
@@ -2614,6 +2624,407 @@ static PyTypeObject SortBufferType = {
     .tp_as_buffer = &sortbuf_as_buffer,
 };
 
+/* ------------------------------------------------------------------ */
+/* Trace generator front end: the population's draws and the session  */
+/* loop.  replay_population() repeats repro/trace/population.py's      */
+/* _population_columns (the semantics reference) for an exact          */
+/* random.Random: every uniform from its bound random(), every         */
+/* exchange through its getrandbits() as randrange() draws it, and     */
+/* random.py's own bisect, choices and normalvariate arithmetic.       */
+/* session_maker() returns a SessionMaker over the population's        */
+/* columns and tables; calling it with one item's replay_item columns  */
+/* gives a lazy iterator that allocates each Session and fills its     */
+/* slots directly, sharing the tables' attachment, bitrate and device  */
+/* objects, with Session.__post_init__'s checks and messages -- the    */
+/* python loop's sessions, without running Session.__init__.           */
+
+/* random.NV_MAGICCONST = 4 * exp(-0.5) / sqrt(2.0), as its shortest
+ * repr. */
+#define RANDOM_NV_MAGICCONST 1.7155277699214135
+
+/* A one-dimensional C-contiguous buffer of `typecode` items, or -1
+ * with TypeError. */
+static int typed_view(PyObject *o, const char *typecode, Py_ssize_t itemsize,
+                      const char *what, Py_buffer *view) {
+    if (PyObject_GetBuffer(o, view, PyBUF_FORMAT | PyBUF_C_CONTIGUOUS) < 0)
+        return -1;
+    if (view->ndim != 1 || view->itemsize != itemsize || !view->format ||
+        strcmp(view->format, typecode) != 0) {
+        PyBuffer_Release(view);
+        PyErr_Format(PyExc_TypeError, "%s must be an array('%s')", what,
+                     typecode);
+        return -1;
+    }
+    return 0;
+}
+
+/* random.Random.getrandbits(k) as an integer below 2**64. */
+static int random_bits(PyObject *getrandbits, PyObject *k, uint64_t *out) {
+    PyObject *value = PyObject_CallOneArg(getrandbits, k);
+    if (!value) return -1;
+    *out = PyLong_AsUnsignedLongLong(value);
+    Py_DECREF(value);
+    return (*out == (uint64_t)-1 && PyErr_Occurred()) ? -1 : 0;
+}
+
+/* replay_population(random, getrandbits, cum_isp, offsets, sizes,
+ * cum_device, sigma, num_users): the columns _population_columns
+ * draws -- attachment codes and device codes (array('I')) and
+ * activities (array('d')).  cum_isp is the city's cumulative shares,
+ * offsets and sizes each ISP's first attachment code and exchange
+ * count (array('q')), cum_device the device mix's cumulative shares. */
+static PyObject *replay_population(PyObject *self, PyObject *args) {
+    PyObject *random, *getrandbits, *result = NULL;
+    Py_buffer cum_b = {0}, off_b = {0}, size_b = {0}, dev_b = {0};
+    Py_buffer views[3] = {{0}};
+    PyObject *columns[3] = {NULL, NULL, NULL}, **widths = NULL;
+    double sigma;
+    Py_ssize_t num_users;
+    if (!PyArg_ParseTuple(args, "OOy*y*y*y*dn", &random, &getrandbits,
+                          &cum_b, &off_b, &size_b, &dev_b, &sigma,
+                          &num_users))
+        return NULL;
+    Py_ssize_t n_isp = cum_b.len / (Py_ssize_t)sizeof(double);
+    Py_ssize_t n_dev = dev_b.len / (Py_ssize_t)sizeof(double);
+    const double *cum_isp = cum_b.buf, *cum_dev = dev_b.buf;
+    const int64_t *offsets = off_b.buf, *sizes = size_b.buf;
+    if (n_isp < 1 || n_dev < 1 || num_users < 0 ||
+        off_b.len != n_isp * (Py_ssize_t)sizeof(int64_t) ||
+        size_b.len != n_isp * (Py_ssize_t)sizeof(int64_t)) {
+        PyErr_SetString(PyExc_ValueError,
+                        "replay_population requires >= 1 ISP, an offset and "
+                        "a size per ISP, >= 1 device and num_users >= 0");
+        goto done;
+    }
+    /* randrange(size): getrandbits(size.bit_length()) until below size. */
+    widths = PyMem_Calloc(n_isp, sizeof(PyObject *));
+    if (!widths) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < n_isp; i++) {
+        int bits = 0;
+        if (sizes[i] < 1 || offsets[i] < 0 ||
+            offsets[i] + sizes[i] > (int64_t)UINT32_MAX + 1) {
+            PyErr_SetString(PyExc_ValueError,
+                            "ISP exchange ranges must be non-empty u32 codes");
+            goto done;
+        }
+        while (bits < 63 && (sizes[i] >> bits) != 0) bits++;
+        if (!(widths[i] = PyLong_FromLong(bits))) goto done;
+    }
+    static const char *const typecodes[3] = {"I", "I", "d"};
+    for (int c = 0; c < 3; c++)
+        if (!(columns[c] = zeroed_array(typecodes[c], num_users, &views[c])))
+            goto done;
+    if (views[0].itemsize != 4 || views[1].itemsize != 4) {
+        PyErr_SetString(PyExc_TypeError, "array('I') items are not 32-bit");
+        goto done;
+    }
+    uint32_t *codes = views[0].buf, *devices = views[1].buf;
+    double *activity = views[2].buf;
+    double isp_total = cum_isp[n_isp - 1], dev_total = cum_dev[n_dev - 1] + 0.0;
+    for (Py_ssize_t user = 0; user < num_users; user++) {
+        double u, u1, u2, z;
+        uint64_t exchange;
+        /* CityNetwork.sample_isp */
+        if (uniform(random, &u) < 0) goto done;
+        Py_ssize_t isp = bisect_right(cum_isp, u * isp_total, 0, n_isp);
+        if (isp == n_isp) {
+            PyErr_SetString(PyExc_IndexError, "tuple index out of range");
+            goto done;
+        }
+        /* ISPNetwork.sample_attachment: randrange(num_exchanges) */
+        do {
+            if (random_bits(getrandbits, widths[isp], &exchange) < 0)
+                goto done;
+        } while (exchange >= (uint64_t)sizes[isp]);
+        codes[user] = (uint32_t)(offsets[isp] + (int64_t)exchange);
+        /* choices(devices, cum_weights=...)[0] */
+        if (uniform(random, &u) < 0) goto done;
+        devices[user] = (uint32_t)bisect_right(cum_dev, u * dev_total, 0,
+                                               n_dev - 1);
+        /* lognormvariate(0.0, sigma) = exp(normalvariate(0.0, sigma)) */
+        for (;;) {
+            if (uniform(random, &u1) < 0 || uniform(random, &u2) < 0)
+                goto done;
+            u2 = 1.0 - u2;
+            z = RANDOM_NV_MAGICCONST * (u1 - 0.5) / u2;
+            if (z * z / 4.0 <= -log(u2)) break;
+        }
+        double x = 0.0 + z * sigma;
+        activity[user] = exp(x);
+        if (isinf(activity[user]) && isfinite(x)) { /* math.exp's check */
+            PyErr_SetString(PyExc_OverflowError, "math range error");
+            goto done;
+        }
+    }
+    for (int c = 0; c < 3; c++) PyBuffer_Release(&views[c]);
+    result = PyTuple_Pack(3, columns[0], columns[1], columns[2]);
+
+done:
+    for (int c = 0; c < 3; c++) {
+        PyBuffer_Release(&views[c]);
+        Py_XDECREF(columns[c]);
+    }
+    if (widths)
+        for (Py_ssize_t i = 0; i < n_isp; i++) Py_XDECREF(widths[i]);
+    PyMem_Free(widths);
+    PyBuffer_Release(&cum_b);
+    PyBuffer_Release(&off_b);
+    PyBuffer_Release(&size_b);
+    PyBuffer_Release(&dev_b);
+    return result;
+}
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *type;            /* the Session type */
+    Py_ssize_t off[N_SFIELDS]; /* its slot offsets */
+    PyObject *attachments;     /* tuple: attachment code -> point */
+    PyObject *codes;           /* array('I'): user -> attachment code */
+    PyObject *bitrates, *devices; /* tuples: device code -> bitrate, name */
+    PyObject *device_codes;    /* array('I'): user -> device code */
+} SessionMaker;
+
+enum { C_START, C_DURATION, C_VIEWER, C_CODE, C_DEVICE, N_COLUMNS };
+
+typedef struct {
+    PyObject_HEAD
+    SessionMaker *maker;
+    PyObject *content_id;
+    Py_buffer col[N_COLUMNS];
+    Py_ssize_t next, n, num_users;
+    long long session_id; /* of the next session */
+} SessionIter;
+
+static PyTypeObject SessionMakerType, SessionIterType;
+static PyObject *zero_int, *inf_float; /* Session.__post_init__'s 0 and _INF */
+
+static int maker_traverse(SessionMaker *self, visitproc visit, void *arg) {
+    Py_VISIT(self->type);
+    Py_VISIT(self->attachments);
+    Py_VISIT(self->codes);
+    Py_VISIT(self->bitrates);
+    Py_VISIT(self->devices);
+    Py_VISIT(self->device_codes);
+    return 0;
+}
+
+static int maker_clear(SessionMaker *self) {
+    Py_CLEAR(self->type);
+    Py_CLEAR(self->attachments);
+    Py_CLEAR(self->codes);
+    Py_CLEAR(self->bitrates);
+    Py_CLEAR(self->devices);
+    Py_CLEAR(self->device_codes);
+    return 0;
+}
+
+static void maker_dealloc(SessionMaker *self) {
+    PyObject_GC_UnTrack(self);
+    maker_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+/* session_maker(session_type, attachments, codes, bitrates, devices,
+ * device_codes): a SessionMaker, or None when a Session field is not a
+ * plain slot of session_type (the generator then runs its python
+ * loop). */
+static PyObject *session_maker(PyObject *self, PyObject *args) {
+    PyObject *type, *attachments, *codes, *bitrates, *devices, *device_codes;
+    if (!PyArg_ParseTuple(args, "O!O!OO!O!O:session_maker", &PyType_Type,
+                          &type, &PyTuple_Type, &attachments, &codes,
+                          &PyTuple_Type, &bitrates, &PyTuple_Type, &devices,
+                          &device_codes))
+        return NULL;
+    if (PyTuple_GET_SIZE(bitrates) != PyTuple_GET_SIZE(devices)) {
+        PyErr_SetString(PyExc_ValueError,
+                        "bitrates and devices must align, one per device");
+        return NULL;
+    }
+    Py_ssize_t off[N_SFIELDS];
+    for (int k = 0; k < N_SFIELDS; k++)
+        if ((off[k] = member_offset((PyTypeObject *)type,
+                                    session_field_names[k])) < 0)
+            Py_RETURN_NONE;
+    SessionMaker *m = PyObject_GC_New(SessionMaker, &SessionMakerType);
+    if (!m) return NULL;
+    memcpy(m->off, off, sizeof(off));
+    m->type = Py_NewRef(type);
+    m->attachments = Py_NewRef(attachments);
+    m->codes = Py_NewRef(codes);
+    m->bitrates = Py_NewRef(bitrates);
+    m->devices = Py_NewRef(devices);
+    m->device_codes = Py_NewRef(device_codes);
+    PyObject_GC_Track(m);
+    return (PyObject *)m;
+}
+
+static void iter_dealloc(SessionIter *self) {
+    for (int c = 0; c < N_COLUMNS; c++) PyBuffer_Release(&self->col[c]);
+    Py_XDECREF(self->maker);
+    Py_XDECREF(self->content_id);
+    PyObject_Free(self);
+}
+
+/* maker(session_id, content_id, starts, durations, viewers): the lazy
+ * iterator over one item's sessions, numbered from session_id. */
+static PyObject *maker_call(SessionMaker *self, PyObject *args,
+                            PyObject *kwds) {
+    long long session_id;
+    PyObject *content_id, *starts, *durations, *viewers;
+    if (kwds && PyDict_GET_SIZE(kwds)) {
+        PyErr_SetString(PyExc_TypeError, "SessionMaker takes no keywords");
+        return NULL;
+    }
+    if (!PyArg_ParseTuple(args, "LOOOO:SessionMaker", &session_id,
+                          &content_id, &starts, &durations, &viewers))
+        return NULL;
+    SessionIter *it = PyObject_New(SessionIter, &SessionIterType);
+    if (!it) return NULL;
+    memset(it->col, 0, sizeof(it->col));
+    it->maker = (SessionMaker *)Py_NewRef(self);
+    it->content_id = Py_NewRef(content_id);
+    it->next = 0;
+    it->session_id = session_id;
+    struct {
+        PyObject *o;
+        const char *typecode, *what;
+        Py_ssize_t itemsize;
+    } cols[N_COLUMNS] = {
+        {starts, "d", "starts", 8},          {durations, "d", "durations", 8},
+        {viewers, "q", "viewers", 8},        {self->codes, "I", "codes", 4},
+        {self->device_codes, "I", "device codes", 4},
+    };
+    for (int c = 0; c < N_COLUMNS; c++)
+        if (typed_view(cols[c].o, cols[c].typecode, cols[c].itemsize,
+                       cols[c].what, &it->col[c]) < 0) {
+            Py_DECREF(it);
+            return NULL;
+        }
+    it->n = it->col[C_START].shape[0];
+    it->num_users = it->col[C_CODE].shape[0];
+    if (it->col[C_DURATION].shape[0] != it->n ||
+        it->col[C_VIEWER].shape[0] != it->n ||
+        it->col[C_DEVICE].shape[0] != it->num_users) {
+        PyErr_SetString(PyExc_ValueError,
+                        "session columns and user columns must each align");
+        Py_DECREF(it);
+        return NULL;
+    }
+    return (PyObject *)it;
+}
+
+/* Session.__post_init__'s `not 0 < bitrate < _INF`: 1 when it holds,
+ * 0 when not, -1 with the comparison's exception. */
+static int positive_finite(PyObject *v) {
+    if (PyFloat_CheckExact(v)) {
+        double x = PyFloat_AS_DOUBLE(v);
+        return 0.0 < x && x < Py_HUGE_VAL;
+    }
+    int ok = PyObject_RichCompareBool(zero_int, v, Py_LT);
+    return ok == 1 ? PyObject_RichCompareBool(v, inf_float, Py_LT) : ok;
+}
+
+static PyObject *iter_next(SessionIter *it) {
+    if (it->next >= it->n) return NULL;
+    SessionMaker *m = it->maker;
+    Py_ssize_t i = it->next;
+    double start = ((const double *)it->col[C_START].buf)[i];
+    double duration = ((const double *)it->col[C_DURATION].buf)[i];
+    int64_t viewer = ((const int64_t *)it->col[C_VIEWER].buf)[i];
+    if (viewer < 0 || viewer >= it->num_users) {
+        PyErr_Format(PyExc_IndexError, "viewer %lld is outside the population",
+                     (long long)viewer);
+        return NULL;
+    }
+    uint32_t code = ((const uint32_t *)it->col[C_CODE].buf)[viewer];
+    uint32_t device = ((const uint32_t *)it->col[C_DEVICE].buf)[viewer];
+    if (code >= PyTuple_GET_SIZE(m->attachments) ||
+        device >= PyTuple_GET_SIZE(m->devices)) {
+        PyErr_Format(PyExc_IndexError, "user %lld has no such %s",
+                     (long long)viewer,
+                     device >= PyTuple_GET_SIZE(m->devices) ? "device"
+                                                            : "attachment");
+        return NULL;
+    }
+    PyObject *bitrate = PyTuple_GET_ITEM(m->bitrates, device);
+    /* Session.__post_init__, check for check. */
+    if (!(0.0 <= start && start < Py_HUGE_VAL)) {
+        PyObject *v = PyFloat_FromDouble(start);
+        if (v) PyErr_Format(PyExc_ValueError,
+                            "start must be >= 0 and finite, got %R", v);
+        Py_XDECREF(v);
+        return NULL;
+    }
+    if (!(0.0 < duration && duration < Py_HUGE_VAL)) {
+        PyObject *v = PyFloat_FromDouble(duration);
+        if (v) PyErr_Format(PyExc_ValueError,
+                            "duration must be > 0 and finite, got %R", v);
+        Py_XDECREF(v);
+        return NULL;
+    }
+    int ok = positive_finite(bitrate);
+    if (ok == 0)
+        PyErr_Format(PyExc_ValueError,
+                     "bitrate must be finite and > 0, got %R", bitrate);
+    if (ok <= 0) return NULL;
+    if ((ok = PyObject_IsTrue(it->content_id)) == 0)
+        PyErr_SetString(PyExc_ValueError, "content_id must be non-empty");
+    if (ok <= 0) return NULL;
+
+    PyTypeObject *tp = (PyTypeObject *)m->type;
+    PyObject *v[N_SFIELDS];
+    v[F_SID] = PyLong_FromLongLong(it->session_id);
+    v[F_UID] = PyLong_FromLongLong((long long)viewer);
+    v[F_START] = PyFloat_FromDouble(start);
+    v[F_DURATION] = PyFloat_FromDouble(duration);
+    PyObject *s = tp->tp_alloc(tp, 0);
+    if (!s || !v[F_SID] || !v[F_UID] || !v[F_START] || !v[F_DURATION]) {
+        Py_XDECREF(s);
+        Py_XDECREF(v[F_SID]);
+        Py_XDECREF(v[F_UID]);
+        Py_XDECREF(v[F_START]);
+        Py_XDECREF(v[F_DURATION]);
+        return NULL;
+    }
+    v[F_CONTENT] = Py_NewRef(it->content_id);
+    v[F_RATE] = Py_NewRef(bitrate);
+    v[F_ATT] = Py_NewRef(PyTuple_GET_ITEM(m->attachments, code));
+    v[F_DEVICE] = Py_NewRef(PyTuple_GET_ITEM(m->devices, device));
+    for (int k = 0; k < N_SFIELDS; k++)
+        *(PyObject **)((char *)s + m->off[k]) = v[k];
+    it->next++;
+    it->session_id++;
+    return s;
+}
+
+static PyTypeObject SessionMakerType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._ckernel.SessionMaker",
+    .tp_doc = "A trace's session builder (see session_maker); "
+              "maker(session_id, content_id, starts, durations, viewers) "
+              "iterates one item's sessions.",
+    .tp_basicsize = sizeof(SessionMaker),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_dealloc = (destructor)maker_dealloc,
+    .tp_traverse = (traverseproc)maker_traverse,
+    .tp_clear = (inquiry)maker_clear,
+    .tp_call = (ternaryfunc)maker_call,
+};
+
+static PyTypeObject SessionIterType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._ckernel.SessionIter",
+    .tp_doc = "One item's sessions, built as they are drawn.",
+    .tp_basicsize = sizeof(SessionIter),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_dealloc = (destructor)iter_dealloc,
+    .tp_iter = PyObject_SelfIter,
+    .tp_iternext = (iternextfunc)iter_next,
+};
+
 static PyMethodDef ckernel_methods[] = {
     {"sweep", sweep, METH_VARARGS,
      "Columnar swarm sweep over packed schedule columns; returns the "
@@ -2642,6 +3053,16 @@ static PyMethodDef ckernel_methods[] = {
      "Replay one catalogue item's trace-generator draws after its "
      "Poisson count through the bound random(); returns the kept "
      "sessions' (starts, durations, viewer indices) arrays."},
+    {"replay_population", replay_population, METH_VARARGS,
+     "replay_population(random, getrandbits, cum_isp, offsets, sizes, "
+     "cum_device, sigma, num_users): the trace generator's population "
+     "draws through the bound random() and getrandbits(); returns the "
+     "(attachment codes, device codes, activities) arrays."},
+    {"session_maker", session_maker, METH_VARARGS,
+     "session_maker(session_type, attachments, codes, bitrates, devices, "
+     "device_codes): the trace generator's session builder over the "
+     "population's columns, or None when a Session field is not a plain "
+     "slot."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -2670,7 +3091,13 @@ PyMODINIT_FUNC PyInit__ckernel(void) {
     for (int k = 0; k < 3; k++)
         if (!(att_names[k] = PyUnicode_InternFromString(att_field_names[k])))
             return NULL;
-    if (PyType_Ready(&SortBufferType) < 0) return NULL;
+    if (PyType_Ready(&SortBufferType) < 0 ||
+        PyType_Ready(&SessionMakerType) < 0 ||
+        PyType_Ready(&SessionIterType) < 0)
+        return NULL;
+    if (!(zero_int = PyLong_FromLong(0)) ||
+        !(inf_float = PyFloat_FromDouble(Py_HUGE_VAL)))
+        return NULL;
     PyObject *module = PyModule_Create(&ckernel_module);
     if (!module) return NULL;
     Py_INCREF(&SortBufferType);

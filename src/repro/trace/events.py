@@ -53,10 +53,10 @@ class Session:
 
     def __post_init__(self) -> None:
         # Negated comparisons, so that NaN fails them too.
-        if not self.start >= 0:
-            raise ValueError(f"start must be >= 0, got {self.start!r}")
-        if not self.duration > 0:
-            raise ValueError(f"duration must be > 0, got {self.duration!r}")
+        if not 0 <= self.start < _INF:
+            raise ValueError(f"start must be >= 0 and finite, got {self.start!r}")
+        if not 0 < self.duration < _INF:
+            raise ValueError(f"duration must be > 0 and finite, got {self.duration!r}")
         if not 0 < self.bitrate < _INF:
             raise ValueError(f"bitrate must be finite and > 0, got {self.bitrate!r}")
         if not self.content_id:

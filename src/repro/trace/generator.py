@@ -18,16 +18,25 @@ roughly 1:100 of the paper's London month (Table I), which keeps every
 experiment laptop-sized while exercising identical code paths.  All
 randomness flows from a single seed: traces are fully reproducible.
 
-When the optional compiled extension ``repro.sim._ckernel`` is loaded,
-each item's draws after its Poisson count (start times, viewers,
-completions) are replayed in C by ``replay_item``: it pulls every
-uniform from the generator's own ``random.Random`` and repeats
-:func:`_item_columns` -- the python semantics reference, and the path
-pure-python installs run -- float operation for float operation, so
-both yield the same sessions bit for bit.  ``repro.sim.kernel_columns``
-alone decides whether the extension is loaded (``REPRO_NO_CKERNEL=1``
-hides it); the generator reads that decision when it runs, so importing
-this module imports no simulation code.
+The population is drawn as columns (:func:`repro.trace.population.
+_population_columns`): each viewer is a position, with a code into the
+city's table of interned attachment points, a device code and an
+activity, and the session loop reads those columns -- no ``User`` is
+built.  When the optional compiled extension ``repro.sim._ckernel`` is
+loaded, the generator runs in C end to end: ``replay_population``
+makes the population's draws, ``replay_item`` each item's draws after
+its Poisson count (start times, viewers, completions), and a
+``session_maker`` iterator allocates each :class:`Session` and fills
+its slots, sharing the tables' attachment, bitrate and device objects.
+Both replays pull every uniform from the generator's own
+``random.Random`` and repeat the python semantics references
+(:func:`_population_columns`, :func:`_item_columns`, and
+``Session(...)`` with its checks) float operation for float operation,
+so both paths yield the same sessions bit for bit.
+``repro.sim.kernel_columns`` alone decides whether the extension is
+loaded (``REPRO_NO_CKERNEL=1`` hides it); the generator reads that
+decision when it runs, so importing this module imports no simulation
+code.
 """
 
 from __future__ import annotations
@@ -45,7 +54,13 @@ from repro.topology.city import CityNetwork, default_london
 from repro.trace.catalogue import Catalogue
 from repro.trace.diurnal import DiurnalProfile, UK_TV_PROFILE, _sample_times
 from repro.trace.events import SECONDS_PER_DAY, Session, Trace
-from repro.trace.population import DEFAULT_DEVICE_MIX, DeviceProfile, Population
+from repro.trace.population import (
+    DEFAULT_DEVICE_MIX,
+    DeviceProfile,
+    Population,
+    _attachment_table,
+    _population_columns,
+)
 
 __all__ = ["GeneratorConfig", "TraceGenerator", "generate_trace", "sample_poisson"]
 
@@ -204,14 +219,29 @@ class TraceGenerator:
         stream keeps only what it selects.  Sessions arrive in
         generation order (grouped by content item), *not* sorted by
         start time; the simulator's canonical sharding makes the result
-        independent of that ordering.  Each item's draws after its
-        Poisson count run in C when the compiled extension is loaded,
-        with the same result (see the module docstring).
+        independent of that ordering.  The population is drawn as
+        columns and no ``User`` is built; with the compiled extension
+        loaded, the population's draws, each item's draws after its
+        Poisson count and the sessions themselves are made in C, with
+        the same result (see the module docstring).
         """
-        catalogue = self.build_catalogue()
-        rows, cum_weights = _viewer_tables(self.build_population())
-        rng = random.Random(self._derived_seed("sessions"))
         config = self.config
+        catalogue = self.build_catalogue()
+        devices = tuple(self.device_mix)
+        attachments, codes, device_codes, cum_weights = _draw_population(
+            config.num_users,
+            self.city,
+            devices,
+            config.activity_sigma,
+            random.Random(self._derived_seed("population")),
+        )
+        # The activities' running sums, in place: the additions
+        # itertools.accumulate makes, without a second column.
+        for viewer in range(1, len(cum_weights)):
+            cum_weights[viewer] += cum_weights[viewer - 1]
+        bitrates = tuple(d.bitrate for d in devices)
+        names = tuple(d.name for d in devices)
+        rng = random.Random(self._derived_seed("sessions"))
         horizon = config.horizon
         # Loop invariants, built once per trace.  A float minimum keeps
         # clamped durations floats.
@@ -221,12 +251,18 @@ class TraceGenerator:
             config.completion_beta,
             float(config.min_session_seconds),
         )
-        replay = _compiled_replay()
-        if replay is None:
+        ckernel = _compiled()
+        maker = None
+        if ckernel is None:
             draw = partial(_item_columns, rng, hourly, horizon, cum_weights, *shape)
         else:
-            hourly, cum_weights = array("d", hourly), array("d", cum_weights)
-            draw = partial(replay, rng.random, hourly, horizon, cum_weights, *shape)
+            hourly = array("d", hourly)
+            draw = partial(
+                ckernel.replay_item, rng.random, hourly, horizon, cum_weights, *shape
+            )
+            maker = ckernel.session_maker(
+                Session, attachments, codes, bitrates, names, device_codes
+            )
 
         session_id = 0
         for item in catalogue:
@@ -234,17 +270,22 @@ class TraceGenerator:
             if count == 0:
                 continue
             content_id = item.content_id
-            for start, duration, viewer in zip(*draw(count, item.duration)):
-                user_id, bitrate, attachment, device = rows[viewer]
+            starts, durations, viewers = draw(count, item.duration)
+            if maker is not None:
+                yield from maker(session_id, content_id, starts, durations, viewers)
+                session_id += len(starts)
+                continue
+            for start, duration, viewer in zip(starts, durations, viewers):
+                device = device_codes[viewer]
                 yield Session(
                     session_id,
-                    user_id,
+                    viewer,
                     content_id,
                     start,
                     duration,
-                    bitrate,
-                    attachment,
-                    device,
+                    bitrates[device],
+                    attachments[codes[viewer]],
+                    names[device],
                 )
                 session_id += 1
 
@@ -273,19 +314,8 @@ def generate_trace(
     return generator.generate()
 
 
-def _viewer_tables(population: Population) -> Tuple[List[tuple], List[float]]:
-    """Each viewer's ``(user_id, bitrate, attachment, device)`` session
-    fields, and the cumulative activity weights viewers are drawn by.
-
-    The session loop needs nothing else of the population, so the
-    ``User`` objects are not kept while sessions are drawn.
-    """
-    rows = [(u.user_id, u.bitrate, u.attachment, u.device.name) for u in population]
-    return rows, list(accumulate(population.activity_weights()))
-
-
-def _compiled_replay():
-    """``_ckernel.replay_item`` when the compiled extension is loaded.
+def _compiled():
+    """The compiled extension ``_ckernel`` when it is loaded, else None.
 
     Reads :mod:`repro.sim.kernel_columns`' one decision (which applies
     ``REPRO_NO_CKERNEL``) at call time, so tests that mask it there
@@ -293,8 +323,43 @@ def _compiled_replay():
     """
     from repro.sim import kernel_columns
 
-    ckernel = kernel_columns._ckernel
-    return None if ckernel is None else ckernel.replay_item
+    return kernel_columns._ckernel
+
+
+def _draw_population(
+    num_users: int,
+    city: CityNetwork,
+    devices: Tuple[DeviceProfile, ...],
+    activity_sigma: float,
+    rng: random.Random,
+) -> tuple:
+    """The population's columns, as :func:`_population_columns` draws them.
+
+    Drawn in C by ``_ckernel.replay_population`` when the extension is
+    loaded, ``rng`` is an exact ``random.Random`` and the city's shares
+    are floats; otherwise by the python reference.  Both make the same
+    draws, leave ``rng`` in the same state and return the same columns.
+    """
+    ckernel = _compiled()
+    cumulative = city._cumulative_shares
+    if (
+        ckernel is None
+        or type(rng) is not random.Random
+        or not all(type(c) is float for c in cumulative)
+    ):
+        return _population_columns(num_users, city, devices, activity_sigma, rng)
+    attachments, offsets = _attachment_table(city)
+    columns = ckernel.replay_population(
+        rng.random,
+        rng.getrandbits,
+        array("d", cumulative),
+        array("q", offsets),
+        array("q", [isp.num_exchanges for isp in city.isps]),
+        array("d", accumulate(d.share for d in devices)),
+        activity_sigma,
+        num_users,
+    )
+    return (attachments, *columns)
 
 
 def _item_columns(

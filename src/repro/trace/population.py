@@ -12,11 +12,22 @@ Three facts from the paper shape this module:
 * "per-user consumption patterns are highly skewed towards a small share
   of very active users" (Section II, citing the authors' earlier iPlayer
   study) -- we give each user a log-normal activity weight.
+
+The draws are defined once, in :func:`_population_columns`: per user,
+an ISP by market share, an exchange uniformly under it, a device by
+share and a log-normal activity.  It returns the population as columns
+-- each user's code into one table of the city's interned attachment
+points, a device code and the activity -- with the user id as the
+position.  :meth:`Population.generate` builds its :class:`User` objects
+from those columns; the trace generator reads them directly and never
+builds a ``User`` (see :mod:`repro.trace.generator`).
 """
 
 from __future__ import annotations
 
 import random
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -165,22 +176,71 @@ class Population:
         if activity_sigma < 0:
             raise ValueError(f"activity_sigma must be >= 0, got {activity_sigma!r}")
         rng = rng or random.Random(0)
-        city = city or default_london()
-        devices = list(device_mix)
-        # What choices(weights=...) would accumulate per call: the same
-        # draws, built once.
-        cum_shares = list(accumulate(d.share for d in devices))
-        users = []
-        for user_id in range(num_users):
-            attachment = city.sample_attachment(rng)
-            device = rng.choices(devices, cum_weights=cum_shares)[0]
-            activity = rng.lognormvariate(0.0, activity_sigma)
-            users.append(
-                User(
-                    user_id=user_id,
-                    attachment=attachment,
-                    device=device,
-                    activity=activity,
-                )
-            )
+        devices = tuple(device_mix)
+        attachments, codes, device_codes, activity = _population_columns(
+            num_users, city or default_london(), devices, activity_sigma, rng
+        )
+        users = map(
+            User,
+            range(num_users),
+            map(attachments.__getitem__, codes),
+            map(devices.__getitem__, device_codes),
+            activity,
+        )
         return cls(users=tuple(users))
+
+
+def _attachment_table(
+    city: CityNetwork,
+) -> Tuple[Tuple[AttachmentPoint, ...], Tuple[int, ...]]:
+    """Every attachment point of ``city``, ISP by ISP, exchange by exchange.
+
+    Returns the interned points and, per ISP, the table position of its
+    exchange 0: a user behind exchange ``e`` of ISP ``i`` has code
+    ``offsets[i] + e``.
+    """
+    table: List[AttachmentPoint] = []
+    offsets = []
+    for isp in city.isps:
+        offsets.append(len(table))
+        table.extend(map(isp.attachment, range(isp.num_exchanges)))
+    return tuple(table), tuple(offsets)
+
+
+def _population_columns(
+    num_users: int,
+    city: CityNetwork,
+    devices: Sequence[DeviceProfile],
+    activity_sigma: float,
+    rng: random.Random,
+) -> Tuple[Tuple[AttachmentPoint, ...], array, array, array]:
+    """The population's draws, as columns indexed by user id.
+
+    Per user, in this order: an ISP by market share (what
+    :meth:`CityNetwork.sample_isp` draws), an exchange by ``randrange``
+    under it (:meth:`ISPNetwork.sample_attachment`), a device by
+    ``choices`` over the cumulative shares, and a log-normal activity.
+    Returns the city's :func:`_attachment_table`, each user's code into
+    it (``array('I')``), each user's index into ``devices``
+    (``array('I')``) and the activities (``array('d')``).
+
+    This is the semantics reference of the population: the compiled
+    replay in ``_ckernel`` repeats it draw for draw.
+    """
+    attachments, offsets = _attachment_table(city)
+    sizes = tuple(isp.num_exchanges for isp in city.isps)
+    cumulative = city._cumulative_shares
+    total = cumulative[-1]
+    # What choices(weights=...) would accumulate per call: the same
+    # draws, built once.
+    cum_shares = list(accumulate(d.share for d in devices))
+    device_index = range(len(devices))
+    uniform, randrange = rng.random, rng.randrange
+    choices, lognormvariate = rng.choices, rng.lognormvariate
+    codes, device_codes, activity = array("I"), array("I"), array("d")
+    for _ in range(num_users):
+        isp = bisect_right(cumulative, uniform() * total)
+        codes.append(offsets[isp] + randrange(sizes[isp]))
+        device_codes.append(choices(device_index, cum_weights=cum_shares)[0])
+        activity.append(lognormvariate(0.0, activity_sigma))
+    return attachments, codes, device_codes, activity

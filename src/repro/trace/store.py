@@ -129,19 +129,36 @@ class StoreCorruptionError(ValueError):
 
 
 class _StringTable:
-    """Order-preserving string interner for one store file."""
+    """Order-preserving string interner for one store file.
 
-    __slots__ = ("_index", "values")
+    Args:
+        name: the table's name in errors ("content", "isp", "device").
+        size: how many distinct strings the record's ref field can
+            address.
+    """
 
-    def __init__(self, values: Optional[Sequence[str]] = None) -> None:
-        self.values: List[str] = list(values or [])
-        self._index: Dict[str, int] = {v: i for i, v in enumerate(self.values)}
+    __slots__ = ("_index", "values", "name", "size")
+
+    def __init__(self, name: str, size: int) -> None:
+        self.name = name
+        self.size = size
+        self.values: List[str] = []
+        self._index: Dict[str, int] = {}
 
     def ref(self, value: str) -> int:
-        """Return the ref for ``value``, interning it on first encounter."""
+        """Return the ref for ``value``, interning it on first encounter.
+
+        A string past the table's ``size`` raises a ``ValueError``
+        naming the table, and is not interned.
+        """
         index = self._index.get(value)
         if index is None:
-            index = self._index[value] = len(self.values)
+            index = len(self.values)
+            if index == self.size:
+                raise ValueError(
+                    f"a store holds at most {self.size} distinct {self.name} strings"
+                )
+            self._index[value] = index
             self.values.append(value)
         return index
 
@@ -174,9 +191,9 @@ class StoreWriter:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._file = open(self.path, "wb")
         self._file.write(_HEADER.pack(_MAGIC, _VERSION))
-        self._content = _StringTable()
-        self._isp = _StringTable()
-        self._device = _StringTable()
+        self._content = _StringTable("content", 2**32)
+        self._isp = _StringTable("isp", 2**16)
+        self._device = _StringTable("device", 2**16)
         self._count = 0
         self._closed = False
 
@@ -228,10 +245,10 @@ class StoreWriter:
         if self._closed:
             raise RuntimeError(f"store {self.path} is closed")
         # Negated comparisons, so that NaN fails them too.
-        if not start >= 0:
-            raise ValueError(f"start must be >= 0, got {start!r}")
-        if not duration > 0:
-            raise ValueError(f"duration must be > 0, got {duration!r}")
+        if not 0 <= start < _INF:
+            raise ValueError(f"start must be >= 0 and finite, got {start!r}")
+        if not 0 < duration < _INF:
+            raise ValueError(f"duration must be > 0 and finite, got {duration!r}")
         if not 0 < bitrate < _INF:
             raise ValueError(f"bitrate must be finite and > 0, got {bitrate!r}")
         if not content_id:

@@ -70,8 +70,10 @@ class TestSession:
         [
             ("start", float("nan")),
             ("start", float("-inf")),
+            ("start", float("inf")),
             ("duration", float("nan")),
             ("duration", float("-inf")),
+            ("duration", float("inf")),
             ("bitrate", float("nan")),
             ("bitrate", float("inf")),
             ("bitrate", float("-inf")),
@@ -79,7 +81,8 @@ class TestSession:
     )
     def test_non_finite_fields_rejected_by_name(self, field, value):
         # A NaN would fail only deep in the kernel, after the whole sort,
-        # and an infinite bitrate would run to inf totals.
+        # an infinite bitrate would run to inf totals, and an infinite
+        # start or duration would fail in Trace's horizon arithmetic.
         with pytest.raises(ValueError, match=f"^{field} must be"):
             make_session(**{field: value})
 

@@ -1,28 +1,42 @@
 """Tests for the synthetic trace generator."""
 
 import hashlib
+import math
 import os
+import pickle
 import random
 import subprocess
 import sys
 from array import array
 from collections import Counter
 from contextlib import contextmanager
+from itertools import accumulate
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.sim import kernel_columns
+from repro.topology.city import CityNetwork, default_london
+from repro.topology.isp import ISPNetwork
 from repro.trace.diurnal import FLAT_PROFILE, UK_TV_PROFILE, DiurnalProfile
-from repro.trace.events import SECONDS_PER_DAY
+from repro.trace.events import SECONDS_PER_DAY, Session
 from repro.trace.generator import (
     GeneratorConfig,
     TraceGenerator,
-    _compiled_replay,
+    _compiled,
+    _draw_population,
     _item_columns,
     generate_trace,
     sample_poisson,
+)
+from repro.trace.population import (
+    DEFAULT_DEVICE_MIX,
+    DeviceProfile,
+    Population,
+    User,
+    _attachment_table,
+    _population_columns,
 )
 
 
@@ -316,6 +330,80 @@ configs = st.builds(
 )
 
 
+#: Exchange counts around powers of two: randrange(2**k) draws
+#: k + 1 bits and rejects about half of them, randrange(2**k + 1)
+#: nearly half too.
+exchange_counts = st.one_of(
+    st.integers(min_value=1, max_value=700),
+    st.integers(min_value=0, max_value=9).flatmap(
+        lambda k: st.sampled_from([2**k, 2**k + 1])
+    ),
+)
+
+
+@st.composite
+def isps(draw, index):
+    exchanges = draw(exchange_counts)
+    pops = draw(st.integers(min_value=1, max_value=min(exchanges, 9)))
+    return ISPNetwork(f"ISP-{index}", num_exchanges=exchanges, num_pops=pops)
+
+
+#: Cities of 1-6 ISPs with uneven shares and exchange counts.
+cities = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.builds(
+        CityNetwork,
+        name=st.just("City"),
+        isps=st.tuples(*(isps(i) for i in range(n))),
+        shares=st.tuples(
+            *(st.floats(min_value=0.01, max_value=5.0) for _ in range(n))
+        ),
+    )
+)
+
+#: Device mixes of 1-6 profiles; an int bitrate reaches the sessions
+#: as the int object itself.
+device_mixes = st.lists(
+    st.builds(
+        DeviceProfile,
+        name=st.sampled_from(["tv", "desktop", "mobile", "tablet", "hd-tv"]),
+        bitrate=st.one_of(
+            st.floats(min_value=1e5, max_value=1e7),
+            st.integers(min_value=100_000, max_value=10_000_000),
+        ),
+        share=st.floats(min_value=0.01, max_value=1.0),
+    ),
+    min_size=1,
+    max_size=6,
+).map(tuple)
+
+
+def _assert_sessions_alike(compiled, reference):
+    """Equal sessions whose fields are the same types, the table
+    objects shared by identity, that pickle and hash alike."""
+    assert compiled == reference
+    assert _sessions_digest(compiled) == _sessions_digest(reference)
+    for built, made in zip(compiled, reference):
+        for name in Session.__dataclass_fields__:
+            assert type(getattr(built, name)) is type(getattr(made, name)), name
+        assert built.attachment is made.attachment
+        assert built.bitrate is made.bitrate
+        assert built.device is made.device
+        assert hash(built) == hash(made)
+        assert pickle.loads(pickle.dumps(built)) == built
+
+
+def _until_error(sessions):
+    """The sessions before the stream raises, and the error's type and
+    message (None when it ends cleanly)."""
+    seen = []
+    try:
+        for session in sessions:
+            seen.append(session)
+    except Exception as exc:  # noqa: BLE001 - the error is the subject
+        return seen, (type(exc), str(exc))
+    return seen, None
+
+
 class _Scripted(random.Random):
     """A seeded stream whose first uniforms are given."""
 
@@ -338,24 +426,136 @@ class TestCompiledReplay:
     the stream and changes every later session.
     """
 
-    @given(config=configs, profile=profiles)
+    @given(config=configs, profile=profiles, city=cities, device_mix=device_mixes)
     @settings(
         max_examples=60,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    def test_compiled_stream_equals_python_loop(self, config, profile):
-        generator = TraceGenerator(config=config, profile=profile)
+    def test_compiled_stream_equals_python_loop(
+        self, config, profile, city, device_mix
+    ):
+        generator = TraceGenerator(
+            config=config, profile=profile, city=city, device_mix=device_mix
+        )
         compiled = list(generator.iter_sessions())
         with _python_loop():
             reference = list(generator.iter_sessions())
+        _assert_sessions_alike(compiled, reference)
+
+    @pytest.mark.parametrize("fault", ["infinite bitrate", "empty content id"])
+    def test_invalid_session_fails_alike(self, fault):
+        """A device streaming at an infinite bitrate, or an item with an
+        empty content id, fails Session's checks at the same session,
+        with the same error, on both paths."""
+        devices = DEFAULT_DEVICE_MIX
+        pinned = {}
+        if fault == "infinite bitrate":
+            devices = (DeviceProfile("tv", math.inf, 0.1),) + devices
+        else:
+            pinned = {"": 30.0}
+        config = GeneratorConfig(
+            num_users=200,
+            num_items=20,
+            days=2,
+            expected_sessions=1_000,
+            pinned_views=pinned,
+            seed=3,
+        )
+        generator = TraceGenerator(config=config, device_mix=devices)
+        compiled, error = _until_error(generator.iter_sessions())
+        with _python_loop():
+            reference, expected = _until_error(generator.iter_sessions())
+        assert error is not None and error == expected
         assert compiled == reference
-        assert _sessions_digest(compiled) == _sessions_digest(reference)
+        assert error[0] is ValueError
+
+    def test_builds_no_session_init_and_no_user(self, monkeypatch):
+        """The compiled front end runs no ``Session.__init__`` and builds
+        no ``User``; the masked python loop runs one ``__init__`` per
+        session.  A compiled build that quietly stays on the python loop
+        fails here."""
+        counts = Counter()
+
+        def spy(cls):
+            post_init = cls.__post_init__
+
+            def counted(self):
+                counts[cls.__name__] += 1
+                post_init(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+
+        spy(Session)
+        spy(User)
+        sessions = list(TraceGenerator(config=SMALL).iter_sessions())
+        assert sessions and counts == Counter()
+        with _python_loop():
+            assert list(TraceGenerator(config=SMALL).iter_sessions()) == sessions
+        assert counts == Counter({"Session": len(sessions)})
+
+    def test_session_maker_declines_without_slots(self):
+        """A session type whose fields are not plain slots gets None:
+        the generator then runs its python loop."""
+
+        class Loose:
+            pass
+
+        codes = array("I", [0])
+        maker = _compiled().session_maker(
+            Loose, ("a",), codes, (1.0,), ("tv",), codes
+        )
+        assert maker is None
+
+    @pytest.mark.parametrize(
+        "start, duration",
+        [
+            (math.inf, 60.0),
+            (-1.0, 60.0),
+            (math.nan, 60.0),
+            (10.0, math.inf),
+            (10.0, 0.0),
+            (10.0, math.nan),
+        ],
+    )
+    def test_session_maker_applies_session_checks(self, start, duration):
+        """An infinite start or duration (or a negative or NaN one)
+        fails with the ValueError ``Session(...)`` raises."""
+        attachment = default_london().isps[0].attachment(0)
+        codes = array("I", [0])
+        maker = _compiled().session_maker(
+            Session, (attachment,), codes, (1.0,), ("tv",), codes
+        )
+        with pytest.raises(ValueError) as expected:
+            Session(0, 0, "item", start, duration, 1.0, attachment, "tv")
+        sessions = maker(
+            0, "item", array("d", [start]), array("d", [duration]), array("q", [0])
+        )
+        with pytest.raises(ValueError, match=f"^{expected.value}$"):
+            next(sessions)
+
+    def test_session_maker_rejects_mistyped_columns(self):
+        ckernel = _compiled()
+        attachment = default_london().isps[0].attachment(0)
+        codes = array("I", [0])
+        maker = ckernel.session_maker(
+            Session, (attachment,), codes, (1.0,), ("tv",), codes
+        )
+        starts = array("d", [1.0])
+        assert list(maker(5, "item", starts, starts, array("q", [0]))) == [
+            Session(5, 0, "item", 1.0, 1.0, 1.0, attachment, "tv")
+        ]
+        with pytest.raises(TypeError):
+            maker(0, "item", starts, starts, array("i", [0]))
+        with pytest.raises(ValueError):
+            maker(0, "item", starts, array("d"), array("q", [0]))
+        with pytest.raises(IndexError):
+            list(maker(0, "item", starts, starts, array("q", [1])))
 
     def test_compiled_path_is_taken(self):
-        assert _compiled_replay() is not None
+        assert _compiled() is not None
         with _python_loop():
-            assert _compiled_replay() is None
+            assert _compiled() is None
 
     @pytest.mark.parametrize("alpha, beta", [(0.5, 0.7), (1.0, 1.0), (6.0, 2.0)])
     def test_zero_mass_hour_draws_a_second_uniform(self, alpha, beta):
@@ -372,7 +572,7 @@ class TestCompiledReplay:
         python_rng = _Scripted(3, [1.0])
         reference = _item_columns(python_rng, hourly, horizon, cum_weights, *draws)
         compiled_rng = _Scripted(3, [1.0])
-        compiled = _compiled_replay()(
+        compiled = _compiled().replay_item(
             compiled_rng.random,
             array("d", hourly),
             horizon,
@@ -386,7 +586,7 @@ class TestCompiledReplay:
 
     def test_returns_typed_columns(self):
         rng = random.Random(1)
-        starts, durations, viewers = _compiled_replay()(
+        starts, durations, viewers = _compiled().replay_item(
             rng.random, array("d", [0.0, 1.0]), 3600.0, array("d", [1.0]),
             6.0, 2.0, 60.0, 5, 1800.0,
         )
@@ -395,7 +595,7 @@ class TestCompiledReplay:
         )
 
     def test_invalid_inputs_raise(self):
-        replay = _compiled_replay()
+        replay = _compiled().replay_item
         hourly, weights = array("d", [0.0, 1.0]), array("d", [1.0])
         rng = random.Random(1)
         with pytest.raises(ValueError):
@@ -435,3 +635,127 @@ class TestCompiledReplay:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == expected
+
+
+@needs_compiled
+class TestCompiledPopulation:
+    """The C population replay is the python columns, draw for draw.
+
+    ``_ckernel.replay_population`` takes every uniform from the
+    generator's bound ``random()`` and every exchange from its
+    ``getrandbits()``, and repeats random.py's ``bisect``, ``choices``
+    and ``normalvariate`` arithmetic; ``Population.generate`` builds its
+    users from the python columns.  All three must agree field by field
+    and leave the generator in the same state.
+    """
+
+    @given(
+        num_users=st.integers(min_value=1, max_value=300),
+        city=cities,
+        devices=device_mixes,
+        activity_sigma=st.floats(min_value=0.0, max_value=2.0),
+        seed=st.integers(min_value=0, max_value=2**64),
+    )
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_replay_equals_python_columns_and_users(
+        self, num_users, city, devices, activity_sigma, seed
+    ):
+        draws = (num_users, city, devices, activity_sigma)
+        compiled_rng, python_rng, users_rng = (random.Random(seed) for _ in range(3))
+        compiled = _draw_population(*draws, compiled_rng)
+        python = _population_columns(*draws, python_rng)
+        population = Population.generate(
+            num_users,
+            city=city,
+            device_mix=devices,
+            activity_sigma=activity_sigma,
+            rng=users_rng,
+        )
+        assert compiled_rng.getstate() == python_rng.getstate()
+        assert users_rng.getstate() == python_rng.getstate()
+        attachments, codes, device_codes, activity = python
+        assert all(a is b for a, b in zip(compiled[0], attachments))
+        assert len(compiled[0]) == len(attachments)
+        for built, reference in zip(compiled[1:], python[1:]):
+            assert built.typecode == reference.typecode
+            assert built.tobytes() == reference.tobytes()
+        for user_id, user in enumerate(population):
+            assert user.user_id == user_id
+            assert user.attachment is attachments[codes[user_id]]
+            assert user.device is devices[device_codes[user_id]]
+            assert user.activity.hex() == activity[user_id].hex()
+
+    def test_generator_takes_the_replay(self, monkeypatch):
+        real = _compiled()
+        calls = []
+
+        class Spy:
+            def __getattr__(self, name):
+                return getattr(real, name)
+
+            def replay_population(self, *args):
+                calls.append(args[-1])
+                return real.replay_population(*args)
+
+        monkeypatch.setattr(kernel_columns, "_ckernel", Spy())
+        next(TraceGenerator(config=SMALL).iter_sessions())
+        assert calls == [SMALL.num_users]
+
+    def test_randrange_rejections_consume_getrandbits(self):
+        """At 2**k exchanges randrange draws k + 1 bits and rejects
+        about half of them; states agree after every rejection."""
+        city = CityNetwork(
+            name="City", isps=(ISPNetwork("ISP-1", 256, 4),), shares=(1.0,)
+        )
+        compiled_rng, python_rng = random.Random(5), random.Random(5)
+        compiled = _draw_population(500, city, DEFAULT_DEVICE_MIX, 1.0, compiled_rng)
+        python = _population_columns(500, city, DEFAULT_DEVICE_MIX, 1.0, python_rng)
+        assert compiled[1] == python[1]
+        assert compiled_rng.getstate() == python_rng.getstate()
+
+    def test_top_uniform_picks_the_last_device(self):
+        """``choices`` bisects below ``hi = n - 1``: a uniform of 1.0,
+        which ``random()`` never returns but a scripted stream can,
+        picks the last device rather than running past the table."""
+
+        class Scripted(_Scripted):
+            def getrandbits(self, k):  # keeps randrange on getrandbits
+                return super().getrandbits(k)
+
+        city = default_london(2, (0.5, 0.5), num_exchanges=9, num_pops=3)
+        shares = [d.share for d in DEFAULT_DEVICE_MIX]
+        script = [0.25, 1.0]  # the ISP draw, then the device draw
+        compiled_rng, python_rng = Scripted(2, script), Scripted(2, script)
+        attachments, offsets = _attachment_table(city)
+        compiled = _compiled().replay_population(
+            compiled_rng.random,
+            compiled_rng.getrandbits,
+            array("d", city._cumulative_shares),
+            array("q", offsets),
+            array("q", [isp.num_exchanges for isp in city.isps]),
+            array("d", accumulate(shares)),
+            1.0,
+            3,
+        )
+        python = _population_columns(3, city, DEFAULT_DEVICE_MIX, 1.0, python_rng)
+        assert python[2][0] == len(DEFAULT_DEVICE_MIX) - 1
+        assert [c.tobytes() for c in compiled] == [c.tobytes() for c in python[1:]]
+        assert compiled_rng.getstate() == python_rng.getstate()
+
+    def test_invalid_inputs_raise(self):
+        replay = _compiled().replay_population
+        rng = random.Random(1)
+        one, zero, shares = array("q", [1]), array("q", [0]), array("d", [1.0])
+        bits = rng.getrandbits
+        with pytest.raises(ValueError):  # no ISP
+            replay(rng.random, bits, array("d"), one, one, shares, 1.0, 1)
+        with pytest.raises(ValueError):  # an ISP without exchanges
+            replay(rng.random, bits, shares, one, zero, shares, 1.0, 1)
+        with pytest.raises(ZeroDivisionError):
+            replay(lambda: 1 / 0, bits, shares, one, one, shares, 1.0, 1)
+        with pytest.raises(OverflowError):  # math.exp's range error
+            replay(rng.random, bits, shares, one, one, shares, 1e300, 5)

@@ -270,6 +270,21 @@ class TestFollowJsonl:
         with pytest.raises(ValueError, match=r"feed\.jsonl:3: .*start must be >= 0"):
             tuple(follow_jsonl(path, poll_interval=0.01))
 
+    def test_infinite_start_names_its_line(self, trace, tmp_path):
+        path = tmp_path / "feed.jsonl"
+        save_jsonl(trace, path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[2])
+        record["start"] = float("inf")
+        lines[2] = json.dumps(record)
+        assert '"start": Infinity' in lines[2]
+        path.write_text("\n".join(lines) + "\n")
+        append_jsonl_end(path)
+        with pytest.raises(
+            ValueError, match=r"feed\.jsonl:3: .*start must be >= 0 and finite, got inf"
+        ):
+            tuple(follow_jsonl(path, poll_interval=0.01))
+
 
 class TestBinaryStore:
     def test_round_trip(self, trace, tmp_path):

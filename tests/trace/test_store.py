@@ -1,9 +1,12 @@
 """Tests for the binary session store and external merge-sort."""
 
 import os
+from unittest import mock
 
 import pytest
 
+from repro.sim import kernel_columns
+from repro.sim.grouping import ExternalGrouping
 from repro.sim.policies import PAPER_POLICY
 from repro.topology.nodes import AttachmentPoint
 from repro.trace.events import Session
@@ -115,7 +118,9 @@ class TestFieldValidation:
         "field, value",
         [
             ("start", float("nan")),
+            ("start", float("inf")),
             ("duration", float("nan")),
+            ("duration", float("inf")),
             ("bitrate", float("nan")),
             ("bitrate", float("inf")),
         ],
@@ -419,3 +424,75 @@ class TestExternalSorter:
     def test_rejects_bad_run_sessions(self, tmp_path):
         with pytest.raises(ValueError):
             ExternalGroupSorter(tmp_path, run_sessions=0)
+
+
+def _distinct(field, count):
+    """``count`` sessions, each with its own ISP or device string."""
+    for i in range(count):
+        yield Session(
+            session_id=i,
+            user_id=i,
+            content_id="item",
+            start=float(i),
+            duration=60.0,
+            bitrate=1_500_000.0,
+            attachment=AttachmentPoint(f"ISP-{i}" if field == "isp" else "ISP", 0, 0),
+            device=f"device-{i}" if field == "device" else "tv",
+        )
+
+
+class TestStringTableLimits:
+    """A record's ISP and device refs are u16: the 65,537th distinct
+    string fails naming its table on every path that writes a store.
+    Its record is not written, the sorter's runs are removed, and a
+    failed plan leaves no work directory."""
+
+    MESSAGE = "^a store holds at most 65536 distinct {} strings$"
+
+    @pytest.mark.parametrize("field", ["isp", "device"])
+    def test_store_writer(self, field, tmp_path):
+        sessions = list(_distinct(field, 2**16 + 1))
+        with StoreWriter(tmp_path / "s.store") as writer:
+            for session in sessions[:-1]:
+                writer.append(session)
+            last = sessions[-1]
+            with pytest.raises(ValueError, match=self.MESSAGE.format(field)):
+                writer.append_fields(
+                    last.session_id,
+                    last.user_id,
+                    last.content_id,
+                    last.start,
+                    last.duration,
+                    last.bitrate,
+                    last.attachment.isp,
+                    0,
+                    0,
+                    last.device,
+                )
+            assert writer.records_written == 2**16
+
+    @pytest.mark.parametrize("compiled", [False, True])
+    @pytest.mark.parametrize("field", ["isp", "device"])
+    def test_sorter(self, field, compiled, tmp_path):
+        if compiled and not kernel_columns.HAVE_COMPILED:
+            pytest.skip("needs the compiled extension")
+        ckernel = kernel_columns._ckernel if compiled else None
+        with mock.patch.object(kernel_columns, "_ckernel", ckernel):
+            sorter = ExternalGroupSorter(tmp_path, run_sessions=2**15)
+            group = sorter.group(0)
+            for session in _distinct(field, 2**16 + 1):
+                sorter.add(group, session)
+            with pytest.raises(ValueError, match=self.MESSAGE.format(field)):
+                sorter.write(tmp_path / "sorted.store", 86_400.0)
+        assert [p.name for p in tmp_path.iterdir()] == ["sorted.store"]
+
+    @pytest.mark.parametrize("shard_dir", [False, True])
+    def test_external_plan_leaves_no_work_directory(self, shard_dir, tmp_path):
+        grouping = ExternalGrouping(
+            shard_dir=tmp_path / "shards" if shard_dir else None, run_sessions=2**15
+        )
+        with mock.patch("tempfile.tempdir", str(tmp_path)):
+            with pytest.raises(ValueError, match=self.MESSAGE.format("isp")):
+                grouping.plan(_distinct("isp", 2**16 + 1), 86_400.0, PAPER_POLICY)
+        left = [p.name for p in tmp_path.rglob("*")]
+        assert left == (["shards"] if shard_dir else [])
