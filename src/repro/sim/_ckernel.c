@@ -1714,8 +1714,8 @@ static int beta_draw(PyObject *random, double alpha, double beta,
 }
 
 /* A zero-filled array.array of n `typecode` items, and a writable view
- * of them in *view: the columns are written in place, never copied.
- * Release the view before resizing the array. */
+ * of them in *view: the columns are written in place, never copied or
+ * resized. */
 static PyObject *zeroed_array(const char *typecode, Py_ssize_t n,
                               Py_buffer *view) {
     PyObject *one = PyObject_CallFunction(array_type, "s(i)", typecode, 0);
@@ -1821,12 +1821,9 @@ static PyObject *replay_item(PyObject *self, PyObject *args) {
         viewers[kept] = viewers[i];
         kept++;
     }
-    for (int c = 0; c < 3; c++) {
-        PyBuffer_Release(&views[c]);
-        if (kept < count && PySequence_DelSlice(columns[c], kept, count) < 0)
-            goto done;
-    }
-    result = PyTuple_Pack(3, columns[0], columns[1], columns[2]);
+    /* The columns keep their full length: shrinking an array.array
+     * over-allocates its new size and can move the block. */
+    result = Py_BuildValue("nOOO", kept, columns[0], columns[1], columns[2]);
 
 done:
     for (int c = 0; c < 3; c++) {
@@ -2632,11 +2629,12 @@ static PyTypeObject SortBufferType = {
 /* exchange through its getrandbits() as randrange() draws it, and     */
 /* random.py's own bisect, choices and normalvariate arithmetic.       */
 /* session_maker() returns a SessionMaker over the population's        */
-/* columns and tables; calling it with one item's replay_item columns  */
-/* gives a lazy iterator that allocates each Session and fills its     */
-/* slots directly, sharing the tables' attachment, bitrate and device  */
-/* objects, with Session.__post_init__'s checks and messages -- the    */
-/* python loop's sessions, without running Session.__init__.           */
+/* columns and tables; calling it with one item's replay_item result   */
+/* (the kept count and the columns) gives a lazy iterator that         */
+/* allocates each kept Session and fills its slots directly, sharing   */
+/* the tables' attachment, bitrate and device objects, with            */
+/* Session.__post_init__'s checks and messages -- the python loop's    */
+/* sessions, without running Session.__init__.                         */
 
 /* random.NV_MAGICCONST = 4 * exp(-0.5) / sqrt(2.0), as its shortest
  * repr. */
@@ -2670,9 +2668,11 @@ static int random_bits(PyObject *getrandbits, PyObject *k, uint64_t *out) {
 /* replay_population(random, getrandbits, cum_isp, offsets, sizes,
  * cum_device, sigma, num_users): the columns _population_columns
  * draws -- attachment codes and device codes (array('I')) and
- * activities (array('d')).  cum_isp is the city's cumulative shares,
- * offsets and sizes each ISP's first attachment code and exchange
- * count (array('q')), cum_device the device mix's cumulative shares. */
+ * activities (array('d')) -- with its per-user errors.  cum_isp is the
+ * city's cumulative shares, offsets and sizes each ISP's first
+ * attachment code and exchange count (array('q')), cum_device the
+ * device mix's cumulative shares; _population_tables checks the
+ * arguments before either replay. */
 static PyObject *replay_population(PyObject *self, PyObject *args) {
     PyObject *random, *getrandbits, *result = NULL;
     Py_buffer cum_b = {0}, off_b = {0}, size_b = {0}, dev_b = {0};
@@ -2756,6 +2756,13 @@ static PyObject *replay_population(PyObject *self, PyObject *args) {
         activity[user] = exp(x);
         if (isinf(activity[user]) && isfinite(x)) { /* math.exp's check */
             PyErr_SetString(PyExc_OverflowError, "math range error");
+            goto done;
+        }
+        if (activity[user] <= 0.0) { /* User's check: exp underflowed */
+            PyObject *v = PyFloat_FromDouble(activity[user]);
+            if (v) PyErr_Format(PyExc_ValueError,
+                                "activity must be > 0, got %R", v);
+            Py_XDECREF(v);
             goto done;
         }
     }
@@ -2868,18 +2875,20 @@ static void iter_dealloc(SessionIter *self) {
     PyObject_Free(self);
 }
 
-/* maker(session_id, content_id, starts, durations, viewers): the lazy
- * iterator over one item's sessions, numbered from session_id. */
+/* maker(session_id, content_id, kept, starts, durations, viewers): the
+ * lazy iterator over one item's kept sessions -- the first kept entries
+ * of replay_item's columns -- numbered from session_id. */
 static PyObject *maker_call(SessionMaker *self, PyObject *args,
                             PyObject *kwds) {
     long long session_id;
+    Py_ssize_t kept;
     PyObject *content_id, *starts, *durations, *viewers;
     if (kwds && PyDict_GET_SIZE(kwds)) {
         PyErr_SetString(PyExc_TypeError, "SessionMaker takes no keywords");
         return NULL;
     }
-    if (!PyArg_ParseTuple(args, "LOOOO:SessionMaker", &session_id,
-                          &content_id, &starts, &durations, &viewers))
+    if (!PyArg_ParseTuple(args, "LOnOOO:SessionMaker", &session_id,
+                          &content_id, &kept, &starts, &durations, &viewers))
         return NULL;
     SessionIter *it = PyObject_New(SessionIter, &SessionIterType);
     if (!it) return NULL;
@@ -2903,13 +2912,15 @@ static PyObject *maker_call(SessionMaker *self, PyObject *args,
             Py_DECREF(it);
             return NULL;
         }
-    it->n = it->col[C_START].shape[0];
+    it->n = kept;
     it->num_users = it->col[C_CODE].shape[0];
-    if (it->col[C_DURATION].shape[0] != it->n ||
-        it->col[C_VIEWER].shape[0] != it->n ||
+    if (kept < 0 || it->col[C_START].shape[0] < kept ||
+        it->col[C_DURATION].shape[0] < kept ||
+        it->col[C_VIEWER].shape[0] < kept ||
         it->col[C_DEVICE].shape[0] != it->num_users) {
         PyErr_SetString(PyExc_ValueError,
-                        "session columns and user columns must each align");
+                        "session columns must hold kept >= 0 entries and "
+                        "user columns must align");
         Py_DECREF(it);
         return NULL;
     }
@@ -3004,8 +3015,8 @@ static PyTypeObject SessionMakerType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "repro.sim._ckernel.SessionMaker",
     .tp_doc = "A trace's session builder (see session_maker); "
-              "maker(session_id, content_id, starts, durations, viewers) "
-              "iterates one item's sessions.",
+              "maker(session_id, content_id, kept, starts, durations, "
+              "viewers) iterates one item's kept sessions.",
     .tp_basicsize = sizeof(SessionMaker),
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
     .tp_dealloc = (destructor)maker_dealloc,
@@ -3051,8 +3062,9 @@ static PyMethodDef ckernel_methods[] = {
      "per-slot participation bytes) for a schedule."},
     {"replay_item", replay_item, METH_VARARGS,
      "Replay one catalogue item's trace-generator draws after its "
-     "Poisson count through the bound random(); returns the kept "
-     "sessions' (starts, durations, viewer indices) arrays."},
+     "Poisson count through the bound random(); returns (kept, starts, "
+     "durations, viewer indices), the kept sessions being the first "
+     "kept entries of each count-long array."},
     {"replay_population", replay_population, METH_VARARGS,
      "replay_population(random, getrandbits, cum_isp, offsets, sizes, "
      "cum_device, sigma, num_users): the trace generator's population "

@@ -19,15 +19,17 @@ experiment laptop-sized while exercising identical code paths.  All
 randomness flows from a single seed: traces are fully reproducible.
 
 The population is drawn as columns (:func:`repro.trace.population.
-_population_columns`): each viewer is a position, with a code into the
-city's table of interned attachment points, a device code and an
-activity, and the session loop reads those columns -- no ``User`` is
-built.  When the optional compiled extension ``repro.sim._ckernel`` is
-loaded, the generator runs in C end to end: ``replay_population``
-makes the population's draws, ``replay_item`` each item's draws after
-its Poisson count (start times, viewers, completions), and a
-``session_maker`` iterator allocates each :class:`Session` and fills
-its slots, sharing the tables' attachment, bitrate and device objects.
+_population_columns`, which checks its inputs as
+:meth:`~repro.trace.population.Population.generate` does): each viewer
+is a position, with a code into the city's table of interned attachment
+points, a device code and an activity, and the session loop reads those
+columns -- no ``User`` is built.  When the optional compiled extension
+``repro.sim._ckernel`` is loaded, the generator runs in C end to end:
+``replay_population`` makes the population's draws, ``replay_item``
+each item's draws after its Poisson count (start times, viewers,
+completions) into arrays it never resizes, and a ``session_maker``
+iterator allocates each kept :class:`Session` and fills its slots,
+sharing the tables' attachment, bitrate and device objects.
 Both replays pull every uniform from the generator's own
 ``random.Random`` and repeat the python semantics references
 (:func:`_population_columns`, :func:`_item_columns`, and
@@ -58,8 +60,7 @@ from repro.trace.population import (
     DEFAULT_DEVICE_MIX,
     DeviceProfile,
     Population,
-    _attachment_table,
-    _population_columns,
+    _draw_population,
 )
 
 __all__ = ["GeneratorConfig", "TraceGenerator", "generate_trace", "sample_poisson"]
@@ -228,17 +229,13 @@ class TraceGenerator:
         config = self.config
         catalogue = self.build_catalogue()
         devices = tuple(self.device_mix)
-        attachments, codes, device_codes, cum_weights = _draw_population(
+        attachments, codes, device_codes, activity = _draw_population(
             config.num_users,
             self.city,
             devices,
             config.activity_sigma,
             random.Random(self._derived_seed("population")),
         )
-        # The activities' running sums, in place: the additions
-        # itertools.accumulate makes, without a second column.
-        for viewer in range(1, len(cum_weights)):
-            cum_weights[viewer] += cum_weights[viewer - 1]
         bitrates = tuple(d.bitrate for d in devices)
         names = tuple(d.name for d in devices)
         rng = random.Random(self._derived_seed("sessions"))
@@ -253,16 +250,25 @@ class TraceGenerator:
         )
         ckernel = _compiled()
         maker = None
-        if ckernel is None:
-            draw = partial(_item_columns, rng, hourly, horizon, cum_weights, *shape)
-        else:
-            hourly = array("d", hourly)
-            draw = partial(
-                ckernel.replay_item, rng.random, hourly, horizon, cum_weights, *shape
-            )
+        if ckernel is not None:
             maker = ckernel.session_maker(
                 Session, attachments, codes, bitrates, names, device_codes
             )
+        if maker is None:
+            # A list: choices bisects it without a float per probe.
+            cum_weights = list(accumulate(activity))
+            draw = partial(_item_columns, rng, hourly, horizon, cum_weights, *shape)
+        else:
+            cum_weights = array("d", accumulate(activity))
+            draw = partial(
+                ckernel.replay_item,
+                rng.random,
+                array("d", hourly),
+                horizon,
+                cum_weights,
+                *shape,
+            )
+        del activity
 
         session_id = 0
         for item in catalogue:
@@ -270,12 +276,12 @@ class TraceGenerator:
             if count == 0:
                 continue
             content_id = item.content_id
-            starts, durations, viewers = draw(count, item.duration)
             if maker is not None:
-                yield from maker(session_id, content_id, starts, durations, viewers)
-                session_id += len(starts)
+                kept, *columns = draw(count, item.duration)
+                yield from maker(session_id, content_id, kept, *columns)
+                session_id += kept
                 continue
-            for start, duration, viewer in zip(starts, durations, viewers):
+            for start, duration, viewer in zip(*draw(count, item.duration)):
                 device = device_codes[viewer]
                 yield Session(
                     session_id,
@@ -324,42 +330,6 @@ def _compiled():
     from repro.sim import kernel_columns
 
     return kernel_columns._ckernel
-
-
-def _draw_population(
-    num_users: int,
-    city: CityNetwork,
-    devices: Tuple[DeviceProfile, ...],
-    activity_sigma: float,
-    rng: random.Random,
-) -> tuple:
-    """The population's columns, as :func:`_population_columns` draws them.
-
-    Drawn in C by ``_ckernel.replay_population`` when the extension is
-    loaded, ``rng`` is an exact ``random.Random`` and the city's shares
-    are floats; otherwise by the python reference.  Both make the same
-    draws, leave ``rng`` in the same state and return the same columns.
-    """
-    ckernel = _compiled()
-    cumulative = city._cumulative_shares
-    if (
-        ckernel is None
-        or type(rng) is not random.Random
-        or not all(type(c) is float for c in cumulative)
-    ):
-        return _population_columns(num_users, city, devices, activity_sigma, rng)
-    attachments, offsets = _attachment_table(city)
-    columns = ckernel.replay_population(
-        rng.random,
-        rng.getrandbits,
-        array("d", cumulative),
-        array("q", offsets),
-        array("q", [isp.num_exchanges for isp in city.isps]),
-        array("d", accumulate(d.share for d in devices)),
-        activity_sigma,
-        num_users,
-    )
-    return (attachments, *columns)
 
 
 def _item_columns(

@@ -18,9 +18,12 @@ an ISP by market share, an exchange uniformly under it, a device by
 share and a log-normal activity.  It returns the population as columns
 -- each user's code into one table of the city's interned attachment
 points, a device code and the activity -- with the user id as the
-position.  :meth:`Population.generate` builds its :class:`User` objects
-from those columns; the trace generator reads them directly and never
-builds a ``User`` (see :mod:`repro.trace.generator`).
+position.  :func:`_draw_population` replays those draws in C
+(``repro.sim._ckernel.replay_population``) when the compiled extension
+is loaded, with the same columns, errors and generator state after.
+:meth:`Population.generate` builds its :class:`User` objects from the
+columns; the trace generator reads them directly and never builds a
+``User`` (see :mod:`repro.trace.generator`).
 """
 
 from __future__ import annotations
@@ -168,16 +171,14 @@ class Population:
                 makes the top decile of users account for roughly half
                 the sessions, matching the "highly skewed" description.
             rng: randomness source (fresh seeded generator when omitted).
+
+        Raises:
+            ValueError: as :func:`_population_columns` does (for bad
+                arguments, or an activity that underflows to 0).
         """
-        if num_users < 1:
-            raise ValueError(f"num_users must be >= 1, got {num_users}")
-        if not device_mix:
-            raise ValueError("device_mix must be non-empty")
-        if activity_sigma < 0:
-            raise ValueError(f"activity_sigma must be >= 0, got {activity_sigma!r}")
         rng = rng or random.Random(0)
         devices = tuple(device_mix)
-        attachments, codes, device_codes, activity = _population_columns(
+        attachments, codes, device_codes, activity = _draw_population(
             num_users, city or default_london(), devices, activity_sigma, rng
         )
         users = map(
@@ -207,6 +208,35 @@ def _attachment_table(
     return tuple(table), tuple(offsets)
 
 
+def _population_tables(
+    num_users: int,
+    city: CityNetwork,
+    devices: Sequence[DeviceProfile],
+    activity_sigma: float,
+) -> tuple:
+    """Check the population's inputs and build what every user's draws
+    read.
+
+    Raises ``ValueError`` for fewer than one user, no devices or a
+    negative ``activity_sigma``.  Returns the city's
+    :func:`_attachment_table` (points, each ISP's first code), each
+    ISP's exchange count, the cumulative ISP shares and the cumulative
+    device shares.
+    """
+    if num_users < 1:
+        raise ValueError(f"num_users must be >= 1, got {num_users}")
+    if not devices:
+        raise ValueError("device_mix must be non-empty")
+    if activity_sigma < 0:
+        raise ValueError(f"activity_sigma must be >= 0, got {activity_sigma!r}")
+    attachments, offsets = _attachment_table(city)
+    sizes = tuple(isp.num_exchanges for isp in city.isps)
+    # What choices(weights=...) would accumulate per call: the same
+    # draws, built once.
+    cum_shares = list(accumulate(d.share for d in devices))
+    return attachments, offsets, sizes, city._cumulative_shares, cum_shares
+
+
 def _population_columns(
     num_users: int,
     city: CityNetwork,
@@ -224,16 +254,18 @@ def _population_columns(
     it (``array('I')``), each user's index into ``devices``
     (``array('I')``) and the activities (``array('d')``).
 
+    Raises ``ValueError`` as :func:`_population_tables` does, before
+    any draw, and for an activity that is not > 0 (an ``exp`` that
+    underflows) at that user's draw, with :class:`User`'s message.
+
     This is the semantics reference of the population: the compiled
-    replay in ``_ckernel`` repeats it draw for draw.
+    replay in ``_ckernel`` repeats it draw for draw (see
+    :func:`_draw_population`).
     """
-    attachments, offsets = _attachment_table(city)
-    sizes = tuple(isp.num_exchanges for isp in city.isps)
-    cumulative = city._cumulative_shares
+    attachments, offsets, sizes, cumulative, cum_shares = _population_tables(
+        num_users, city, devices, activity_sigma
+    )
     total = cumulative[-1]
-    # What choices(weights=...) would accumulate per call: the same
-    # draws, built once.
-    cum_shares = list(accumulate(d.share for d in devices))
     device_index = range(len(devices))
     uniform, randrange = rng.random, rng.randrange
     choices, lognormvariate = rng.choices, rng.lognormvariate
@@ -242,5 +274,50 @@ def _population_columns(
         isp = bisect_right(cumulative, uniform() * total)
         codes.append(offsets[isp] + randrange(sizes[isp]))
         device_codes.append(choices(device_index, cum_weights=cum_shares)[0])
-        activity.append(lognormvariate(0.0, activity_sigma))
+        weight = lognormvariate(0.0, activity_sigma)
+        if weight <= 0:
+            raise ValueError(f"activity must be > 0, got {weight!r}")
+        activity.append(weight)
     return attachments, codes, device_codes, activity
+
+
+def _draw_population(
+    num_users: int,
+    city: CityNetwork,
+    devices: Sequence[DeviceProfile],
+    activity_sigma: float,
+    rng: random.Random,
+) -> Tuple[Tuple[AttachmentPoint, ...], array, array, array]:
+    """The population's columns, as :func:`_population_columns` draws them.
+
+    Drawn in C by ``_ckernel.replay_population`` when the compiled
+    extension is loaded, ``rng`` is an exact ``random.Random`` and the
+    city's shares are floats; otherwise by the python reference.  Both
+    check the same inputs, make the same draws, raise the same errors,
+    leave ``rng`` in the same state and return the same columns.
+    """
+    # Read when called, so REPRO_NO_CKERNEL (which kernel_columns
+    # applies) holds and importing this module loads no simulation code.
+    from repro.sim import kernel_columns
+
+    ckernel = kernel_columns._ckernel
+    if (
+        ckernel is None
+        or type(rng) is not random.Random
+        or not all(type(c) is float for c in city._cumulative_shares)
+    ):
+        return _population_columns(num_users, city, devices, activity_sigma, rng)
+    attachments, offsets, sizes, cumulative, cum_shares = _population_tables(
+        num_users, city, devices, activity_sigma
+    )
+    columns = ckernel.replay_population(
+        rng.random,
+        rng.getrandbits,
+        array("d", cumulative),
+        array("q", offsets),
+        array("q", sizes),
+        array("d", cum_shares),
+        activity_sigma,
+        num_users,
+    )
+    return (attachments, *columns)

@@ -25,7 +25,6 @@ from repro.trace.generator import (
     GeneratorConfig,
     TraceGenerator,
     _compiled,
-    _draw_population,
     _item_columns,
     generate_trace,
     sample_poisson,
@@ -36,6 +35,7 @@ from repro.trace.population import (
     Population,
     User,
     _attachment_table,
+    _draw_population,
     _population_columns,
 )
 
@@ -529,7 +529,7 @@ class TestCompiledReplay:
         with pytest.raises(ValueError) as expected:
             Session(0, 0, "item", start, duration, 1.0, attachment, "tv")
         sessions = maker(
-            0, "item", array("d", [start]), array("d", [duration]), array("q", [0])
+            0, "item", 1, array("d", [start]), array("d", [duration]), array("q", [0])
         )
         with pytest.raises(ValueError, match=f"^{expected.value}$"):
             next(sessions)
@@ -541,16 +541,19 @@ class TestCompiledReplay:
         maker = ckernel.session_maker(
             Session, (attachment,), codes, (1.0,), ("tv",), codes
         )
-        starts = array("d", [1.0])
-        assert list(maker(5, "item", starts, starts, array("q", [0]))) == [
+        starts, viewers = array("d", [1.0]), array("q", [0])
+        assert list(maker(5, "item", 1, starts, starts, viewers)) == [
             Session(5, 0, "item", 1.0, 1.0, 1.0, attachment, "tv")
         ]
+        assert list(maker(5, "item", 0, starts, starts, viewers)) == []
         with pytest.raises(TypeError):
-            maker(0, "item", starts, starts, array("i", [0]))
+            maker(0, "item", 1, starts, starts, array("i", [0]))
         with pytest.raises(ValueError):
-            maker(0, "item", starts, array("d"), array("q", [0]))
+            maker(0, "item", 1, starts, array("d"), viewers)
+        with pytest.raises(ValueError):
+            maker(0, "item", -1, starts, starts, viewers)
         with pytest.raises(IndexError):
-            list(maker(0, "item", starts, starts, array("q", [1])))
+            list(maker(0, "item", 1, starts, starts, array("q", [1])))
 
     def test_compiled_path_is_taken(self):
         assert _compiled() is not None
@@ -572,27 +575,31 @@ class TestCompiledReplay:
         python_rng = _Scripted(3, [1.0])
         reference = _item_columns(python_rng, hourly, horizon, cum_weights, *draws)
         compiled_rng = _Scripted(3, [1.0])
-        compiled = _compiled().replay_item(
+        kept, *compiled = _compiled().replay_item(
             compiled_rng.random,
             array("d", hourly),
             horizon,
             array("d", cum_weights),
             *draws,
         )
-        assert [list(column) for column in compiled] == list(reference)
+        assert [list(column[:kept]) for column in compiled] == list(reference)
         assert compiled_rng.getstate() == python_rng.getstate()
         assert not python_rng.script and not compiled_rng.script
         assert reference[0][0] >= 2 * 3600.0  # the zero-mass hour
 
     def test_returns_typed_columns(self):
+        """The kept count and the columns at their drawn length: a
+        replay never resizes its arrays."""
         rng = random.Random(1)
-        starts, durations, viewers = _compiled().replay_item(
+        kept, starts, durations, viewers = _compiled().replay_item(
             rng.random, array("d", [0.0, 1.0]), 3600.0, array("d", [1.0]),
             6.0, 2.0, 60.0, 5, 1800.0,
         )
         assert (starts.typecode, durations.typecode, viewers.typecode) == (
             "d", "d", "q",
         )
+        assert len(starts) == len(durations) == len(viewers) == 5
+        assert 0 <= kept <= 5
 
     def test_invalid_inputs_raise(self):
         replay = _compiled().replay_item
@@ -757,5 +764,91 @@ class TestCompiledPopulation:
             replay(rng.random, bits, shares, one, zero, shares, 1.0, 1)
         with pytest.raises(ZeroDivisionError):
             replay(lambda: 1 / 0, bits, shares, one, one, shares, 1.0, 1)
-        with pytest.raises(OverflowError):  # math.exp's range error
-            replay(rng.random, bits, shares, one, one, shares, 1e300, 5)
+        overflow, underflow = random.Random(0), random.Random(1)
+        with pytest.raises(OverflowError, match="^math range error$"):
+            replay(overflow.random, overflow.getrandbits, shares, one, one,
+                   shares, 1e300, 5)
+        with pytest.raises(ValueError, match=r"^activity must be > 0, got 0\.0$"):
+            replay(underflow.random, underflow.getrandbits, shares, one, one,
+                   shares, 1e300, 5)
+
+
+class TestPopulationInputs:
+    """The generator checks its population's inputs as
+    ``Population.generate`` does, compiled and on the python loop, and
+    fails with the same error."""
+
+    @staticmethod
+    def _errors(generator):
+        def error(call):
+            with pytest.raises((ValueError, OverflowError)) as raised:
+                call()
+            return type(raised.value), str(raised.value)
+
+        expected = error(generator.build_population)
+        compiled = error(lambda: next(generator.iter_sessions()))
+        with _python_loop():
+            python = error(lambda: next(generator.iter_sessions()))
+        return expected, compiled, python
+
+    @pytest.mark.parametrize(
+        "device_mix, sigma, message",
+        [
+            ((), 1.0, "device_mix must be non-empty"),
+            (DEFAULT_DEVICE_MIX, -1.0, "activity_sigma must be >= 0, got -1.0"),
+        ],
+    )
+    def test_invalid_inputs_fail_before_any_draw(self, device_mix, sigma, message):
+        config = GeneratorConfig(
+            num_users=50, num_items=5, days=1, expected_sessions=100,
+            activity_sigma=sigma,
+        )
+        generator = TraceGenerator(config=config, device_mix=device_mix)
+        assert self._errors(generator) == ((ValueError, message),) * 3
+
+    @pytest.mark.parametrize(
+        "seed, error",
+        [
+            (0, (ValueError, "activity must be > 0, got 0.0")),
+            (3, (OverflowError, "math range error")),
+        ],
+    )
+    def test_out_of_range_activity_fails_alike(self, seed, error):
+        """At sigma 1e4 an activity's ``exp`` underflows to 0.0 (which
+        ``User`` refuses) or overflows, whichever comes first."""
+        config = GeneratorConfig(
+            num_users=50, num_items=5, days=1, expected_sessions=100,
+            activity_sigma=1e4, seed=seed,
+        )
+        assert self._errors(TraceGenerator(config=config)) == (error,) * 3
+
+
+class TestPopulationColumns:
+    """The python columns are the per-user draws ``Population.generate``
+    made before it drew columns: ``city.sample_attachment``, then
+    ``choices`` over the devices, then ``lognormvariate``, user by user.
+    """
+
+    @given(
+        num_users=st.integers(min_value=1, max_value=200),
+        city=cities,
+        devices=device_mixes,
+        activity_sigma=st.floats(min_value=0.0, max_value=2.0),
+        seed=st.integers(min_value=0, max_value=2**64),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_columns_are_the_per_user_draws(
+        self, num_users, city, devices, activity_sigma, seed
+    ):
+        python_rng, loop_rng = random.Random(seed), random.Random(seed)
+        attachments, codes, device_codes, activity = _population_columns(
+            num_users, city, devices, activity_sigma, python_rng
+        )
+        cum_shares = list(accumulate(d.share for d in devices))
+        for user in range(num_users):
+            assert attachments[codes[user]] == city.sample_attachment(loop_rng)
+            device = loop_rng.choices(devices, cum_weights=cum_shares)[0]
+            assert devices[device_codes[user]] is device
+            weight = loop_rng.lognormvariate(0.0, activity_sigma)
+            assert activity[user].hex() == weight.hex()
+        assert python_rng.getstate() == loop_rng.getstate()
