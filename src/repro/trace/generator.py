@@ -354,7 +354,9 @@ def _item_columns(
     dropped.  Returns the kept ``(starts, durations, viewers)``.
 
     This is the semantics reference ``_ckernel.replay_item`` replays
-    bit for bit (it takes ``rng.random`` in place of ``rng``).
+    bit for bit (it takes ``rng.random`` in place of ``rng``, and
+    returns the kept count with ``count``-long columns whose first
+    entries are these).
     """
     times = _sample_times(hourly, count, horizon, rng)
     viewers = rng.choices(range(len(cum_weights)), cum_weights=cum_weights, k=count)

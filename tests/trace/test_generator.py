@@ -34,9 +34,9 @@ from repro.trace.population import (
     DeviceProfile,
     Population,
     User,
-    _attachment_table,
     _draw_population,
     _population_columns,
+    _population_tables,
 )
 
 
@@ -734,17 +734,18 @@ class TestCompiledPopulation:
                 return super().getrandbits(k)
 
         city = default_london(2, (0.5, 0.5), num_exchanges=9, num_pops=3)
-        shares = [d.share for d in DEFAULT_DEVICE_MIX]
         script = [0.25, 1.0]  # the ISP draw, then the device draw
         compiled_rng, python_rng = Scripted(2, script), Scripted(2, script)
-        attachments, offsets = _attachment_table(city)
+        _, offsets, sizes, cumulative, cum_shares = _population_tables(
+            3, city, DEFAULT_DEVICE_MIX, 1.0
+        )
         compiled = _compiled().replay_population(
             compiled_rng.random,
             compiled_rng.getrandbits,
-            array("d", city._cumulative_shares),
+            array("d", cumulative),
             array("q", offsets),
-            array("q", [isp.num_exchanges for isp in city.isps]),
-            array("d", accumulate(shares)),
+            array("q", sizes),
+            array("d", cum_shares),
             1.0,
             3,
         )
